@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import invariants
 from .errors import (
@@ -239,82 +240,77 @@ def _equitable_class_sizes(total, t):
     return [q + 1] * r + [q] * (t - r)
 
 
-class _ScheduleDeadlock(Exception):
-    """The literal row schedule jammed; the exact fill takes over."""
-
-
-def _exact_fill(t, cols, sizes, caps, colsize, uc):
+def _transport_fill(sizes, caps, colsize, uc):
     """Deterministic transportation fill of the count matrix.
 
-    Hub cells are pinned to 1; every other cell of column x holds at
-    most caps[x].  A straightforward augmenting-path flow saturates the
-    row and column totals; any saturating matrix realizes to a proper
-    equitable coloring, so this covers the color-count regimes where
-    the row-by-row schedule of the source construction jams.
+    Rows are colors with totals `sizes`, columns are flowers with totals
+    `colsize`.  The hub cell of column x (row uc[x]-1) is pinned to 1;
+    every other cell holds at most caps[x].  Augmenting paths run on the
+    matrix itself: a forward step from row i to column x has room while
+    C[i][x] < caps[x], a backward step from column x to row j takes back
+    units while C[j][x] > 0.  Any matrix that meets all totals realizes
+    to a proper equitable coloring.
     """
+    t, cols = len(sizes), len(caps)
+    hub = [c - 1 for c in uc]
+    C = [[0] * cols for _ in range(t)]
     need_row = list(sizes)
     need_col = list(colsize)
     for x in range(cols):
-        need_row[uc[x] - 1] -= 1
+        C[hub[x]][x] = 1
+        need_row[hub[x]] -= 1
         need_col[x] -= 1
-    if any(r < 0 for r in need_row):
+    if min(need_row) < 0:
         raise AlgorithmInvariantError("hub placements alone overfill a class")
 
-    src, sink = 0, 1 + t + cols
-    row_node = lambda i: 1 + i
-    col_node = lambda x: 1 + t + x
-    cap = {}
-
-    def add(u, v, c):
-        cap[(u, v)] = c
-        cap.setdefault((v, u), 0)
-
-    for i in range(t):
-        add(src, row_node(i), need_row[i])
-    for x in range(cols):
-        add(col_node(x), sink, need_col[x])
-        for i in range(t):
-            add(row_node(i), col_node(x), 0 if uc[x] - 1 == i else caps[x])
-
-    total = sum(need_row)
-    flow = 0
-    while flow < total:
-        parent = {src: None}
-        queue = [src]
-        while queue and sink not in parent:
-            u = queue.pop(0)
-            for v in range(sink + 1):
-                if v not in parent and cap.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
+    while any(need_row):
+        row_from = {i: None for i in range(t) if need_row[i] > 0}
+        col_from = {}
+        queue = deque(row_from)
+        end = None
+        while queue and end is None:
+            i = queue.popleft()
+            for x in range(cols):
+                if x in col_from or hub[x] == i or C[i][x] >= caps[x]:
+                    continue
+                col_from[x] = i
+                if need_col[x] > 0:
+                    end = x
+                    break
+                for j in range(t):
+                    if j not in row_from and j != hub[x] and C[j][x] > 0:
+                        row_from[j] = x
+                        queue.append(j)
+        if end is None:
             raise AlgorithmInvariantError("no feasible count matrix exists")
-        path = []
-        v = sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        push = min(cap[e] for e in path)
-        for u, v in path:
-            cap[(u, v)] -= push
-            cap[(v, u)] += push
-        flow += push
 
-    C = [[0] * cols for _ in range(t)]
-    for x in range(cols):
-        C[uc[x] - 1][x] = 1
-        for i in range(t):
-            if uc[x] - 1 != i:
-                C[i][x] = cap[(col_node(x), row_node(i))]
+        steps = []  # (row, column, +1 forward / -1 backward)
+        push = need_col[end]
+        x = end
+        while True:
+            i = col_from[x]
+            steps.append((i, x, 1))
+            push = min(push, caps[x] - C[i][x])
+            x = row_from[i]
+            if x is None:
+                push = min(push, need_row[i])
+                break
+            steps.append((i, x, -1))
+            push = min(push, C[i][x])
+        for r, x, sign in steps:
+            C[r][x] += sign * push
+        need_row[i] -= push  # i is the source row the walk ended at
+        need_col[end] -= push
     return C
 
 
 def color_uniform(a: int, n: int, k: int, B: int, t: int):
     """Equitable t-coloring of the uniform flower graph, t >= k+2.
 
-    Fills the count matrix row by row (largest classes first, hub
-    colors spread evenly, column completion when a column has excluded
-    t-k-1 colors), then realizes it flower by flower.  Returns
+    Spreads the hub colors evenly, fills the count matrix (rows are
+    colors, columns flowers) with one transportation fill that meets the
+    equitable class sizes and the per-flower caps, checks every matrix
+    invariant, then realizes it flower by flower.  Returns
     (CountMatrix, Coloring).
     """
     _check_uniform(a, n, k, B)
@@ -345,12 +341,7 @@ def color_uniform(a: int, n: int, k: int, B: int, t: int):
     if j != n + 1:
         raise AlgorithmInvariantError("hub quotas did not cover all flowers")
 
-    try:
-        C = _schedule_fill(t, cols, sizes, caps, colsize, uc, a, k)
-    except _ScheduleDeadlock:
-        # large color counts on small flowers jam the literal row
-        # schedule; the exact fill preserves every matrix invariant
-        C = _exact_fill(t, cols, sizes, caps, colsize, uc)
+    C = _transport_fill(sizes, caps, colsize, uc)
 
     matrix = CountMatrix(tuple(tuple(row) for row in C), a, n, k, B, t, tuple(uc))
     bad = matrix.violations(sizes)
@@ -359,101 +350,6 @@ def color_uniform(a: int, n: int, k: int, B: int, t: int):
 
     coloring = _realize(gls, matrix)
     return matrix, coloring
-
-
-def _schedule_fill(t, cols, sizes, caps, colsize, uc, a, k):
-    """Row-by-row fill: largest class first, full flowers then a
-    partial, each later row resuming after the column where the
-    previous one stopped, topping up partial columns and completing
-    columns that have excluded t-k-1 colors."""
-    C = [[None] * cols for _ in range(t)]
-    colsum = [0] * cols
-    C[0][0] = 1
-    colsum[0] += 1
-    for x in range(1, cols):
-        C[uc[x] - 1][x] = 1
-        colsum[x] += 1
-
-    pending: Dict[int, int] = {}  # column -> top-up value waiting for a free cell
-
-    def complete_excluded_columns():
-        for x in range(cols):
-            zeros = sum(1 for i in range(t) if C[i][x] == 0)
-            if zeros != t - k - 1:
-                continue
-            if any(C[i][x] is None for i in range(t)):
-                if x in pending:
-                    raise _ScheduleDeadlock(f"column {x} completion clashes with top-up")
-                for i in range(t):
-                    if C[i][x] is None:
-                        C[i][x] = caps[x]
-                        colsum[x] += caps[x]
-                if colsum[x] != colsize[x]:
-                    raise _ScheduleDeadlock(f"column {x} completion oversums")
-
-    # row 1: hub unit plus full flowers 1..l1-1 and a partial at l1
-    target = sizes[0]
-    l1 = -((target - 1) // -(a + 1)) if target > 1 else 0
-    cursor = 0
-    for x in range(1, l1):
-        C[0][x] = a + 1
-        colsum[x] += a + 1
-    rem1 = target - 1 - max(0, l1 - 1) * (a + 1)
-    if l1 >= 1 and rem1 > 0:
-        C[0][l1] = rem1
-        colsum[l1] += rem1
-        cursor = l1
-        if rem1 < caps[l1] and colsum[l1] < colsize[l1]:
-            pending[l1] = caps[l1] - rem1
-    elif l1 >= 1:
-        cursor = l1 - 1
-    for x in range(cols):
-        if C[0][x] is None:
-            C[0][x] = 0
-    complete_excluded_columns()
-
-    for row in range(1, t):
-        target = sizes[row]
-        s = sum(x for x in C[row] if x is not None)
-        if s > target:
-            raise _ScheduleDeadlock(f"row {row + 1} pre-filled beyond {target}")
-        # top-ups land in the first later row with a free cell and budget
-        for x in sorted(pending):
-            if C[row][x] is None and s + pending[x] <= target:
-                val = pending.pop(x)
-                C[row][x] = val
-                colsum[x] += val
-                s += val
-        last = None
-        for step in range(cols):
-            if s == target:
-                break
-            x = (cursor + 1 + step) % cols
-            if C[row][x] is not None:
-                continue
-            m = min(caps[x], colsize[x] - colsum[x], target - s)
-            if m <= 0:
-                C[row][x] = 0
-                continue
-            C[row][x] = m
-            colsum[x] += m
-            s += m
-            last = (x, m)
-        if s != target:
-            raise _ScheduleDeadlock(f"row {row + 1} ended short: {s} < {target}")
-        for x in range(cols):
-            if C[row][x] is None:
-                C[row][x] = 0
-        if last is not None:
-            x, m = last
-            cursor = x
-            if m < caps[x] and colsum[x] < colsize[x]:
-                pending[x] = caps[x] - m
-        complete_excluded_columns()
-
-    if pending:
-        raise _ScheduleDeadlock(f"unplaced top-ups: {pending}")
-    return C
 
 
 def realize_flower(counts, a: int, k: int, universal_color: int):
@@ -614,8 +510,12 @@ def color_nplus2(g: GlsGraph, stats: Optional[dict] = None) -> Coloring:
                 recolor(w, cw)
         return False
 
+    # an equitable coloring already maximizes the class-size product,
+    # so no strictly improving move exists once the window is one unit
     products = [math.prod(sizes[1:])]
-    while generic_move() or transfer_move() or cascade_move():
+    while max(sizes[1:]) - min(sizes[1:]) > 1 and (
+        generic_move() or transfer_move() or cascade_move()
+    ):
         p = math.prod(sizes[1:])
         if p <= products[-1]:
             raise AlgorithmInvariantError("committed move did not increase the product")

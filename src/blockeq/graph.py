@@ -227,7 +227,21 @@ class BlockGraph:
 
 
 def from_edge_list(n, edges, labels=None):
-    """Build and validate a BlockGraph; duplicate edges collapse."""
+    """Build and validate a BlockGraph; duplicate edges collapse.
+
+    The vertex count and every vertex id must be ints (bool refused),
+    the count must be nonnegative, and labels, if given, one per vertex.
+    """
+    if type(n) is not int or n < 0:
+        raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+    if labels is not None and len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} vertices")
+    edges = list(edges)
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise UnknownVertexError(
+                f"edge ({u!r}, {v!r}) has a vertex id that is not an integer"
+            )
     return BlockGraph(n, edges, labels)
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
@@ -12,6 +14,7 @@ from blockeq import formats, oracle
 from blockeq.characterization import generate_with_alphamin
 from blockeq.families import path_graph, triangle_with_pendant_edge
 from blockeq.gls import BinPackingInstance
+from blockeq.graph import from_edge_list
 
 SCHEMAS = Path(__file__).parent.parent / "schemas"
 
@@ -62,6 +65,28 @@ class TestFormats:
         validator("certificate").validate(d)
         back = formats.certificate_from_json_dict(json.loads(json.dumps(d)))
         assert back == cert
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        attachments=st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=3)),
+            max_size=8,
+        ),
+        labelled=st.booleans(),
+    )
+    def test_graph_json_round_trip_is_identity(self, attachments, labelled):
+        # grow a block graph by gluing cliques onto existing vertices
+        n, edges = 1, []
+        for anchor, extra in attachments:
+            clique = [anchor % n] + list(range(n, n + extra))
+            edges += [(u, v) for i, u in enumerate(clique) for v in clique[i + 1:]]
+            n += extra
+        labels = [f"v{i}" for i in range(n)] if labelled else None
+        g = from_edge_list(n, edges, labels)
+        back = formats.graph_from_json_dict(json.loads(json.dumps(formats.graph_to_json_dict(g))))
+        assert back == g
+        assert back.edges() == g.edges()
+        assert back.labels == g.labels
 
     def test_dot_export_mentions_all_edges(self):
         dot = formats.graph_to_dot(path_graph(3))
@@ -204,6 +229,20 @@ class TestCli:
         missing = tmp_path / "nope.json"
         proc = run_cli("params", str(missing))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("graph, problem", [
+        ({"n": -2, "edges": []}, "vertex count must be a nonnegative integer"),
+        ({"n": 2.5, "edges": [[0, 1]]}, "vertex count must be a nonnegative integer"),
+        ({"n": 2, "edges": [[0, True]]}, "vertex id that is not an integer"),
+        ({"n": 2, "edges": [[0, 1.5]]}, "vertex id that is not an integer"),
+        ({"n": 2, "edges": [[0, 1]], "labels": ["a"]}, "1 labels for 2 vertices"),
+    ], ids=["negative-n", "fractional-n", "bool-vertex", "float-vertex", "short-labels"])
+    def test_bad_graph_input_exits_two(self, tmp_path, graph, problem):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(graph))
+        proc = run_cli("params", str(p))
+        assert proc.returncode == 2
+        assert problem in proc.stderr
 
     def test_dot_command(self, graph_file):
         proc = run_cli("dot", str(graph_file))

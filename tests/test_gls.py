@@ -134,6 +134,27 @@ class TestColorUniform:
                 assert sorted(coloring.class_sizes(), reverse=True) == sizes
 
 
+# many colors on few, small flowers: the count matrix has little slack,
+# so a fill must move units between cells to meet every column sum
+HIGH_T_PAIRS = [
+    (3, 3, 3, 3, 26), (3, 4, 4, 3, 42), (4, 5, 4, 5, 39), (5, 2, 2, 5, 13),
+    (5, 3, 3, 5, 25), (5, 4, 4, 5, 41), (6, 3, 2, 9, 12), (7, 4, 4, 7, 36),
+    (7, 4, 4, 7, 38),
+]
+
+
+@pytest.mark.parametrize("a,n,k,B,t", HIGH_T_PAIRS)
+def test_high_t_pair_matrix_and_coloring(a, n, k, B, t):
+    matrix, coloring = color_uniform(a, n, k, B, t)
+    total = (k + 1) * (a * n + n + 1)
+    q, r = divmod(total, t)
+    sizes = [q + 1] * r + [q] * (t - r)
+    assert matrix.violations(sizes) == []
+    g = build_gls(BinPackingInstance((a,) * n, k, B))
+    chk = oracle.check_coloring(g.graph, coloring)
+    assert chk.proper and chk.equitable
+
+
 class TestRealizeFlower:
     def test_two_cliques_two_colors(self):
         out = realize_flower({9: 1, 1: 2, 2: 2}, 1, 2, 9)
@@ -194,6 +215,14 @@ class TestColorNPlus2:
             assert sorted(coloring.class_sizes(), reverse=True) == expect
             chk = oracle.check_coloring(g.graph, coloring)
             assert chk.proper and chk.equitable
+
+    def test_equitable_start_commits_no_moves(self):
+        g = build_gls(BinPackingInstance((1, 1, 1, 1), 2, 2))
+        stats = {}
+        coloring = color_nplus2(g, stats=stats)
+        assert stats["moves"] == 0
+        sizes = coloring.class_sizes()
+        assert max(sizes) - min(sizes) <= 1
 
     def test_many_instances_reach_equitable(self):
         insts = [
