@@ -320,8 +320,6 @@ def color_uniform(a: int, n: int, k: int, B: int, t: int):
     gls = _uniform_gls(a, n, k, B)
     total = gls.graph.n
     sizes = _equitable_class_sizes(total, t)
-    if n * (a + 1) < sizes[0]:
-        raise AlgorithmInvariantError("n(a+1) < |V_1|; row 1 cannot be filled")
 
     cols = n + 1
     caps = [B + 1] + [a + 1] * n

@@ -3,6 +3,7 @@ import pytest
 from blockeq import invariants as inv
 from blockeq import oracle
 from blockeq.errors import (
+    AlgorithmInvariantError,
     CycleFoundError,
     InstanceInvariantError,
     NotUniformConsistentError,
@@ -12,6 +13,7 @@ from blockeq.errors import (
 from blockeq.families import complete_graph, path_graph
 from blockeq.gls import (
     BinPackingInstance,
+    _transport_fill,
     Coloring,
     ComponentKind,
     alternating_components,
@@ -117,11 +119,18 @@ class TestColorUniform:
             color_uniform(2, 2, 1, 4, 2)
 
     def test_row_one_has_enough_room(self):
-        # the first row always fits: n(a+1) covers the largest class
+        # color 1 holds the hub cell of column 0 and no flower hub, so it
+        # has room 1 + n(a+1); that always covers the largest class
         for a, n, k, B in uniform_grid():
             total = (k + 1) * (a * n + n + 1)
-            for t in range(k + 2, k + 7):
-                assert n * (a + 1) >= -(total // -t)
+            for t in range(k + 2, max(total, k + 6) + 1):
+                assert 1 + n * (a + 1) >= -(total // -t)
+
+    def test_fill_reports_infeasible_totals(self):
+        # color 1 owns the only column's hub cell, which stays pinned
+        # to 1, so it can never reach 3 vertices
+        with pytest.raises(AlgorithmInvariantError, match="no feasible count matrix"):
+            _transport_fill([3, 1], [2], [4], [1])
 
     def test_matrix_invariants_across_grid(self):
         for a, n, k, B in uniform_grid():
