@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -546,26 +546,10 @@ def _resolve_kind(g, T, v, cand):
     return None
 
 
-def find_decomposition(g: BlockGraph) -> Optional[CharCertificate]:
-    """Recover a growth certificate for g, or None after exhausting the
-    reverse search (a None on a valid input would be a counterexample
-    worth logging)."""
-    deco = decompose(g)
-    if not deco.cut_vertices:
-        raise NoCutVertexError("decomposition needs a cut vertex")
-    target = invariants.alpha_min(g).value
-    witnesses = [x for x in sorted(deco.cut_vertices) if invariants.alpha_with(g, x) == target]
-    if not witnesses:
-        raise AssertionError("some cut vertex must realize alpha_min")
-    v = witnesses[0]
+def _reverse_search(g: BlockGraph, v: int, target: int):
+    """Growth records that shrink g to the clique-star around v, one
+    alpha_min step at a time, or None when no sequence exists."""
     base_set = frozenset(g.closed_neighborhood(v))
-
-    if target == 1:
-        if base_set != frozenset(range(g.n)):
-            log.warning("alpha_min=1 graph is not its own clique-star; potential counterexample")
-            return None
-        return CharCertificate(g, v, ())
-
     failed = set()
 
     def search(S, am):
@@ -587,20 +571,35 @@ def find_decomposition(g: BlockGraph) -> Optional[CharCertificate]:
                 continue
             rest = search(T, am - 1)
             if rest is not None:
-                rec = _Reverse(
-                    kind, cand.anchors, cand.sizes, cand.ext,
-                    cand.groups, cand.ext_group, cand.removed,
-                )
-                return rest + [rec]
+                return rest + [replace(cand, kind=kind)]
         failed.add(S)
         return None
 
-    records = search(frozenset(range(g.n)), target)
-    if records is None:
+    return search(frozenset(range(g.n)), target)
+
+
+def find_decomposition(g: BlockGraph) -> Optional[CharCertificate]:
+    """Recover a growth certificate for g, or None after exhausting the
+    reverse search from every cut vertex that realizes alpha_min, in id
+    order (a None on a valid input would be a counterexample worth
+    logging)."""
+    deco = decompose(g)
+    if not deco.cut_vertices:
+        raise NoCutVertexError("decomposition needs a cut vertex")
+    target = invariants.alpha_min(g).value
+    witnesses = [x for x in sorted(deco.cut_vertices) if invariants.alpha_with(g, x) == target]
+    if not witnesses:
+        raise AssertionError("some cut vertex must realize alpha_min")
+
+    for v in witnesses:
+        records = _reverse_search(g, v, target)
+        if records is not None:
+            break
+    else:
         log.warning("reverse search exhausted on %r; potential counterexample", g)
         return None
 
-    base_sub, base_map = g.induced_subgraph(sorted(base_set))
+    base_sub, base_map = g.induced_subgraph(sorted(g.closed_neighborhood(v)))
     id_map = dict(base_map)
     nxt = base_sub.n
     steps = []

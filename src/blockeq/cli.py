@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import characterization as char
 from . import formats, gls, invariants, oracle
-from .errors import BlockeqError, NotABlockGraphError, SelfLoopError, TooLargeError
+from .errors import BlockeqError, NotABlockGraphError, SelfLoopError
 from .graph import clique_levels, decompose
 
 JOBS_ENV = "BLOCKEQ_JOBS"
@@ -34,9 +34,6 @@ def _default_jobs():
 
 # -- sweep machinery ------------------------------------------------------
 
-_SWEEP_DC_CAP = 20
-
-
 def _sweep_one(args):
     """Worker: run one check on one graph, passed as (check, n, edges)."""
     check, n, edges = args
@@ -44,21 +41,18 @@ def _sweep_one(args):
     key = oracle.canonical_form(g).decode("ascii")
     record = {"graph": key, "n": n, "edges": edges, "check": check}
     if check == "dc-le-alphamin":
-        try:
-            dc = invariants.dc_exact(g, cap=_SWEEP_DC_CAP).value
-        except TooLargeError:
-            record["details"] = "skipped: dc cap"
-            return ("skipped", record)
+        dc = invariants.dc_exact(g).value
         am = invariants.alpha_min(g).value
         if dc > am:
             record["details"] = f"dc={dc} > alpha_min={am}"
             return ("violation", record)
     elif check in ("conjecture", "eq1"):
-        rep = invariants.bounds_report(g, dc_cap=0)
+        am = invariants.alpha_min(g).value
+        lower = invariants.counting_lower_bound(g.n, am, decompose(g).max_block_size())
         chi = oracle.exact_chi_eq(g)
-        upper = rep.lower_bound + 1 if check == "conjecture" else rep.hs_upper
-        if not rep.lower_bound <= chi <= upper:
-            record["details"] = f"chi_eq={chi} outside [{rep.lower_bound}, {upper}]"
+        upper = lower + 1 if check == "conjecture" else g.max_degree() + 1
+        if not lower <= chi <= upper:
+            record["details"] = f"chi_eq={chi} outside [{lower}, {upper}]"
             return ("violation", record)
     elif check == "characterization":
         if not decompose(g).cut_vertices:
@@ -129,7 +123,7 @@ def _cmd_validate(args):
 
 def _cmd_params(args):
     g = formats.load_graph(args.graph)
-    _emit(invariants.bounds_report(g, dc_cap=args.dc_cap).to_json_dict())
+    _emit(invariants.bounds_report(g).to_json_dict())
     return 0
 
 
@@ -248,7 +242,7 @@ def _cmd_exact_spectrum(args):
 
 def _cmd_exact_dc(args):
     g = formats.load_graph(args.graph)
-    res = invariants.dc_exact(g, cap=args.cap)
+    res = invariants.dc_exact(g)
     _emit({"dc": res.value, "dc_set": sorted(res.dc_set)})
     return 0
 
@@ -290,7 +284,6 @@ def build_parser():
 
     q = sub.add_parser("params", help="structural parameter report")
     q.add_argument("graph")
-    q.add_argument("--dc-cap", type=int, default=20)
     q.set_defaults(fn=_cmd_params)
 
     q = sub.add_parser("levels", help="clique levels by pendant peeling")
@@ -350,7 +343,6 @@ def build_parser():
     c.set_defaults(fn=_cmd_exact_spectrum)
     c = esub.add_parser("dc", help="exact distance to cluster")
     c.add_argument("graph")
-    c.add_argument("--cap", type=int, default=20)
     c.set_defaults(fn=_cmd_exact_dc)
     c = esub.add_parser("binpack", help="exact packing decision")
     c.add_argument("instance")

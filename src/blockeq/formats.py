@@ -19,7 +19,7 @@ def graph_to_json_dict(g: BlockGraph) -> dict:
 
 
 def graph_from_json_dict(d: dict) -> BlockGraph:
-    return from_edge_list(d["n"], [tuple(e) for e in d["edges"]], d.get("labels"))
+    return from_edge_list(d["n"], d["edges"], d.get("labels"))
 
 
 def parse_edge_list_text(text: str) -> BlockGraph:

@@ -95,7 +95,7 @@ def _biconnected_components(vertices, adj):
 class BlockGraph:
     """Immutable simple graph whose blocks are all cliques."""
 
-    __slots__ = ("n", "_adj", "labels", "_decomp", "_levels")
+    __slots__ = ("n", "_adj", "labels", "_decomp", "_levels", "_alpha")
 
     def __init__(self, n, edges, labels=None, _validated=False):
         adj = [set() for _ in range(n)]
@@ -111,6 +111,7 @@ class BlockGraph:
         self.labels = tuple(labels) if labels is not None else None
         self._decomp = None
         self._levels = None
+        self._alpha = None
         if not _validated:
             self._validate()
 
@@ -229,19 +230,20 @@ class BlockGraph:
 def from_edge_list(n, edges, labels=None):
     """Build and validate a BlockGraph; duplicate edges collapse.
 
-    The vertex count and every vertex id must be ints (bool refused),
-    the count must be nonnegative, and labels, if given, one per vertex.
+    Every edge must be a 2-element tuple or list, the vertex count and
+    every vertex id must be ints (bool refused), the count must be
+    nonnegative, and labels, if given, one per vertex.
     """
     if type(n) is not int or n < 0:
         raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
     if labels is not None and len(labels) != n:
         raise ValueError(f"{len(labels)} labels for {n} vertices")
     edges = list(edges)
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int:
-            raise UnknownVertexError(
-                f"edge ({u!r}, {v!r}) has a vertex id that is not an integer"
-            )
+    for e in edges:
+        if not isinstance(e, (tuple, list)) or len(e) != 2:
+            raise ValueError(f"edge {e!r} is not a pair of vertex ids")
+        if type(e[0]) is not int or type(e[1]) is not int:
+            raise UnknownVertexError(f"edge {e!r} has a vertex id that is not an integer")
     return BlockGraph(n, edges, labels)
 
 
@@ -256,15 +258,6 @@ class BlockDecomposition:
 
     def block_indices_of(self, v):
         return self._vertex_blocks.get(v, ())
-
-    def is_cut(self, v):
-        return v in self.cut_vertices
-
-    def is_simplicial(self, v):
-        return v not in self.cut_vertices
-
-    def simplicial_vertices(self, n):
-        return frozenset(v for v in range(n) if v not in self.cut_vertices)
 
     def pendant_block_indices(self):
         """Blocks containing exactly one cut vertex."""

@@ -1,68 +1,120 @@
 """Structural parameters of block graphs.
 
-Exact independence numbers via the simplicial greedy (correct on
-chordal graphs), distance to cluster by bounded exhaustive search, and
-the AIS / v-AIS membership tests.  The deliberately naive counterparts
-live in `oracle` so the two code paths stay independent.
+Every parameter comes from linear passes over the block-cut forest of
+`graph.decompose`: a post-order and a rerooting pass give the alpha
+table (cached on the graph), from which `alpha`, `alpha_with`,
+`alpha_min` and the AIS / v-AIS tests are read off, and one more
+post-order pass gives the distance to cluster.  The deliberately naive
+counterparts live in `oracle` so the two code paths stay independent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
-from typing import Optional
+from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
-from .errors import (
-    EmptyGraphError,
-    TooLargeError,
-    WIsInClosedNeighborhoodError,
-)
+from .errors import EmptyGraphError, WIsInClosedNeighborhoodError
 from .graph import BlockGraph, decompose
 
-DC_DEFAULT_CAP = 20
+
+def _rooted_forest(g: BlockGraph):
+    """The block-cut forest rooted at the smallest vertex of each
+    component: (order, up, top) lists the vertices breadth first, the
+    block up[v] through which v hangs from its parent vertex (-1 at a
+    root; v's other blocks are its child blocks) and the vertex top[b]
+    from which block b hangs."""
+    deco = decompose(g)
+    up = [-1] * g.n
+    top = [-1] * len(deco.blocks)
+    order = []
+    for r in range(g.n):
+        if up[r] >= 0:
+            continue
+        i = len(order)
+        order.append(r)
+        while i < len(order):
+            v = order[i]
+            i += 1
+            for b in deco.block_indices_of(v):
+                if b == up[v]:
+                    continue
+                top[b] = v
+                for u in deco.blocks[b]:
+                    if u != v:
+                        up[u] = b
+                        order.append(u)
+    return order, up, top
 
 
-def _alpha_peel(adj, alive):
-    """Greedy maximum-independent-set size on a mutable residual.
+class _AlphaTable(NamedTuple):
+    alpha: int
+    alpha_with: list  # largest independent set containing v
+    ais: list  # whether v lies in every maximum independent set
 
-    Repeatedly takes a simplicial vertex and deletes its closed
-    neighborhood; exact because the residual stays chordal.
+
+def _alpha_table(g: BlockGraph) -> _AlphaTable:
+    """The alpha table of g, computed once and cached on the graph.
+
+    An independent set takes at most one vertex per block.  inc[v] and
+    exc[v] are the largest sets through and avoiding v, first within
+    v's subtree; per block the post-order pass keeps the sum of its
+    children's exc and the two largest gains inc - exc among them.  The
+    rerooting pass adds to each child u what lies above its block: the
+    parent vertex with the block cut off and u's siblings, where
+    avoiding u frees the best gain left in the block.
     """
-    alive = set(alive)
-    count = 0
-    while alive:
-        simp = None
-        for v in sorted(alive):
-            nbrs = [w for w in adj[v] if w in alive]
-            ok = True
-            for i, a in enumerate(nbrs):
-                row = adj[a]
-                for b in nbrs[i + 1:]:
-                    if b not in row:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                simp = v
-                break
-        if simp is None:
-            raise AssertionError("chordal residual must contain a simplicial vertex")
-        count += 1
-        alive -= {w for w in adj[simp] if w in alive}
-        alive.discard(simp)
-    return count
+    if g._alpha is None:
+        deco = decompose(g)
+        order, up, top = _rooted_forest(g)
+        nb = len(deco.blocks)
+        inc = [1] * g.n
+        exc = [0] * g.n
+        bsum = [0] * nb
+        best = [0] * nb
+        second = [0] * nb
+        holder = [-1] * nb
+        for v in reversed(order):
+            for b in deco.block_indices_of(v):
+                if b != up[v]:
+                    inc[v] += bsum[b]
+                    exc[v] += bsum[b] + best[b]
+            b = up[v]
+            if b >= 0:
+                bsum[b] += exc[v]
+                gain = inc[v] - exc[v]
+                if gain > best[b]:
+                    best[b], second[b], holder[b] = gain, best[b], v
+                elif gain > second[b]:
+                    second[b] = gain
+        for u in order:
+            b = up[u]
+            if b < 0:
+                continue
+            p = top[b]
+            rest_exc = exc[p] - bsum[b] - best[b]
+            rest_gain = inc[p] - bsum[b] - rest_exc
+            rest = rest_exc + bsum[b] - exc[u]
+            inc[u] += rest
+            exc[u] += rest + max(rest_gain, second[b] if holder[b] == u else best[b])
+        # max(inc, exc) is the alpha of the vertex's component
+        total = sum(max(inc[v], exc[v]) for v in order if up[v] < 0)
+        g._alpha = _AlphaTable(
+            total,
+            [total - max(inc[v], exc[v]) + inc[v] for v in range(g.n)],
+            [exc[v] < inc[v] for v in range(g.n)],
+        )
+    return g._alpha
 
 
 def alpha(g: BlockGraph) -> int:
     """Size of a largest independent set."""
-    return _alpha_peel(g._adj, range(g.n))
+    return _alpha_table(g).alpha
 
 
 def alpha_with(g: BlockGraph, v: int) -> int:
     """Size of a largest independent set containing v."""
     g._check_vertex(v)
-    return 1 + _alpha_peel(g._adj, set(range(g.n)) - g.closed_neighborhood(v))
+    return _alpha_table(g).alpha_with[v]
 
 
 @dataclass(frozen=True)
@@ -74,27 +126,12 @@ class AlphaMinResult:
 def alpha_min(g: BlockGraph) -> AlphaMinResult:
     """Minimum over vertices of alpha_with, plus a witness.
 
-    For a connected graph with a cut vertex the minimum is attained on
-    a cut vertex, so only cut vertices plus one simplicial vertex are
-    scanned.  Ties break toward the smallest scanned id.
+    Ties break toward the smallest id.  A simplicial vertex attains
+    alpha itself, so below alpha only cut vertices realize the minimum.
     """
     if g.n == 0:
         raise EmptyGraphError("alpha_min of the empty graph")
-    deco = decompose(g)
-    if g.is_connected() and deco.cut_vertices:
-        candidates = sorted(deco.cut_vertices)
-        simplicial = [v for v in range(g.n) if v not in deco.cut_vertices]
-        if simplicial:
-            candidates = sorted(candidates + [simplicial[0]])
-    else:
-        candidates = range(g.n)
-    best = None
-    witness = None
-    for v in candidates:
-        a = alpha_with(g, v)
-        if best is None or a < best:
-            best, witness = a, v
-    return AlphaMinResult(best, witness)
+    return AlphaMinResult(*min((a, v) for v, a in enumerate(_alpha_table(g).alpha_with)))
 
 
 @dataclass(frozen=True)
@@ -103,71 +140,64 @@ class DcResult:
     dc_set: frozenset
 
 
-def _is_cluster(adj, alive):
-    """True when the residual is a disjoint union of cliques."""
-    alive = set(alive)
-    seen = set()
-    for s in alive:
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in alive and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        m = sum(1 for u in comp for w in adj[u] if w in comp) // 2
-        k = len(comp)
-        if m != k * (k - 1) // 2:
-            return False
-    return True
-
-
-def dc_exact(g: BlockGraph, cap: int = DC_DEFAULT_CAP) -> DcResult:
+def dc_exact(g: BlockGraph) -> DcResult:
     """Smallest vertex set whose removal leaves disjoint cliques.
 
-    Increasing-size subset enumeration; first lexicographic witness.
-    Raises TooLargeError above `cap` so sweeps can skip honestly.
+    The rest is a cluster graph exactly when every survivor keeps
+    surviving neighbors in at most one of its blocks.  Per vertex v the
+    post-order pass keeps the cheapest subtree with v deleted (drop),
+    surviving with no survivor in its child blocks (alone), and
+    surviving with survivors in at most one child block (joined); a
+    survivor that shares its parent block with another survivor must be
+    alone.  Deleting v costs 2^n - 2^(n-1-v), so distinct sets cost
+    differently, the cheapest set is a smallest one and, among those,
+    the lexicographically first, and its low n bits spell it out.
     """
-    if g.n > cap:
-        raise TooLargeError(f"dc enumeration capped at {cap} vertices, got {g.n}")
-    everything = set(range(g.n))
-    for size in range(g.n + 1):
-        for sub in combinations(range(g.n), size):
-            if _is_cluster(g._adj, everything - set(sub)):
-                return DcResult(size, frozenset(sub))
-    raise AssertionError("deleting all vertices always yields a cluster")
+    deco = decompose(g)
+    order, up, _ = _rooted_forest(g)
+    n, nb = g.n, len(deco.blocks)
+    drop = [(1 << n) - (1 << (n - 1 - v)) for v in range(n)]
+    alone = [0] * n
+    # per block, over its children: all deleted; survivors all alone;
+    # change when one child survives joined and the others are deleted
+    closed = [0] * nb
+    opened = [0] * nb
+    lone = [0] * nb
+    total = 0
+    for v in reversed(order):
+        joined = 0
+        for b in deco.block_indices_of(v):
+            if b != up[v]:
+                drop[v] += min(opened[b], closed[b] + lone[b])
+                alone[v] += closed[b]
+                joined = min(joined, opened[b] - closed[b])
+        joined += alone[v]
+        b = up[v]
+        if b < 0:
+            total += min(drop[v], joined)
+        else:
+            closed[b] += drop[v]
+            opened[b] += min(drop[v], alone[v])
+            lone[b] = min(lone[b], joined - drop[v])
+    size = -(-total >> n)
+    spelled = (size << n) - total
+    return DcResult(size, frozenset(v for v in range(n) if spelled >> (n - 1 - v) & 1))
 
 
 def is_ais(g: BlockGraph, w: int) -> bool:
-    """Whether w lies in every maximum independent set.
-
-    An isolated vertex always does; otherwise w qualifies iff deleting
-    N[w] leaves strictly more independence than deleting N[w_j] for
-    every neighbor w_j.
-    """
+    """Whether w lies in every maximum independent set, that is, whether
+    avoiding w costs independence."""
     g._check_vertex(w)
-    nbrs = g.neighbors(w)
-    if not nbrs:
-        return True
-    everything = set(range(g.n))
-    a_w = _alpha_peel(g._adj, everything - g.closed_neighborhood(w))
-    for u in sorted(nbrs):
-        if a_w <= _alpha_peel(g._adj, everything - g.closed_neighborhood(u)):
-            return False
-    return True
+    return _alpha_table(g).ais[w]
 
 
 def is_v_ais(g: BlockGraph, v: int, w: int) -> bool:
     """Whether w lies in every maximum independent set containing v."""
-    g._check_vertex(v)
     g._check_vertex(w)
-    if w in g.closed_neighborhood(v):
+    closed = g.closed_neighborhood(v)
+    if w in closed:
         raise WIsInClosedNeighborhoodError(f"w={w} lies in N[{v}]")
-    residual, id_map = g.delete_vertices(g.closed_neighborhood(v))
+    residual, id_map = g.delete_vertices(closed)
     return is_ais(residual, id_map[w])
 
 
@@ -181,26 +211,14 @@ class ParamReport:
     alpha_min_witness: int
     omega: int
     delta: int
-    dc: Optional[int]
-    dc_set: Optional[frozenset]
+    dc: int
+    dc_set: frozenset
     lower_bound: int
     window: tuple
     hs_upper: int
 
     def to_json_dict(self):
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "alpha_min": self.alpha_min,
-            "alpha_min_witness": self.alpha_min_witness,
-            "omega": self.omega,
-            "delta": self.delta,
-            "dc": self.dc,
-            "dc_set": sorted(self.dc_set) if self.dc_set is not None else None,
-            "lower_bound": self.lower_bound,
-            "window": list(self.window),
-            "hs_upper": self.hs_upper,
-        }
+        return {**asdict(self), "dc_set": sorted(self.dc_set), "window": list(self.window)}
 
 
 def counting_lower_bound(n: int, amin: int, omega: int) -> int:
@@ -208,17 +226,13 @@ def counting_lower_bound(n: int, amin: int, omega: int) -> int:
     return max(omega, -((n + 1) // -(amin + 1)))
 
 
-def bounds_report(g: BlockGraph, dc_cap: int = DC_DEFAULT_CAP) -> ParamReport:
-    """Fill every parameter field; dc stays absent above its cap."""
+def bounds_report(g: BlockGraph) -> ParamReport:
+    """Fill every parameter field."""
     if g.n == 0:
         raise EmptyGraphError("bounds_report of the empty graph")
     am = alpha_min(g)
     omega = decompose(g).max_block_size()
-    try:
-        dc = dc_exact(g, cap=dc_cap)
-        dc_value, dc_set = dc.value, dc.dc_set
-    except TooLargeError:
-        dc_value, dc_set = None, None
+    dc = dc_exact(g)
     lb = counting_lower_bound(g.n, am.value, omega)
     return ParamReport(
         n=g.n,
@@ -227,8 +241,8 @@ def bounds_report(g: BlockGraph, dc_cap: int = DC_DEFAULT_CAP) -> ParamReport:
         alpha_min_witness=am.witness,
         omega=omega,
         delta=g.max_degree(),
-        dc=dc_value,
-        dc_set=dc_set,
+        dc=dc.value,
+        dc_set=dc.dc_set,
         lower_bound=lb,
         window=(lb, lb + 1),
         hs_upper=g.max_degree() + 1,

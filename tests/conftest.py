@@ -16,3 +16,8 @@ def graphs_up_to_8():
 @pytest.fixture(scope="session")
 def graphs_up_to_9():
     return list(oracle.enumerate_block_graphs(9))
+
+
+@pytest.fixture(scope="session")
+def graphs_up_to_10():
+    return list(oracle.enumerate_block_graphs(10))

@@ -52,7 +52,7 @@ def test_criterion_01_dc_bounded_by_alpha_min(graphs_up_to_9):
 def test_criterion_02_gap_one_window_small_scale(graphs_up_to_9):
     violations = []
     for g in graphs_up_to_9:
-        rep = inv.bounds_report(g, dc_cap=0)
+        rep = inv.bounds_report(g)
         chi = oracle.exact_chi_eq(g)
         if not rep.lower_bound <= chi <= rep.lower_bound + 1:
             violations.append((g.edges(), rep.lower_bound, chi))
@@ -64,7 +64,7 @@ def test_criterion_02_gap_one_window_small_scale(graphs_up_to_9):
 def test_criterion_03_pendant_family_needs_one_extra_color():
     for k in (2, 3):
         g = clique_with_pendant_cliques(k)
-        rep = inv.bounds_report(g, dc_cap=0)
+        rep = inv.bounds_report(g)
         assert rep.lower_bound == k + 1, (k, rep.lower_bound)
         budget = 10**8
         feasible_low, _ = oracle.exact_equitable_colorable(g, k + 1, node_budget=budget)
@@ -180,7 +180,7 @@ def test_criterion_08_locked_vertex_test_matches_oracle(graphs_up_to_8):
           f"{len(graphs_up_to_8)} graphs")
 
 
-def test_criterion_09_certificates_round_trip(graphs_up_to_8):
+def test_criterion_09_certificates_round_trip(graphs_up_to_10):
     runs = 0
     for r in range(1, 6):
         for seed in range(40):
@@ -200,7 +200,7 @@ def test_criterion_09_certificates_round_trip(graphs_up_to_8):
                 )
                 assert brute_amin == i + 1, (r, seed, i)
     decomposed = 0
-    for g in graphs_up_to_8:
+    for g in graphs_up_to_10:
         if not decompose(g).cut_vertices:
             continue
         cert = find_decomposition(g)
@@ -209,7 +209,7 @@ def test_criterion_09_certificates_round_trip(graphs_up_to_8):
         decomposed += 1
     print(f"ACCEPTANCE 09 PASS: {runs} seeded certificates verified with "
           f"brute-force prefixes; decomposition recovered on {decomposed} "
-          "graphs with <= 8 vertices")
+          "graphs with <= 10 vertices")
 
 
 def test_criterion_10_enumeration_cross_validated():

@@ -236,7 +236,11 @@ class TestCli:
         ({"n": 2, "edges": [[0, True]]}, "vertex id that is not an integer"),
         ({"n": 2, "edges": [[0, 1.5]]}, "vertex id that is not an integer"),
         ({"n": 2, "edges": [[0, 1]], "labels": ["a"]}, "1 labels for 2 vertices"),
-    ], ids=["negative-n", "fractional-n", "bool-vertex", "float-vertex", "short-labels"])
+        ({"n": 2, "edges": [[0, 1, 1]]}, "edge [0, 1, 1] is not a pair of vertex ids"),
+        ({"n": 2, "edges": [[0]]}, "edge [0] is not a pair of vertex ids"),
+        ({"n": 2, "edges": [5]}, "edge 5 is not a pair of vertex ids"),
+    ], ids=["negative-n", "fractional-n", "bool-vertex", "float-vertex", "short-labels",
+            "triple-edge", "single-edge", "scalar-edge"])
     def test_bad_graph_input_exits_two(self, tmp_path, graph, problem):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(graph))

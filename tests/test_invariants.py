@@ -4,7 +4,6 @@ from blockeq import invariants as inv
 from blockeq import oracle
 from blockeq.errors import (
     EmptyGraphError,
-    TooLargeError,
     UnknownVertexError,
     WIsInClosedNeighborhoodError,
 )
@@ -33,8 +32,8 @@ class TestAlpha:
     def test_empty(self):
         assert inv.alpha(BlockGraph(0, [])) == 0
 
-    def test_matches_brute_on_all_small(self, graphs_up_to_8):
-        for g in graphs_up_to_8:
+    def test_matches_brute_on_all_small(self, graphs_up_to_10):
+        for g in graphs_up_to_10:
             assert inv.alpha(g) == oracle.brute_alpha(g), g.edges()
 
 
@@ -53,10 +52,10 @@ class TestAlphaWith:
         with pytest.raises(UnknownVertexError):
             inv.alpha_with(path_graph(3), 9)
 
-    def test_matches_brute_on_all_small(self, graphs_up_to_7):
-        for g in graphs_up_to_7:
+    def test_matches_brute_on_all_small(self, graphs_up_to_10):
+        for g in graphs_up_to_10:
             for v in range(g.n):
-                assert inv.alpha_with(g, v) == oracle.brute_alpha_with(g, v)
+                assert inv.alpha_with(g, v) == oracle.brute_alpha_with(g, v), (g.edges(), v)
 
     def test_simplicial_vertex_attains_alpha(self, graphs_up_to_8):
         # a simplicial vertex always lies in some maximum independent set
@@ -106,8 +105,8 @@ class TestAlphaMin:
         with pytest.raises(EmptyGraphError):
             inv.alpha_min(BlockGraph(0, []))
 
-    def test_matches_full_scan_on_all_small(self, graphs_up_to_8):
-        for g in graphs_up_to_8:
+    def test_matches_full_scan_on_all_small(self, graphs_up_to_10):
+        for g in graphs_up_to_10:
             assert inv.alpha_min(g).value == brutes.brute_alpha_min_full(
                 g, oracle.brute_alpha_with
             ), g.edges()
@@ -115,6 +114,15 @@ class TestAlphaMin:
     def test_disconnected_scanned_fully(self):
         g = from_edge_list(5, [(0, 1), (1, 2), (3, 4)])
         assert inv.alpha_min(g).value == brutes.brute_alpha_min_full(g, oracle.brute_alpha_with)
+
+    def test_flower_graph_closed_form(self):
+        # alpha_min = n+1+kB, recomputed on a flower graph of 1,000 vertices
+        from blockeq.gls import BinPackingInstance, build_gls
+
+        sizes = (40, 35, 30, 28, 27, 25, 20, 18, 17)
+        g = build_gls(BinPackingInstance(sizes, 3, 80), cross_check=False).graph
+        assert g.n == (3 + 1) * (3 * 80 + 9 + 1) == 1000
+        assert inv.alpha_min(g).value == 9 + 1 + 3 * 80
 
 
 class TestDc:
@@ -130,13 +138,28 @@ class TestDc:
         res = inv.dc_exact(two_triangles_sharing_a_vertex())
         assert res.value == 1 and res.dc_set == frozenset({0})
 
-    def test_too_large(self):
-        with pytest.raises(TooLargeError):
-            inv.dc_exact(complete_graph(5), cap=4)
+    def test_matches_brute(self, graphs_up_to_10):
+        for g in graphs_up_to_10:
+            assert inv.dc_exact(g).value == oracle.brute_dc(g), g.edges()
 
-    def test_matches_brute(self, graphs_up_to_7):
-        for g in graphs_up_to_7:
-            assert inv.dc_exact(g).value == oracle.brute_dc(g)
+    def test_matches_brute_on_disconnected_residuals(self, graphs_up_to_8):
+        # G - N[v] is often disconnected: every component gets its own root
+        for g in graphs_up_to_8:
+            for v in range(g.n):
+                h, _ = g.delete_closed_neighborhood(v)
+                assert inv.dc_exact(h).value == oracle.brute_dc(h), (g.edges(), v)
+                for w in range(h.n):
+                    assert inv.alpha_with(h, w) == oracle.brute_alpha_with(h, w)
+
+    def test_dc_set_is_a_smallest_cluster_deletion(self, graphs_up_to_10):
+        for g in graphs_up_to_10:
+            res = inv.dc_exact(g)
+            assert len(res.dc_set) == res.value
+            keep = set(range(g.n)) - res.dc_set
+            for v in keep:
+                nbrs = [w for w in g.neighbors(v) if w in keep]
+                assert all(g.adjacent(a, b) for a in nbrs for b in nbrs if a != b), (
+                    g.edges(), res.dc_set, v)
 
     def test_dc_never_exceeds_alpha_min(self, graphs_up_to_8):
         for g in graphs_up_to_8:
@@ -158,8 +181,8 @@ class TestAis:
         assert inv.is_ais(g, 0) and inv.is_ais(g, 2) and inv.is_ais(g, 4)
         assert not inv.is_ais(g, 1) and not inv.is_ais(g, 3)
 
-    def test_agrees_with_definitional_oracle(self, graphs_up_to_7):
-        for g in graphs_up_to_7:
+    def test_agrees_with_definitional_oracle(self, graphs_up_to_9):
+        for g in graphs_up_to_9:
             _, sets = brutes.all_maximum_independent_sets(g)
             core = frozenset.intersection(*sets)
             for v in range(g.n):
@@ -216,10 +239,10 @@ class TestBoundsReport:
         from blockeq.gls import BinPackingInstance, build_gls
 
         g = build_gls(BinPackingInstance((3, 3, 3, 3), 3, 4)).graph
-        rep = inv.bounds_report(g, dc_cap=0)
+        rep = inv.bounds_report(g)
         assert rep.n == 68 and rep.omega == 4 and rep.alpha_min == 17
         assert rep.lower_bound == 4 and rep.window == (4, 5)
-        assert rep.dc is None
+        assert rep.dc == 5
 
     def test_dc_present_when_small(self):
         rep = inv.bounds_report(path_graph(4))
