@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import random
+from itertools import permutations
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Tuple
@@ -120,16 +121,16 @@ def _block_root(g, deco, lv, qi):
     return cuts[0] if cuts else None
 
 
-def _guards_ok(g: BlockGraph, v: int, op: OpDescriptor):
-    """Check every structural guard of `op` against g (the graph being
-    grown).  Returns the root of the twin-attach block when relevant.
-    Raises PreconditionViolatedError with the failed clause."""
+def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
+    """Check every structural guard of a `kind` step at `anchors` against
+    g (the graph being grown).  Returns the root of the twin-attach block
+    when relevant.  Raises PreconditionViolatedError with the failed
+    clause."""
     deco = decompose(g)
     lv = clique_levels(g)
     cuts = deco.cut_vertices
-    anchors = op.anchors
 
-    if op.kind is OpKind.ATTACH_AT_PENDANT_CUT:
+    if kind is OpKind.ATTACH_AT_PENDANT_CUT:
         x = anchors[0]
         if x == v:
             raise PreconditionViolatedError("op1-anchor-is-base", f"anchor {x} equals v")
@@ -140,7 +141,7 @@ def _guards_ok(g: BlockGraph, v: int, op: OpDescriptor):
             raise PreconditionViolatedError("op1-not-in-pendant", f"{x} in no pendant clique")
         return None
 
-    if op.kind is OpKind.ATTACH_AT_LEVEL2_K2_CUT:
+    if kind is OpKind.ATTACH_AT_LEVEL2_K2_CUT:
         x = anchors[0]
         if x not in cuts:
             raise PreconditionViolatedError("op2-anchor-not-cut", f"{x} is simplicial")
@@ -153,7 +154,7 @@ def _guards_ok(g: BlockGraph, v: int, op: OpDescriptor):
             raise PreconditionViolatedError("op2-anchor-v-ais", f"{x} locked into v's maximum sets")
         return None
 
-    if op.kind is OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE:
+    if kind is OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE:
         s = anchors[0]
         if s in cuts:
             raise PreconditionViolatedError("op3-anchor-not-simplicial", f"{s} is a cut vertex")
@@ -180,7 +181,7 @@ def _guards_ok(g: BlockGraph, v: int, op: OpDescriptor):
             return None
         raise PreconditionViolatedError("op3-level", f"block level {level} not in 1..3")
 
-    if op.kind is OpKind.TWIN_ATTACH:
+    if kind is OpKind.TWIN_ATTACH:
         qis = set()
         for s in anchors:
             if s in cuts:
@@ -202,7 +203,7 @@ def _guards_ok(g: BlockGraph, v: int, op: OpDescriptor):
             raise PreconditionViolatedError("op4-anchors-equal", "twin anchors must differ")
         return _block_root(g, deco, lv, qi)
 
-    if op.kind is OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL:
+    if kind is OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL:
         s = anchors[0]
         if s in cuts:
             raise PreconditionViolatedError("op5-anchor-not-simplicial", f"{s} is a cut vertex")
@@ -213,7 +214,7 @@ def _guards_ok(g: BlockGraph, v: int, op: OpDescriptor):
             raise PreconditionViolatedError("op5-not-unique", "block has other simplicial vertices")
         return None
 
-    raise PreconditionViolatedError("kind", f"unknown kind {op.kind}")
+    raise PreconditionViolatedError("kind", f"unknown kind {kind}")
 
 
 def _attach_cliques(g: BlockGraph, anchors, sizes):
@@ -237,7 +238,7 @@ def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:
     """One growth step; raises PreconditionViolatedError on any failed guard."""
     op.check_shape()
     g._check_vertex(v)
-    root = _guards_ok(g, v, op)
+    root = _guards_ok(g, v, op.kind, op.anchors)
 
     if op.kind is OpKind.TWIN_ATTACH and len(op.anchors) == 2:
         grown, groups = _attach_cliques(g, op.anchors, op.sizes)
@@ -300,45 +301,28 @@ def verify_certificate(cert: CharCertificate) -> CertCheck:
 
 
 def _candidate_ops(g: BlockGraph, v: int):
-    """All structurally plausible (kind, anchors) pairs for one step."""
+    """Every (kind, anchors) pair that `_guards_ok` accepts for one step:
+    each cut vertex for kinds 1-2, then per block each simplicial vertex
+    for kinds 3/5, and for the twin attach each ordered pair and each
+    single one of them."""
     deco = decompose(g)
-    lv = clique_levels(g)
     cuts = deco.cut_vertices
-    pend = set(deco.pendant_block_indices())
-    out = []
+    shapes = []
     for x in sorted(cuts):
-        if x != v and any(qi in pend for qi in deco.block_indices_of(x)):
-            out.append((OpKind.ATTACH_AT_PENDANT_CUT, (x,)))
-        if any(
-            lv.levels.get(qi) == 2 and len(deco.blocks[qi]) == 2
-            for qi in deco.block_indices_of(x)
-        ) and not _v_ais_guard(g, v, x):
-            out.append((OpKind.ATTACH_AT_LEVEL2_K2_CUT, (x,)))
-    for qi, b in enumerate(deco.blocks):
-        level = lv.levels.get(qi)
+        shapes += [(OpKind.ATTACH_AT_PENDANT_CUT, (x,)), (OpKind.ATTACH_AT_LEVEL2_K2_CUT, (x,))]
+    for b in deco.blocks:
         simps = sorted(b - cuts)
-        if level in (1, 2):
-            if len(simps) >= 3:
-                out.extend((OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (s,)) for s in simps)
-            elif len(simps) == 2:
-                s1, s2 = simps
-                out.extend(
-                    [
-                        (OpKind.TWIN_ATTACH, (s1, s2)),
-                        (OpKind.TWIN_ATTACH, (s2, s1)),
-                        (OpKind.TWIN_ATTACH, (s1,)),
-                        (OpKind.TWIN_ATTACH, (s2,)),
-                    ]
-                )
-            elif len(simps) == 1:
-                out.append((OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (simps[0],)))
-        elif level == 3 and simps:
-            probe = OpDescriptor(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (simps[0],), (2,))
-            try:
-                _guards_ok(g, v, probe)
-            except PreconditionViolatedError:
-                continue
-            out.extend((OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (s,)) for s in simps)
+        shapes += [(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (s,)) for s in simps]
+        shapes += [(OpKind.TWIN_ATTACH, pair) for pair in permutations(simps, 2)]
+        shapes += [(OpKind.TWIN_ATTACH, (s,)) for s in simps]
+        shapes += [(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (s,)) for s in simps]
+    out = []
+    for kind, anchors in shapes:
+        try:
+            _guards_ok(g, v, kind, anchors)
+        except PreconditionViolatedError:
+            continue
+        out.append((kind, anchors))
     return out
 
 
@@ -368,10 +352,10 @@ def generate_with_alphamin(
     steps = []
     for i in range(1, r):
         target = i + 1
+        cands = _candidate_ops(g, 0)
+        if not cands:
+            raise ExhaustedRetriesError(f"no candidate operations at step {i}")
         for _ in range(retries):
-            cands = _candidate_ops(g, 0)
-            if not cands:
-                raise ExhaustedRetriesError(f"no candidate operations at step {i}")
             kind, anchors = rng.choice(cands)
             sizes = tuple(rng.choice(size_pool) for _ in anchors)
             ext = None
@@ -503,46 +487,20 @@ def _reverse_candidates(g, S, v):
     return cands
 
 
-def _resolve_kind(g, T, v, cand):
-    """Find a kind whose guards accept this candidate on the shrunken
-    graph G[T], and run the grown-graph guards; None when no kind fits."""
-    sub, idmap = g.induced_subgraph(sorted(T))
-    if not sub.is_connected():
-        return None
-    anchors_sub = tuple(idmap[a] for a in cand.anchors)
-    v_sub = idmap[v]
-    kinds = (
-        [OpKind.TWIN_ATTACH]
-        if len(cand.anchors) == 2
-        else [
-            OpKind.ATTACH_AT_PENDANT_CUT,
-            OpKind.ATTACH_AT_LEVEL2_K2_CUT,
-            OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE,
-            OpKind.TWIN_ATTACH,
-            OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL,
-        ]
-    )
-    for kind in kinds:
-        probe = OpDescriptor(kind, anchors_sub, cand.sizes, None)
+def _resolve_kind(tsub, tmap, v, cand):
+    """First kind whose replay on the shrunken graph G[T] (`tsub`, with
+    host-to-sub ids `tmap`) rebuilds every removed vertex; None when no
+    kind does.  A twin attach that falls back to one clique rebuilds
+    fewer and does not count."""
+    anchors = tuple(tmap[a] for a in cand.anchors)
+    for kind in OpKind:
+        op = OpDescriptor(kind, anchors, cand.sizes, cand.ext)
         try:
-            root_sub = _guards_ok(sub, v_sub, probe)
+            grown = apply_operation(tsub, tmap[v], op)
         except PreconditionViolatedError:
             continue
-        if len(cand.anchors) == 2:
-            # the double attach stands only if the root is not locked
-            # into every maximum independent set through v afterwards
-            invmap = {new: old for old, new in idmap.items()}
-            root_host = invmap[root_sub]
-            grown_set = (T | cand.removed) - set(cand.ext_group)
-            gsub, gmap = g.induced_subgraph(sorted(grown_set))
-            if _v_ais_guard(gsub, gmap[v], gmap[root_host]):
-                continue
-        if cand.ext is not None:
-            mid_set = (T | cand.removed) - set(cand.ext_group)
-            msub, mmap = g.induced_subgraph(sorted(mid_set))
-            if _v_ais_guard(msub, mmap[v], mmap[cand.anchors[0]]):
-                continue
-        return kind
+        if grown.n == tsub.n + len(cand.removed):
+            return kind
     return None
 
 
@@ -566,7 +524,7 @@ def _reverse_search(g: BlockGraph, v: int, target: int):
                 continue
             if invariants.alpha_with(tsub, tmap[v]) != am - 1:
                 continue
-            kind = _resolve_kind(g, T, v, cand)
+            kind = _resolve_kind(tsub, tmap, v, cand)
             if kind is None:
                 continue
             rest = search(T, am - 1)
