@@ -62,9 +62,9 @@ class OpDescriptor:
 
     Sizes count whole blocks (anchor included), so every size is >= 2
     and a size-s attachment contributes s-1 fresh vertices.  A twin
-    attach carries two anchors; its replay adds both cliques unless the
-    root of their block becomes locked into every maximum independent
-    set through v, in which case only the first is added.
+    attach carries two anchors; its replay adds both cliques unless
+    every root of their block becomes locked into every maximum
+    independent set through v, in which case only the first is added.
     """
 
     kind: OpKind
@@ -111,21 +111,21 @@ def _v_ais_guard(g: BlockGraph, v: int, w: int) -> bool:
     return invariants.is_v_ais(g, v, w)
 
 
-def _block_root(g, deco, lv, qi):
-    """Root of a leveled block; falls back to its smallest cut vertex
-    when the block was the final residual clique."""
+def _block_roots(deco, lv, qi):
+    """Possible roots of a leveled block: the vertex it hangs from, or
+    every cut vertex of the final residual clique, which hangs from none
+    (so no one of them is singled out by vertex ids)."""
     z = lv.roots.get(qi)
     if z is not None:
-        return z
-    cuts = sorted(deco.blocks[qi] & deco.cut_vertices)
-    return cuts[0] if cuts else None
+        return (z,)
+    return tuple(sorted(deco.blocks[qi] & deco.cut_vertices))
 
 
 def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
     """Check every structural guard of a `kind` step at `anchors` against
-    g (the graph being grown).  Returns the root of the twin-attach block
-    when relevant.  Raises PreconditionViolatedError with the failed
-    clause."""
+    g (the graph being grown).  Returns the possible roots of the
+    twin-attach block when relevant.  Raises PreconditionViolatedError
+    with the failed clause."""
     deco = decompose(g)
     lv = clique_levels(g)
     cuts = deco.cut_vertices
@@ -168,16 +168,15 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
                 )
             return None
         if level == 3:
-            z = _block_root(g, deco, lv, qi)
-            for bj, b in enumerate(deco.blocks):
-                if lv.levels.get(bj) != 2 or not (b & deco.blocks[qi]):
-                    continue
-                if z is not None and z in b:
-                    continue
-                if len(b) != 2:
-                    raise PreconditionViolatedError(
-                        "op3-level2-not-k2", f"level-2 block {sorted(b)} has size {len(b)}"
-                    )
+            # level-2 blocks meeting this one are 2-blocks, except at a root
+            big = [
+                b for bj, b in enumerate(deco.blocks)
+                if lv.levels.get(bj) == 2 and b & deco.blocks[qi] and len(b) != 2
+            ]
+            if big and not any(all(z in b for b in big) for z in _block_roots(deco, lv, qi)):
+                raise PreconditionViolatedError(
+                    "op3-level2-not-k2", f"level-2 block {sorted(big[0])} has size {len(big[0])}"
+                )
             return None
         raise PreconditionViolatedError("op3-level", f"block level {level} not in 1..3")
 
@@ -201,7 +200,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
             raise PreconditionViolatedError("op4-anchor-outside", "anchor not simplicial in block")
         if len(anchors) == 2 and anchors[0] == anchors[1]:
             raise PreconditionViolatedError("op4-anchors-equal", "twin anchors must differ")
-        return _block_root(g, deco, lv, qi)
+        return _block_roots(deco, lv, qi)
 
     if kind is OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL:
         s = anchors[0]
@@ -238,12 +237,12 @@ def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:
     """One growth step; raises PreconditionViolatedError on any failed guard."""
     op.check_shape()
     g._check_vertex(v)
-    root = _guards_ok(g, v, op.kind, op.anchors)
+    roots = _guards_ok(g, v, op.kind, op.anchors)
 
     if op.kind is OpKind.TWIN_ATTACH and len(op.anchors) == 2:
         grown, groups = _attach_cliques(g, op.anchors, op.sizes)
-        if _v_ais_guard(grown, v, root):
-            # the double attach would lock the root into every maximum
+        if all(_v_ais_guard(grown, v, z) for z in roots):
+            # the double attach would lock every root into every maximum
             # independent set through v; fall back to a single clique
             grown, groups = _attach_cliques(g, op.anchors[:1], op.sizes[:1])
     else:

@@ -96,3 +96,23 @@ def bfs_diameter(g):
                     queue.append(w)
         best = max(best, max(dist.values(), default=0))
     return best
+
+
+def rooted_canonical_form(g, v):
+    """Canonical string of a connected block graph with vertex v marked:
+    its block-cut tree (blocks by size) encoded as a tree hanging from v,
+    so two rooted graphs get the same string exactly when an isomorphism
+    maps one root to the other."""
+    from blockeq.graph import decompose
+
+    deco = decompose(g)
+
+    def block(qi, via):
+        kids = sorted(cut(x, qi) for x in deco.blocks[qi] & deco.cut_vertices if x != via)
+        return f"B{len(deco.blocks[qi])}(" + ",".join(kids) + ")"
+
+    def cut(x, via):
+        kids = sorted(block(qi, x) for qi in deco.block_indices_of(x) if qi != via)
+        return "C(" + ",".join(kids) + ")"
+
+    return cut(v, None)

@@ -1,9 +1,13 @@
+import random
+from itertools import product
+
 import pytest
 
 from blockeq import invariants as inv
 from blockeq import oracle
 from blockeq.characterization import (
     CharCertificate,
+    _candidate_ops,
     OpDescriptor,
     OpKind,
     StarExtension,
@@ -20,7 +24,7 @@ from blockeq.families import (
     star_of_cliques,
     two_triangles_sharing_a_vertex,
 )
-from blockeq.graph import decompose
+from blockeq.graph import decompose, from_edge_list
 
 import brutes
 
@@ -100,8 +104,6 @@ class TestVerifyCertificate:
         assert inv.alpha_min(g).value == 3
 
     def test_step_that_keeps_alpha_min_flat_is_rejected(self):
-        from blockeq.characterization import _candidate_ops
-
         g, cert = generate_with_alphamin(2, max_clique=3, seed=3)
         flat = None
         for kind, anchors in _candidate_ops(g, 0):
@@ -181,3 +183,83 @@ class TestFindDecomposition:
             for op in cert.steps:
                 cur = apply_operation(cur, cert.base_vertex, op)
             assert oracle.canonical_form(cur) == oracle.canonical_form(g)
+
+    def test_labels_do_not_matter(self):
+        # a residual clique with two cut vertices and no hang vertex; a
+        # root picked by vertex id made the search fail on this labeling
+        # and on about a third of its relabelings
+        edges = [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4), (3, 5), (4, 7), (4, 8),
+                 (5, 6), (7, 8), (7, 9), (7, 10)]
+        rng = random.Random(11)
+        perms = [list(range(11))]
+        for _ in range(50):
+            perms.append(rng.sample(range(11), 11))
+        for perm in perms:
+            g = from_edge_list(11, [(perm[u], perm[w]) for u, w in edges])
+            cert = find_decomposition(g)
+            assert cert is not None, perm
+            assert cert.r == inv.alpha_min(g).value == 4
+
+
+def _clique_stars(n_max):
+    """Block-size lists of every clique-star with at most n_max vertices."""
+    def parts(room, largest):
+        # multisets of fresh-vertex counts, nonincreasing
+        yield ()
+        for p in range(min(room, largest), 0, -1):
+            for rest in parts(room - p, p):
+                yield (p,) + rest
+    return [[p + 1 for p in ps] for ps in parts(n_max - 1, n_max - 1) if len(ps) >= 2]
+
+
+def _growth_steps(g, n_max):
+    """Every operation the candidate list offers on g that fits in n_max
+    vertices: each candidate with every block size and extension."""
+    room = n_max - g.n
+    for kind, anchors in _candidate_ops(g, 0):
+        for sizes in product(range(2, room + 2), repeat=len(anchors)):
+            used = sum(s - 1 for s in sizes)
+            if used > room:
+                continue
+            yield OpDescriptor(kind, anchors, sizes)
+            for ix, s in enumerate(sizes):
+                if s == 2:
+                    for e in range(2, room - used + 2):
+                        yield OpDescriptor(kind, anchors, sizes, StarExtension(ix, e))
+
+
+def test_forward_closure_reaches_every_graph_with_a_cut_vertex(graphs_up_to_10):
+    """The operations reach every block graph with a cut vertex and
+    n <= 10, and the reverse search certifies each of them.  States are
+    rooted at the growth vertex v, since a step's guards depend on v."""
+    n_max = 10
+    level = {}
+    for sizes in _clique_stars(n_max):
+        g = star_of_cliques(sizes)
+        level[brutes.rooted_canonical_form(g, 0)] = g
+    reached = dict(level)
+    am = 1
+    while level:
+        nxt = {}
+        for g in level.values():
+            for op in _growth_steps(g, n_max):
+                try:
+                    grown = apply_operation(g, 0, op)
+                except PreconditionViolatedError:
+                    continue
+                if inv.alpha_min(grown).value != am + 1 or inv.alpha_with(grown, 0) != am + 1:
+                    continue
+                key = brutes.rooted_canonical_form(grown, 0)
+                if key not in reached:
+                    reached[key] = nxt[key] = grown
+        level = nxt
+        am += 1
+    closure = {oracle.canonical_form(g): g for g in reached.values()}
+    expected = {
+        oracle.canonical_form(g) for g in graphs_up_to_10 if decompose(g).cut_vertices
+    }
+    assert len(expected) == 2289
+    assert set(closure) == expected
+    for g in closure.values():
+        # find_decomposition verifies what it finds before returning it
+        assert find_decomposition(g) is not None, g.edges()
