@@ -551,31 +551,19 @@ def alternating_components(g: BlockGraph, coloring: Coloring, i: int, j: int):
     """
     if i == j:
         raise ValueError("need two distinct colors")
-    keep = {v for v, c in coloring.color.items() if c in (i, j)}
+    sub, id_map = g.induced_subgraph(v for v, c in coloring.color.items() if c in (i, j))
+    host = sorted(id_map)
     comps = []
-    seen = set()
-    for s in sorted(keep):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w in keep and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        ne = sum(1 for u in comp for w in g.neighbors(u) if w in comp) // 2
-        if ne != len(comp) - 1:
-            raise CycleFoundError(f"classes {i},{j} induce a cycle on {sorted(comp)}")
+    for comp in sub.connected_components():
+        members = frozenset(host[u] for u in comp)
+        if sum(sub.degree(u) for u in comp) // 2 != len(comp) - 1:
+            raise CycleFoundError(f"classes {i},{j} induce a cycle on {sorted(members)}")
         if len(comp) == 1:
             kind = ComponentKind.ISOLATED_VERTEX
         elif len(comp) == 2:
             kind = ComponentKind.ISOLATED_EDGE
         else:
-            degs = {u: sum(1 for w in g.neighbors(u) if w in comp) for u in comp}
-            center_like = sum(1 for d in degs.values() if d > 1)
+            center_like = sum(1 for u in comp if sub.degree(u) > 1)
             kind = ComponentKind.STAR if center_like == 1 else ComponentKind.NON_STAR_TREE
-        comps.append((frozenset(comp), kind))
+        comps.append((members, kind))
     return comps

@@ -230,15 +230,20 @@ class BlockGraph:
 def from_edge_list(n, edges, labels=None):
     """Build and validate a BlockGraph; duplicate edges collapse.
 
-    Every edge must be a 2-element tuple or list, the vertex count and
-    every vertex id must be ints (bool refused), the count must be
-    nonnegative, and labels, if given, one per vertex.
+    Edges must be a list (or tuple) of 2-element tuples or lists, the
+    vertex count and every vertex id must be ints (bool refused), the
+    count must be nonnegative, and labels, if given, a list (or tuple)
+    with one per vertex.
     """
     if type(n) is not int or n < 0:
         raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
-    if labels is not None and len(labels) != n:
-        raise ValueError(f"{len(labels)} labels for {n} vertices")
-    edges = list(edges)
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError(f"edges must be a list of vertex pairs, got {edges!r}")
+    if labels is not None:
+        if not isinstance(labels, (list, tuple)):
+            raise ValueError(f"labels must be a list, got {labels!r}")
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels for {n} vertices")
     for e in edges:
         if not isinstance(e, (tuple, list)) or len(e) != 2:
             raise ValueError(f"edge {e!r} is not a pair of vertex ids")

@@ -239,8 +239,10 @@ class TestCli:
         ({"n": 2, "edges": [[0, 1, 1]]}, "edge [0, 1, 1] is not a pair of vertex ids"),
         ({"n": 2, "edges": [[0]]}, "edge [0] is not a pair of vertex ids"),
         ({"n": 2, "edges": [5]}, "edge 5 is not a pair of vertex ids"),
+        ({"n": 2, "edges": 5}, "edges must be a list of vertex pairs, got 5"),
+        ({"n": 2, "edges": [[0, 1]], "labels": 7}, "labels must be a list, got 7"),
     ], ids=["negative-n", "fractional-n", "bool-vertex", "float-vertex", "short-labels",
-            "triple-edge", "single-edge", "scalar-edge"])
+            "triple-edge", "single-edge", "scalar-edge", "scalar-edges", "scalar-labels"])
     def test_bad_graph_input_exits_two(self, tmp_path, graph, problem):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(graph))
