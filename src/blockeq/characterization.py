@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import logging
 import random
-from itertools import permutations
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import permutations
 from typing import Optional, Tuple
 
 from . import invariants
@@ -300,10 +300,10 @@ def verify_certificate(cert: CharCertificate) -> CertCheck:
 
 
 def _candidate_ops(g: BlockGraph, v: int):
-    """Every (kind, anchors) pair that `_guards_ok` accepts for one step:
-    each cut vertex for kinds 1-2, then per block each simplicial vertex
-    for kinds 3/5, and for the twin attach each ordered pair and each
-    single one of them."""
+    """Every (kind, anchors) pair that `_guards_ok` accepts for one step.
+    The shapes tried, in this order: each cut vertex for kinds 1 and 2;
+    then per block, each simplicial vertex for kind 3, each ordered pair
+    and each single one for the twin attach, and each one for kind 5."""
     deco = decompose(g)
     cuts = deco.cut_vertices
     shapes = []

@@ -3,6 +3,8 @@ never accidentally leans on them."""
 
 from itertools import combinations
 
+from blockeq.graph import decompose
+
 
 def brute_articulation_points(g):
     """Vertices whose removal increases the component count."""
@@ -103,8 +105,6 @@ def rooted_canonical_form(g, v):
     its block-cut tree (blocks by size) encoded as a tree hanging from v,
     so two rooted graphs get the same string exactly when an isomorphism
     maps one root to the other."""
-    from blockeq.graph import decompose
-
     deco = decompose(g)
 
     def block(qi, via):
