@@ -11,6 +11,7 @@ from .graph import (
     delete_closed_neighborhood,
     delete_vertices,
     from_edge_list,
+    generate_block_graphs,
     is_clique_star,
 )
 from .invariants import (

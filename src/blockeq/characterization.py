@@ -237,6 +237,9 @@ def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:
     """One growth step; raises PreconditionViolatedError on any failed guard."""
     op.check_shape()
     g._check_vertex(v)
+    for a in op.anchors:
+        if not 0 <= a < g.n:
+            raise PreconditionViolatedError("anchor-unknown", f"anchor {a} outside 0..{g.n - 1}")
     roots = _guards_ok(g, v, op.kind, op.anchors)
 
     if op.kind is OpKind.TWIN_ATTACH and len(op.anchors) == 2:

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import characterization as char
 from . import formats, gls, invariants, oracle
 from .errors import BlockeqError, NotABlockGraphError, SelfLoopError
-from .graph import clique_levels, decompose
+from .graph import clique_levels, decompose, generate_block_graphs
 
 JOBS_ENV = "BLOCKEQ_JOBS"
 
@@ -34,12 +34,15 @@ def _default_jobs():
 
 # -- sweep machinery ------------------------------------------------------
 
+# graphs handed to a worker process at a time by `verify --jobs N`
+_SWEEP_CHUNK = 64
+
+
 def _sweep_one(args):
-    """Worker: run one check on one graph, passed as (check, n, edges)."""
-    check, n, edges = args
-    g = formats.graph_from_json_dict({"n": n, "edges": edges})
-    key = oracle.canonical_form(g).decode("ascii")
-    record = {"graph": key, "n": n, "edges": edges, "check": check}
+    """Worker: run one check on one generated graph, passed as
+    (check, graph, key) with key its canonical form."""
+    check, g, key = args
+    record = {"graph": key, "n": g.n, "edges": [[u, v] for u, v in g.edges()], "check": check}
     if check == "dc-le-alphamin":
         dc = invariants.dc_exact(g).value
         am = invariants.alpha_min(g).value
@@ -75,24 +78,33 @@ def _sweep_one(args):
     return ("ok", record)
 
 
+def _tally(max_n, results):
+    """Graph count, skipped count and sorted violations of a result stream."""
+    count = skipped = 0
+    violations = []
+    for status, record in results:
+        count += 1
+        if status == "skipped":
+            skipped += 1
+        elif status == "violation":
+            violations.append(record)
+    violations.sort(key=lambda r: r["graph"])
+    return {"max_n": max_n, "graph_count": count, "skipped": skipped}, violations
+
+
 def _run_sweep(check, max_n, jobs):
     t0 = time.time()
-    tasks = [
-        (check, g.n, [[u, v] for u, v in g.edges()])
-        for g in oracle.enumerate_block_graphs(max_n)
-    ]
+    tasks = ((check, g, key) for g, key in generate_block_graphs(max_n))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_sweep_one, tasks)
+            scope, violations = _tally(
+                max_n, pool.imap(_sweep_one, tasks, chunksize=_SWEEP_CHUNK)
+            )
     else:
-        results = [_sweep_one(t) for t in tasks]
-    violations = sorted(
-        (r for status, r in results if status == "violation"), key=lambda r: r["graph"]
-    )
-    skipped = sum(1 for status, _ in results if status == "skipped")
+        scope, violations = _tally(max_n, map(_sweep_one, tasks))
     return {
         "check": check,
-        "scope": {"max_n": max_n, "graph_count": len(tasks), "skipped": skipped},
+        "scope": scope,
         "violations": violations,
         "runtime_seconds": round(time.time() - t0, 3),
         "jobs": jobs,
@@ -259,7 +271,7 @@ def _cmd_enumerate(args):
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    for g in oracle.enumerate_block_graphs(args.max_n):
+    for g, _key in generate_block_graphs(args.max_n):
         counts[g.n] = counts.get(g.n, 0) + 1
         if out:
             name = f"g_{g.n:02d}_{counts[g.n]:05d}.json"

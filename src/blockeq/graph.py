@@ -9,6 +9,8 @@ is a pure function, so instances can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import (
@@ -116,8 +118,8 @@ class BlockGraph:
             self._validate()
 
     def _validate(self):
-        blocks, _ = _biconnected_components(range(self.n), self._adj)
-        for b in blocks:
+        # the decomposition stays cached for the graph's later use
+        for b in decompose(self).blocks:
             bs = sorted(b)
             for i, u in enumerate(bs):
                 for v in bs[i + 1:]:
@@ -396,3 +398,140 @@ def delete_vertices(g: BlockGraph, removed: Iterable[int]):
 def delete_closed_neighborhood(g: BlockGraph, v: int):
     """Induced subgraph dropping N[v], plus old-to-new id map."""
     return g.delete_closed_neighborhood(v)
+
+
+# -- isomorph-free generation ----------------------------------------------
+
+
+class _Piece:
+    """A rooted part of a block-cut tree, with its encoding.
+
+    A vertex piece (`block_size` 0) is a vertex and the blocks hanging
+    from it; `size` counts its vertices.  A block piece is a block of
+    `block_size` vertices hanging from a parent vertex, and `kids` are
+    the vertex pieces of those members that carry blocks of their own;
+    `size` counts the vertices below the parent.  A piece at the center
+    of a whole tree is built the same way, with `size` the vertex count.
+    `height` is the number of tree edges down to the deepest leaf block.
+    """
+
+    __slots__ = ("size", "height", "block_size", "kids", "code")
+
+    def __init__(self, size, block_size, kids):
+        self.size = size
+        self.block_size = block_size
+        self.kids = kids
+        self.height = 1 + max(k.height for k in kids) if kids else 0
+        label = f"B{block_size}" if block_size else "C"
+        self.code = label + "(" + ",".join(sorted(k.code for k in kids)) + ")"
+
+
+def _multisets(pieces, total, start=0):
+    """Every multiset of `pieces` (ordered by size) whose sizes sum to
+    `total`, once each, as a nondecreasing run of indices from `start`."""
+    if total == 0:
+        yield ()
+        return
+    for i in range(start, len(pieces)):
+        p = pieces[i]
+        if p.size > total:
+            break
+        for rest in _multisets(pieces, total - p.size, i):
+            yield (p,) + rest
+
+
+def _strata(by_height):
+    """(pieces of height h, pieces lower than h) for every height h, each
+    list ordered by size; `by_height[h]` holds the pieces of height h."""
+    out = []
+    low = []
+    for top in by_height:
+        out.append((top, low))
+        low = sorted(low + top, key=attrgetter("size"))
+    return out
+
+
+def _centered(strata, total):
+    """Multisets summing to `total` whose two highest pieces have equal
+    height: the branches at the center of a tree."""
+    for top, low in strata:
+        for high_total in range(total + 1):
+            for high in _multisets(top, high_total):
+                if len(high) >= 2:
+                    for rest in _multisets(low, total - high_total):
+                        yield high + rest
+
+
+def _realize(center):
+    """The graph of a centered piece, built by the validating constructor."""
+    edges = []
+    if center.block_size:
+        members = range(center.block_size)
+        stack = list(zip(members, center.kids))
+        nxt = center.block_size
+        edges += [(u, w) for u in members for w in members if u < w]
+    else:
+        stack = [(0, center)]
+        nxt = 1
+    while stack:
+        v, piece = stack.pop()
+        for b in piece.kids:
+            fresh = range(nxt, nxt + b.block_size - 1)
+            nxt += b.block_size - 1
+            edges += [(v, u) for u in fresh]
+            edges += [(u, w) for u in fresh for w in fresh if u < w]
+            stack += zip(fresh, b.kids)
+    return BlockGraph(nxt, edges)
+
+
+def generate_block_graphs(max_n):
+    """Every connected block graph with at most `max_n` vertices, once per
+    isomorphism class, as (graph, key) pairs in order of vertex count.
+
+    A block-cut tree has only blocks as leaves, so every leaf-to-leaf
+    path has even length and the tree has one center.  Rooted pieces are
+    built bottom-up by size: a vertex piece hangs a multiset of block
+    pieces, and a block piece of size s a multiset of at most s-1 vertex
+    pieces (its other members are simplicial).  A graph is a piece at
+    its center: a lone block, or a vertex or block whose two highest
+    branches have equal height.  Each piece carries the rooted-tree
+    encoding with children sorted, so `key` equals
+    `oracle.canonical_form(graph).decode()` and no canonical form is
+    computed.  Only pieces with at most max_n - 2 vertices are kept.
+    """
+    vertex_pieces = []  # ordered by size
+    block_pieces = []  # ordered by size
+    vertex_by_height = []
+    block_by_height = []
+    for n in range(1, max_n + 1):
+        k = n - 2
+        if k >= 2:
+            for kids in _multisets(block_pieces, k - 1):
+                p = _Piece(k, 0, kids)
+                vertex_pieces.append(p)
+                _add_by_height(vertex_by_height, p)
+        if k >= 1:
+            for below in range(k + 1):
+                for kids in _multisets(vertex_pieces, below):
+                    # the parent, k - below simplicial members, one member per kid
+                    p = _Piece(k, 1 + (k - below) + len(kids), kids)
+                    block_pieces.append(p)
+                    _add_by_height(block_by_height, p)
+        vertex_strata = _strata(vertex_by_height)
+        centers = chain(
+            [_Piece(n, n, ())],
+            (
+                _Piece(n, n - below + len(kids), kids)
+                for below in range(n + 1)
+                for kids in _centered(vertex_strata, below)
+            ),
+            (_Piece(n, 0, kids) for kids in _centered(_strata(block_by_height), n - 1)),
+        )
+        for c in centers:
+            yield _realize(c), c.code
+
+
+def _add_by_height(by_height, piece):
+    while len(by_height) <= piece.height:
+        by_height.append([])
+    by_height[piece.height].append(piece)

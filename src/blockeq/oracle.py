@@ -84,15 +84,23 @@ def _true_twin_predecessors(g: BlockGraph, order):
     return prev
 
 
+def _search_plan(g: BlockGraph):
+    """Vertex order and twin predecessors of the backtracking search; they
+    depend on g alone, so a scan over t computes them once."""
+    order = list(reversed(_degeneracy_order(g)))
+    return order, _true_twin_predecessors(g, order)
+
+
 def exact_equitable_colorable(
-    g: BlockGraph, t: int, node_budget: Optional[int] = None
+    g: BlockGraph, t: int, node_budget: Optional[int] = None, _plan=None
 ):
     """Exact decision of equitable t-colorability, with witness.
 
     Backtracking in reverse degeneracy order under per-class caps, a
     floor-deficit prune, first-empty-class and twin symmetry breaking.
     Raises SearchBudgetExceededError when the node cap is hit, so a
-    'gave up' is never conflated with a 'no'.
+    'gave up' is never conflated with a 'no'.  `_plan` is g's
+    `_search_plan`, passed by callers that try several t.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -101,8 +109,7 @@ def exact_equitable_colorable(
         return True, Coloring({}, t)
     floor, extra = divmod(n, t)
     cap_hi = floor + 1 if extra else floor
-    order = list(reversed(_degeneracy_order(g)))
-    twin_prev = _true_twin_predecessors(g, order)
+    order, twin_prev = _plan if _plan is not None else _search_plan(g)
     counts = [0] * t
     assign = {}
     deficit = floor * t  # sum over classes of max(0, floor - count)
@@ -189,9 +196,10 @@ def spectrum(g: BlockGraph, t_cap: Optional[int] = None, node_budget: Optional[i
         raise ValueError("t_cap exceeds the vertex count")
     feasible = set()
     unknown = set()
+    plan = _search_plan(g)
     for t in range(1, cap + 1):
         try:
-            ok, _ = exact_equitable_colorable(g, t, node_budget)
+            ok, _ = exact_equitable_colorable(g, t, node_budget, _plan=plan)
         except SearchBudgetExceededError:
             unknown.add(t)
             continue
@@ -212,8 +220,9 @@ def spectrum(g: BlockGraph, t_cap: Optional[int] = None, node_budget: Optional[i
 
 def exact_chi_eq(g: BlockGraph, node_budget: Optional[int] = None) -> int:
     """Smallest t admitting an equitable coloring (t = n always works)."""
+    plan = _search_plan(g)
     for t in range(1, g.n + 1):
-        ok, _ = exact_equitable_colorable(g, t, node_budget)
+        ok, _ = exact_equitable_colorable(g, t, node_budget, _plan=plan)
         if ok:
             return t
     raise AssertionError("t = n is always feasible")

@@ -209,12 +209,28 @@ class TestCli:
         assert report["scope"]["graph_count"] == 39
 
     def test_verify_sweep_parallel_matches(self):
-        a = run_cli("verify", "conjecture", "--max-n", "5")
-        b = run_cli("verify", "conjecture", "--max-n", "5", "--jobs", "2")
-        assert a.returncode == b.returncode == 0
-        ra, rb = json.loads(a.stdout), json.loads(b.stdout)
-        assert ra["violations"] == rb["violations"]
-        assert ra["scope"] == rb["scope"]
+        for check in ("conjecture", "dc-le-alphamin", "characterization"):
+            a = run_cli("verify", check, "--max-n", "7", "--jobs", "1")
+            b = run_cli("verify", check, "--max-n", "7", "--jobs", "2")
+            assert a.returncode == b.returncode == 0, check
+            ra, rb = json.loads(a.stdout), json.loads(b.stdout)
+            assert ra["violations"] == rb["violations"] == [], check
+            assert ra["scope"] == rb["scope"], check
+            assert ra["scope"]["graph_count"] == 98, check
+
+    @pytest.mark.parametrize("kind", [1, 3, 4, 5])
+    def test_char_verify_unknown_anchor_is_a_replay_failure(self, tmp_path, kind):
+        base = {"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [2, 3]]}
+        step = {"kind": kind, "anchors": [99], "sizes": [2], "extension": None}
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(
+            {"base_graph": base, "base_vertex": 0, "r": 2, "steps": [step]}
+        ))
+        proc = run_cli("char", "verify", str(cert))
+        assert proc.returncode == 1, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["ok"] is False and out["step_index"] == 0
+        assert out["reason"].startswith("replay failure: anchor-unknown")
 
     def test_params_on_pendant_family(self, tmp_path):
         from blockeq.families import clique_with_pendant_cliques

@@ -17,7 +17,7 @@ from blockeq.families import (
     two_triangles_sharing_a_vertex,
 )
 from blockeq.gls import BinPackingInstance, Coloring
-from blockeq.graph import BlockGraph, from_edge_list
+from blockeq.graph import BlockGraph, from_edge_list, generate_block_graphs
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -72,6 +72,14 @@ class TestExactEquitable:
                 if ok:
                     chk = oracle.check_coloring(g, w)
                     assert chk.proper and chk.equitable
+
+    def test_shared_search_plan_changes_nothing(self, graphs_up_to_7):
+        # exact_chi_eq and spectrum compute the plan once for every t
+        for g in graphs_up_to_7:
+            plan = oracle._search_plan(g)
+            for t in range(1, g.n + 1):
+                assert oracle.exact_equitable_colorable(g, t, _plan=plan) == \
+                    oracle.exact_equitable_colorable(g, t)
 
     def test_budget_raises(self):
         g = clique_with_pendant_cliques(3)
@@ -168,6 +176,32 @@ class TestEnumerator:
         keys = [oracle.canonical_form(g) for g in graphs_up_to_7]
         assert len(keys) == len(set(keys))
         assert all(g.is_connected() for g in graphs_up_to_7)
+
+
+class TestGenerator:
+    def test_matches_oracle_enumerator(self, graphs_up_to_10):
+        pairs = list(generate_block_graphs(10))
+        keys = [key for _, key in pairs]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {oracle.canonical_form(g).decode() for g in graphs_up_to_10}
+        for g, key in pairs:
+            assert oracle.canonical_form(g).decode() == key
+            assert g.is_connected()
+
+    def test_counts_match_pinned_fixture(self):
+        pinned = json.loads((FIXTURES / "block_graph_counts.json").read_text())["counts"]
+        counts = {}
+        for g, _ in generate_block_graphs(11):
+            counts[str(g.n)] = counts.get(str(g.n), 0) + 1
+        assert counts == {k: v for k, v in pinned.items() if int(k) <= 11}
+
+    def test_small_graphs_pass_the_filter_oracle(self):
+        for g, _ in generate_block_graphs(7):
+            assert oracle.is_block_graph_by_filter(g)
+
+    def test_smallest_limits(self):
+        assert list(generate_block_graphs(0)) == []
+        assert [(g.n, key) for g, key in generate_block_graphs(1)] == [(1, "B1()")]
 
 
 class TestCanonicalForm:
