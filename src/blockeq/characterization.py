@@ -218,19 +218,17 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
 
 def _attach_cliques(g: BlockGraph, anchors, sizes):
     """g plus one fresh clique per anchor; returns the new graph and the
-    fresh vertex groups in anchor order."""
-    edges = list(g.edges())
+    fresh vertex groups in anchor order.  The new graph's blocks are g's
+    blocks plus one per anchor (an anchor's singleton block is gone)."""
+    blocks = [b for b in decompose(g).blocks if len(b) > 1 or b.isdisjoint(anchors)]
     nxt = g.n
     groups = []
     for anchor, size in zip(anchors, sizes):
-        fresh = list(range(nxt, nxt + size - 1))
+        fresh = tuple(range(nxt, nxt + size - 1))
         nxt += size - 1
-        group = [anchor] + fresh
-        edges.extend(
-            (group[i], group[j]) for i in range(len(group)) for j in range(i + 1, len(group))
-        )
-        groups.append(tuple(fresh))
-    return BlockGraph(nxt, edges, _validated=True), groups
+        blocks.append(frozenset((anchor,) + fresh))
+        groups.append(fresh)
+    return BlockGraph._from_blocks(nxt, blocks), groups
 
 
 def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:

@@ -69,10 +69,6 @@ def _sweep_one(args):
         if cert.r != am:
             record["details"] = f"certificate length {cert.r} != alpha_min {am}"
             return ("violation", record)
-        chk = char.verify_certificate(cert)
-        if not chk.ok:
-            record["details"] = f"certificate rejected: {chk.reason}"
-            return ("violation", record)
     else:
         raise ValueError(f"unknown check {check}")
     return ("ok", record)

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all blockeq modules."""
+"""Exception hierarchy shared by all blockeq modules, and the integer
+checks that input files go through."""
 
 
 class BlockeqError(Exception):
@@ -109,3 +110,19 @@ class SearchBudgetExceededError(BlockeqError):
 
 class AlgorithmInvariantError(BlockeqError):
     """An internal postcondition failed; indicates a bug, not bad input."""
+
+
+def require_int(value, name):
+    """`value` when it is an int (bool refused); a ValueError naming the
+    field `name` otherwise."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def require_ints(values, name):
+    """`values` as a tuple when it is a list (or tuple) of ints (bool
+    refused); a ValueError naming the field `name` otherwise."""
+    if not isinstance(values, (list, tuple)) or any(type(x) is not int for x in values):
+        raise ValueError(f"{name} must be a list of integers, got {values!r}")
+    return tuple(values)

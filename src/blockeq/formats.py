@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 from .characterization import CharCertificate, OpDescriptor, OpKind, StarExtension
+from .errors import require_int, require_ints
 from .gls import BinPackingInstance, Coloring
 from .graph import BlockGraph, from_edge_list
 
@@ -85,19 +86,30 @@ def certificate_to_json_dict(cert: CharCertificate) -> dict:
 
 
 def certificate_from_json_dict(d: dict) -> CharCertificate:
+    if not isinstance(d["steps"], list):
+        raise ValueError(f"steps must be a list, got {d['steps']!r}")
     steps = []
-    for s in d["steps"]:
+    for i, s in enumerate(d["steps"]):
+        if not isinstance(s, dict):
+            raise ValueError(f"step {i} must be an object, got {s!r}")
         ext = s.get("extension")
+        if ext is not None and not isinstance(ext, dict):
+            raise ValueError(f"step {i} extension must be an object or null, got {ext!r}")
         steps.append(
             OpDescriptor(
-                OpKind(int(s["kind"])),
-                tuple(s["anchors"]),
-                tuple(s["sizes"]),
-                StarExtension(int(ext["clique_index"]), int(ext["size"])) if ext else None,
+                OpKind(require_int(s["kind"], f"step {i} kind")),
+                require_ints(s["anchors"], f"step {i} anchors"),
+                require_ints(s["sizes"], f"step {i} sizes"),
+                StarExtension(
+                    require_int(ext["clique_index"], f"step {i} extension clique_index"),
+                    require_int(ext["size"], f"step {i} extension size"),
+                ) if ext else None,
             )
         )
     return CharCertificate(
-        graph_from_json_dict(d["base_graph"]), int(d["base_vertex"]), tuple(steps)
+        graph_from_json_dict(d["base_graph"]),
+        require_int(d["base_vertex"], "base_vertex"),
+        tuple(steps),
     )
 
 

@@ -28,6 +28,8 @@ from .errors import (
     NotUniformConsistentError,
     TBelowThresholdError,
     UnrealizableError,
+    require_int,
+    require_ints,
 )
 from .graph import BlockGraph, decompose, from_edge_list
 
@@ -61,7 +63,9 @@ class BinPackingInstance:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(tuple(d["A"]), int(d["k"]), int(d["B"]))
+        return cls(
+            require_ints(d["A"], "A"), require_int(d["k"], "k"), require_int(d["B"], "B")
+        )
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,14 @@ A block graph is a simple undirected graph in which every maximal
 2-connected subgraph (block) is a clique.  Vertices are dense ids
 0..n-1.  Graphs are immutable after construction; every operation here
 is a pure function, so instances can be shared freely.
+
+There are two ways to build a graph.  `BlockGraph(n, edges)` (and
+`from_edge_list`, which also checks the input types) validates: it runs
+Hopcroft-Tarjan on the edges, checks that every block is a clique, and
+caches the decomposition.  `BlockGraph._from_blocks(n, blocks)` trusts
+a block list that is already known, sets the adjacency and the cached
+decomposition from it, and runs no search; induced subgraphs and the
+growth operations' clique attachments are built this way.
 """
 
 from __future__ import annotations
@@ -22,28 +30,25 @@ from .errors import (
 )
 
 
-def _biconnected_components(vertices, adj):
-    """Blocks and cut vertices of the subgraph induced by `vertices`.
+def _biconnected_components(adj):
+    """Blocks of the graph with adjacency sets `adj`, as vertex frozensets.
 
-    Iterative Hopcroft-Tarjan on an edge stack.  Blocks come back as
-    vertex frozensets; an isolated vertex yields a singleton block.
+    Iterative Hopcroft-Tarjan on an edge stack; an isolated vertex yields
+    a singleton block.
     """
-    order = sorted(vertices)
-    vset = set(order)
     disc = {}
     low = {}
     blocks = []
-    cuts = set()
     timer = 0
-    for root in order:
+    for root in range(len(adj)):
         if root in disc:
             continue
         disc[root] = low[root] = timer
         timer += 1
         estack = []
         had_edge = False
-        # frame: [vertex, parent, neighbor iterator, tree-child count]
-        frames = [[root, -1, iter(sorted(w for w in adj[root] if w in vset)), 0]]
+        # frame: [vertex, parent, neighbor iterator]
+        frames = [[root, -1, iter(sorted(adj[root]))]]
         while frames:
             frame = frames[-1]
             v = frame[0]
@@ -57,8 +62,7 @@ def _biconnected_components(vertices, adj):
                     estack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    frame[3] += 1
-                    frames.append([w, v, iter(sorted(x for x in adj[w] if x in vset)), 0])
+                    frames.append([w, v, iter(sorted(adj[w]))])
                     moved = True
                     break
                 if disc[w] < disc[v]:
@@ -70,10 +74,7 @@ def _biconnected_components(vertices, adj):
                 continue
             frames.pop()
             if parent == -1:
-                if frame[3] >= 2:
-                    cuts.add(root)
                 continue
-            pframe = frames[-1]
             if low[v] < low[parent]:
                 low[parent] = low[v]
             if low[v] >= disc[parent]:
@@ -85,13 +86,11 @@ def _biconnected_components(vertices, adj):
                     if e == (parent, v):
                         break
                 blocks.append(frozenset(comp))
-                if pframe[1] != -1:
-                    cuts.add(parent)
         if estack:
             raise AssertionError("edge stack not drained")
         if not had_edge:
             blocks.append(frozenset((root,)))
-    return blocks, cuts
+    return blocks
 
 
 class BlockGraph:
@@ -108,14 +107,37 @@ class BlockGraph:
                 raise SelfLoopError(f"self-loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
+        self._fill(n, adj, labels, None)
+        if not _validated:
+            self._validate()
+
+    @classmethod
+    def _from_blocks(cls, n, blocks, labels=None):
+        """The graph on 0..n-1 whose blocks are `blocks`, trusted as given.
+
+        Every vertex lies in some block (an isolated one in a singleton
+        block), and two blocks share at most one vertex.  The adjacency
+        and the decomposition are both read off the block list, so the
+        graph is neither validated nor decomposed again.
+        """
+        deco = _decomposition(blocks)
+        adj = [set() for _ in range(n)]
+        for b in deco.blocks:
+            for u in b:
+                adj[u].update(b)
+        for u, s in enumerate(adj):
+            s.discard(u)
+        g = cls.__new__(cls)
+        g._fill(n, adj, labels, deco)
+        return g
+
+    def _fill(self, n, adj, labels, decomp):
         self.n = n
         self._adj = tuple(frozenset(s) for s in adj)
         self.labels = tuple(labels) if labels is not None else None
-        self._decomp = None
+        self._decomp = decomp
         self._levels = None
         self._alpha = None
-        if not _validated:
-            self._validate()
 
     def _validate(self):
         # the decomposition stays cached for the graph's later use
@@ -188,23 +210,27 @@ class BlockGraph:
         """Induced subgraph on `keep`, re-densified.
 
         Returns (graph, id_map) where id_map sends old ids to new ones.
-        Induced subgraphs of block graphs are block graphs, so the
-        result skips re-validation.
+        The blocks of the result are the blocks of this graph cut down to
+        `keep`, where at least two vertices remain, plus a singleton
+        block per kept vertex left isolated; only the blocks of kept
+        vertices are visited.  The result may be disconnected.
         """
         kept = sorted(set(keep))
         for v in kept:
             self._check_vertex(v)
         id_map = {old: new for new, old in enumerate(kept)}
-        edges = [
-            (id_map[u], id_map[v])
-            for u in kept
-            for v in self._adj[u]
-            if v in id_map and u < v
-        ]
+        deco = decompose(self)
+        blocks = []
+        for qi in {qi for v in kept for qi in deco.block_indices_of(v)}:
+            part = [id_map[u] for u in deco.blocks[qi] if u in id_map]
+            if len(part) > 1:
+                blocks.append(frozenset(part))
+        covered = set().union(*blocks)
+        blocks += [frozenset((u,)) for u in range(len(kept)) if u not in covered]
         labels = None
         if self.labels is not None:
             labels = [self.labels[v] for v in kept]
-        return BlockGraph(len(kept), edges, labels, _validated=True), id_map
+        return BlockGraph._from_blocks(len(kept), blocks, labels), id_map
 
     def delete_vertices(self, removed):
         removed = set(removed)
@@ -260,8 +286,14 @@ class BlockDecomposition:
 
     blocks: tuple
     cut_vertices: frozenset
-    tree_edges: tuple
     _vertex_blocks: dict = field(repr=False, hash=False, compare=False)
+
+    @property
+    def tree_edges(self):
+        """Block-cut tree incidences (block index, cut vertex), in block order."""
+        return tuple(
+            (i, v) for i, b in enumerate(self.blocks) for v in sorted(b & self.cut_vertices)
+        )
 
     def block_indices_of(self, v):
         return self._vertex_blocks.get(v, ())
@@ -276,24 +308,23 @@ class BlockDecomposition:
         return max((len(b) for b in self.blocks), default=0)
 
 
+def _decomposition(blocks):
+    """The BlockDecomposition of a block list, in any order.  Blocks are
+    sorted by their sorted members; the cut vertices are the vertices
+    that lie in two or more blocks."""
+    blocks = tuple(sorted(blocks, key=sorted))
+    vertex_blocks = {}
+    for i, b in enumerate(blocks):
+        for v in b:
+            vertex_blocks[v] = vertex_blocks.get(v, ()) + (i,)
+    cuts = frozenset(v for v, ix in vertex_blocks.items() if len(ix) > 1)
+    return BlockDecomposition(blocks, cuts, vertex_blocks)
+
+
 def decompose(g: BlockGraph) -> BlockDecomposition:
     """Biconnected decomposition; cached on the graph instance."""
     if g._decomp is None:
-        raw, cuts = _biconnected_components(range(g.n), g._adj)
-        blocks = tuple(sorted(raw, key=sorted))
-        vertex_blocks = {}
-        for i, b in enumerate(blocks):
-            for v in b:
-                vertex_blocks.setdefault(v, []).append(i)
-        tree_edges = tuple(
-            (i, v) for i, b in enumerate(blocks) for v in sorted(b) if v in cuts
-        )
-        g._decomp = BlockDecomposition(
-            blocks,
-            frozenset(cuts),
-            tree_edges,
-            {v: tuple(ix) for v, ix in vertex_blocks.items()},
-        )
+        g._decomp = _decomposition(_biconnected_components(g._adj))
     return g._decomp
 
 
@@ -324,7 +355,11 @@ def clique_levels(g: BlockGraph) -> LevelAssignment:
     """Assign peel levels to every block of a connected graph.
 
     Pendant cliques of the current residual get the current level, then
-    their simplicial vertices are deleted and the process repeats.
+    their simplicial vertices are deleted and the process repeats.  The
+    residual is always a union of whole blocks, so one pass over the
+    block-cut tree does the peeling: it counts the unpeeled blocks
+    through each vertex, and a block is pendant once at most one of its
+    vertices lies in two or more of them.
     """
     if g._levels is not None:
         return g._levels
@@ -334,32 +369,34 @@ def clique_levels(g: BlockGraph) -> LevelAssignment:
         raise EdgelessError("clique levels require at least one edge")
 
     deco = decompose(g)
-    index_of = {b: i for i, b in enumerate(deco.blocks)}
+    live = [len(deco.block_indices_of(v)) for v in range(g.n)]
+    shared = [len(b & deco.cut_vertices) for b in deco.blocks]
     levels = {}
     roots = {}
-    unleveled = None
-    alive = set(range(g.n))
+    frontier = [i for i, c in enumerate(shared) if c <= 1]
     rounds = 0
-    while alive:
-        if len(alive) == 1:
-            unleveled = next(iter(alive))
-            break
+    while frontier:
         rounds += 1
-        blocks_r, cuts_r = _biconnected_components(alive, g._adj)
-        drop = set()
-        for b in blocks_r:
-            bcuts = b & cuts_r
-            if len(bcuts) > 1:
-                continue
-            # pendant in the residual; a lone final clique has no cut vertex
-            idx = index_of[b]
-            levels[idx] = rounds
-            roots[idx] = next(iter(bcuts)) if bcuts else None
-            drop |= b - bcuts
-        if not drop:
-            raise AssertionError("peeling made no progress")
-        alive -= drop
-    g._levels = LevelAssignment(levels, roots, unleveled, rounds)
+        peeled = frontier
+        # roots are read before any of this round's blocks is removed
+        for i in peeled:
+            levels[i] = rounds
+            roots[i] = next((v for v in deco.blocks[i] if live[v] > 1), None)
+        frontier = []
+        for i in peeled:
+            for v in deco.blocks[i]:
+                live[v] -= 1
+                if live[v] != 1:
+                    continue
+                for j in deco.block_indices_of(v):
+                    if j not in levels:
+                        shared[j] -= 1
+                        if shared[j] == 1:
+                            frontier.append(j)
+    if len(levels) != len(deco.blocks):
+        raise AssertionError("peeling made no progress")
+    # the last round peels one residual clique, or cliques around one vertex
+    g._levels = LevelAssignment(levels, roots, roots[peeled[0]], rounds)
     return g._levels
 
 

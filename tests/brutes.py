@@ -3,7 +3,7 @@ never accidentally leans on them."""
 
 from itertools import combinations
 
-from blockeq.graph import decompose
+from blockeq.graph import BlockGraph, LevelAssignment, decompose
 
 
 def brute_articulation_points(g):
@@ -116,3 +116,40 @@ def rooted_canonical_form(g, v):
         return "C(" + ",".join(kids) + ")"
 
     return cut(v, None)
+
+
+def peel_by_rounds(g):
+    """Clique levels by the definition: each round decomposes the residual
+    graph afresh (a validated BlockGraph on the alive vertices), levels
+    its pendant blocks and deletes their simplicial vertices.  Block
+    indices are those of decompose(g) for a connected g with an edge."""
+    index_of = {b: i for i, b in enumerate(decompose(BlockGraph(g.n, g.edges())).blocks)}
+    levels = {}
+    roots = {}
+    unleveled = None
+    alive = set(range(g.n))
+    rounds = 0
+    while alive:
+        if len(alive) == 1:
+            unleveled = next(iter(alive))
+            break
+        rounds += 1
+        host = sorted(alive)
+        new = {v: i for i, v in enumerate(host)}
+        residual = BlockGraph(
+            len(host), [(new[u], new[v]) for u, v in g.edges() if u in alive and v in alive]
+        )
+        deco = decompose(residual)
+        drop = set()
+        for rb in deco.blocks:
+            b = frozenset(host[u] for u in rb)
+            bcuts = {host[u] for u in rb & deco.cut_vertices}
+            if len(bcuts) > 1:
+                continue
+            idx = index_of[b]
+            levels[idx] = rounds
+            roots[idx] = next(iter(bcuts)) if bcuts else None
+            drop |= b - bcuts
+        assert drop, "peeling made no progress"
+        alive -= drop
+    return LevelAssignment(levels, roots, unleveled, rounds)

@@ -266,6 +266,62 @@ class TestCli:
         assert proc.returncode == 2
         assert problem in proc.stderr
 
+    @pytest.mark.parametrize("instance, problem", [
+        ({"A": [1, 1], "k": 2.7, "B": 1}, "k must be an integer, got 2.7"),
+        ({"A": [1, 1], "k": True, "B": 1}, "k must be an integer, got True"),
+        ({"A": [1, 1], "k": 2, "B": "1"}, "B must be an integer, got '1'"),
+        ({"A": [1, "1"], "k": 2, "B": 1}, "A must be a list of integers, got [1, '1']"),
+        ({"A": [1, 1.0], "k": 2, "B": 1}, "A must be a list of integers, got [1, 1.0]"),
+        ({"A": 2, "k": 2, "B": 1}, "A must be a list of integers, got 2"),
+    ], ids=["fractional-k", "bool-k", "string-B", "string-item", "float-item", "scalar-A"])
+    def test_bad_instance_input_exits_two(self, tmp_path, instance, problem):
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(instance))
+        proc = run_cli("gls", "build", str(p))
+        assert proc.returncode == 2, proc.stdout
+        assert problem in proc.stderr
+
+    @pytest.mark.parametrize("change, problem", [
+        ({"anchors": ["x"]}, "step 0 anchors must be a list of integers, got ['x']"),
+        ({"sizes": ["2"]}, "step 0 sizes must be a list of integers, got ['2']"),
+        ({"sizes": [2.5]}, "step 0 sizes must be a list of integers, got [2.5]"),
+        ({"anchors": 1}, "step 0 anchors must be a list of integers, got 1"),
+        ({"kind": "1"}, "step 0 kind must be an integer, got '1'"),
+        ({"kind": True}, "step 0 kind must be an integer, got True"),
+        ({"extension": {"clique_index": 0.0, "size": 2}},
+         "step 0 extension clique_index must be an integer, got 0.0"),
+        ({"extension": {"clique_index": 0, "size": False}},
+         "step 0 extension size must be an integer, got False"),
+        ({"extension": 3}, "step 0 extension must be an object or null, got 3"),
+        ({"base_vertex": 0.0}, "base_vertex must be an integer, got 0.0"),
+        ({"steps": 4}, "steps must be a list, got 4"),
+        ({"steps": [7]}, "step 0 must be an object, got 7"),
+    ], ids=["string-anchor", "string-size", "float-size", "scalar-anchors", "string-kind",
+            "bool-kind", "float-ext-index", "bool-ext-size", "scalar-ext", "float-base-vertex",
+            "scalar-steps", "scalar-step"])
+    def test_bad_certificate_input_exits_two(self, tmp_path, change, problem):
+        base = {"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [2, 3]]}
+        step = {"kind": 1, "anchors": [1], "sizes": [2], "extension": None}
+        cert = {"base_graph": base, "base_vertex": 0, "r": 2, "steps": [step]}
+        if set(change) <= set(step):
+            step.update(change)
+        else:
+            cert.update(change)
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps(cert))
+        proc = run_cli("char", "verify", str(p))
+        assert proc.returncode == 2, proc.stdout
+        assert problem in proc.stderr
+
+    def test_python_dash_m_blockeq(self, graph_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "blockeq", "params", str(graph_file)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        validator("params").validate(json.loads(proc.stdout))
+
     def test_dot_command(self, graph_file):
         proc = run_cli("dot", str(graph_file))
         assert proc.returncode == 0 and "graph" in proc.stdout

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from blockeq.characterization import _attach_cliques
 from blockeq.errors import (
     DisconnectedError,
     EdgelessError,
@@ -164,6 +167,12 @@ class TestCliqueLevels:
             else:
                 assert level1 == pendant
 
+    def test_matches_peel_by_rounds(self, graphs_up_to_10):
+        for g in graphs_up_to_10:
+            if g.edge_count() == 0:
+                continue
+            assert clique_levels(g) == brutes.peel_by_rounds(g), g.edges()
+
     def test_round_bound_half_diameter(self, graphs_up_to_8):
         for g in graphs_up_to_8:
             if g.edge_count() == 0:
@@ -225,3 +234,44 @@ class TestSurgery:
         sub, id_map = delete_vertices(g, [0])
         assert sub.labels == ("b", "c")
         assert id_map == {1: 0, 2: 1}
+
+
+def assert_same_decomposition(g):
+    ref = decompose(BlockGraph(g.n, g.edges()))
+    deco = decompose(g)
+    assert deco.blocks == ref.blocks, g.edges()
+    assert deco.cut_vertices == ref.cut_vertices, g.edges()
+    assert deco.tree_edges == ref.tree_edges, g.edges()
+    for v in range(g.n):
+        assert deco.block_indices_of(v) == ref.block_indices_of(v), g.edges()
+
+
+class TestDerivedDecomposition:
+    """Graphs built from a block list, not decomposed again, carry the
+    decomposition Hopcroft-Tarjan finds on their edges."""
+
+    def test_induced_subgraphs(self, graphs_up_to_9):
+        rng = random.Random(6)
+        disconnected = 0
+        for g in graphs_up_to_9:
+            for _ in range(3):
+                sub, id_map = g.induced_subgraph(v for v in range(g.n) if rng.random() < 0.6)
+                assert sub.edges() == [
+                    (id_map[u], id_map[v]) for u, v in g.edges() if u in id_map and v in id_map
+                ]
+                assert_same_decomposition(sub)
+                disconnected += not sub.is_connected()
+        assert disconnected > 100
+
+    def test_attached_cliques(self, graphs_up_to_9):
+        for g in graphs_up_to_9:
+            shapes = [((v,), (size,)) for v in range(g.n) for size in (2, 3, 4)]
+            if g.n >= 2:
+                shapes.append(((0, g.n - 1), (2, 3)))  # twin double attach
+            for anchors, sizes in shapes:
+                grown, groups = _attach_cliques(g, anchors, sizes)
+                cliques = [(a,) + fresh for a, fresh in zip(anchors, groups)]
+                assert set(grown.edges()) == set(g.edges()) | {
+                    (u, w) for c in cliques for u in c for w in c if u < w
+                }
+                assert_same_decomposition(grown)
