@@ -7,7 +7,6 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
-import os
 import sys
 import time
 from pathlib import Path
@@ -17,19 +16,17 @@ from . import formats, gls, invariants, oracle
 from .errors import BlockeqError, NotABlockGraphError, SelfLoopError
 from .graph import clique_levels, decompose, generate_block_graphs
 
-JOBS_ENV = "BLOCKEQ_JOBS"
-
 
 def _emit(payload):
     json.dump(payload, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
 
 
-def _default_jobs():
-    try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
-    except ValueError:
-        return 1
+def _positive_int(text):
+    """argparse type for counts that must be at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
 
 
 # -- sweep machinery ------------------------------------------------------
@@ -357,7 +354,7 @@ def build_parser():
     c.set_defaults(fn=_cmd_exact_binpack)
 
     q = sub.add_parser("enumerate", help="all small connected block graphs")
-    q.add_argument("--max-n", type=int, required=True)
+    q.add_argument("--max-n", type=_positive_int, required=True)
     q.add_argument("--out", default=None)
     q.set_defaults(fn=_cmd_enumerate)
 
@@ -366,8 +363,8 @@ def build_parser():
         "what",
         choices=["conjecture", "dc-le-alphamin", "characterization", "eq1"],
     )
-    q.add_argument("--max-n", type=int, required=True)
-    q.add_argument("--jobs", type=int, default=None)
+    q.add_argument("--max-n", type=_positive_int, required=True)
+    q.add_argument("--jobs", type=_positive_int, default=1)
     q.set_defaults(fn=_cmd_verify)
 
     return p
@@ -376,8 +373,6 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None and hasattr(args, "jobs"):
-        args.jobs = _default_jobs()
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, BlockeqError) as e:

@@ -202,7 +202,10 @@ class BlockGraph:
         return comps
 
     def is_connected(self):
-        return self.n <= 1 or len(self.connected_components()) == 1
+        # components = blocks + cut vertices - block-cut tree edges
+        deco = decompose(self)
+        incidences = sum(len(deco.block_indices_of(v)) for v in deco.cut_vertices)
+        return len(deco.blocks) + len(deco.cut_vertices) - incidences <= 1
 
     # -- induced-subgraph surgery ----------------------------------------
 

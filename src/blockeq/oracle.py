@@ -508,7 +508,7 @@ def count_block_graphs_by_filter(n: int) -> int:
             g = BlockGraph(n, edges, _validated=True)
         except Exception:
             continue
-        if not g.is_connected():
+        if len(g.connected_components()) > 1:
             continue
         if not is_block_graph_by_filter(g):
             continue

@@ -6,6 +6,7 @@ tune.
 """
 
 import json
+import random
 from pathlib import Path
 
 from blockeq import invariants as inv
@@ -18,7 +19,14 @@ from blockeq.characterization import (
 )
 from blockeq.errors import NotEquitableAtFixpointError
 from blockeq.families import clique_with_pendant_cliques
-from blockeq.gls import BinPackingInstance, build_gls, color_nplus2, color_uniform
+from blockeq.gls import (
+    BinPackingInstance,
+    _greedy_start,
+    _recolor_to_equitable,
+    build_gls,
+    color_nplus2,
+    color_uniform,
+)
 from blockeq.graph import decompose
 
 FIXTURES = Path(__file__).parent / "data"
@@ -135,31 +143,66 @@ def test_criterion_06_uniform_spectrum_gap_free():
           "graphs are gap-free with chi_eq = k+1 exactly when a divides B")
 
 
-def test_criterion_07_n_plus_2_coloring_everywhere():
-    instances = [
-        ((3, 3, 3, 3), 3, 4),  # the showcase instance
-        ((1,), 1, 1), ((2, 2), 1, 4), ((1, 2), 1, 3), ((2, 3), 1, 5),
-        ((1, 1), 1, 2), ((1, 1), 2, 1), ((1, 1, 2), 2, 2), ((1, 2, 3), 2, 3),
-        ((2, 2, 2), 2, 3), ((2, 2, 2), 3, 2), ((3, 3), 2, 3), ((4, 4), 2, 4),
-        ((1, 1, 1, 1), 2, 2), ((1, 1, 1, 1), 4, 1), ((2, 2, 2, 2), 2, 4),
-        ((1, 3), 1, 4), ((2, 4), 1, 6), ((5, 5), 2, 5), ((1, 2, 2, 3), 2, 4),
-        ((3, 4), 1, 7), ((4, 4, 4), 2, 6),
+def _packing_box(max_k=4, max_b=8, max_n=6):
+    """Every instance (A, k, B) with k <= max_k, B <= max_b and A a
+    multiset of at most max_n items in 1..B summing to k*B."""
+    out = []
+
+    def extend(items, low, rest, k, B):
+        if rest == 0:
+            out.append((tuple(items), k, B))
+        elif len(items) < max_n:
+            for x in range(low, min(B, rest) + 1):
+                extend(items + [x], x, rest - x, k, B)
+
+    for k in range(1, max_k + 1):
+        for B in range(1, max_b + 1):
+            extend([], 1, k * B, k, B)
+    return out
+
+
+def _random_start(built, seed):
+    """A seeded random proper (n+2)-coloring of the auxiliary graph (hubs
+    joined into a clique) with every class nonempty: the hubs take
+    distinct colors, the first other vertex the one color no hub has,
+    and the rest, in random order, a random color free in their clique."""
+    rng = random.Random(seed)
+    colors = list(range(1, built.n_items + 3))
+    rng.shuffle(colors)
+    col = dict(zip(built.universal_vertices, colors))
+    rest = [
+        ((hub,) + members, v)
+        for hub, flower in zip(built.universal_vertices, built.cliques)
+        for members in flower
+        for v in members
     ]
-    assert len(instances) >= 20
-    for sizes, k, B in instances:
+    rng.shuffle(rest)
+    for i, (clique, v) in enumerate(rest):
+        used = {col[u] for u in clique if u in col}
+        col[v] = colors[-1] if i == 0 else rng.choice([c for c in colors if c not in used])
+    return col
+
+
+def test_criterion_07_n_plus_2_coloring_everywhere():
+    instances = _packing_box()
+    assert len(instances) == 911
+    for seed, (sizes, k, B) in enumerate(instances):
         built = build_gls(BinPackingInstance(sizes, k, B))
-        stats = {}
-        try:
-            coloring = color_nplus2(built, stats=stats)
-        except NotEquitableAtFixpointError as e:  # pragma: no cover - failure path
-            raise AssertionError(f"fixpoint not equitable on {sizes, k, B}: {e}")
-        chk = oracle.check_coloring(built.graph, coloring)
-        assert chk.proper and chk.equitable, (sizes, k, B)
-        assert all(b > a for a, b in zip(stats["products"], stats["products"][1:]))
-        if sizes == (3, 3, 3, 3):
+        for start in (_greedy_start(built), _random_start(built, seed)):
+            stats = {}
+            try:
+                coloring = _recolor_to_equitable(built, start, stats)
+            except NotEquitableAtFixpointError as e:  # pragma: no cover - failure path
+                raise AssertionError(f"fixpoint not equitable on {sizes, k, B}: {e}")
+            chk = oracle.check_coloring(built.graph, coloring)
+            assert chk.proper and chk.equitable, (sizes, k, B)
+            assert all(b > a for a, b in zip(stats["products"], stats["products"][1:]))
+        if sizes == (3, 3, 3, 3) and k == 3:
+            coloring = color_nplus2(built)
             assert sorted(coloring.class_sizes(), reverse=True) == [12, 12, 11, 11, 11, 11]
     print(f"ACCEPTANCE 07 PASS: product-maximizing recoloring reached a proper "
-          f"equitable (n+2)-coloring on all {len(instances)} flower instances")
+          f"equitable (n+2)-coloring on all {len(instances)} flower instances with "
+          "k <= 4, B <= 8, n <= 6, from the greedy start and a seeded random start")
 
 
 def test_criterion_08_locked_vertex_test_matches_oracle(graphs_up_to_8):

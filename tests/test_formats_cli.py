@@ -246,6 +246,17 @@ class TestCli:
         proc = run_cli("params", str(missing))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("args, option", [
+        (["verify", "conjecture", "--max-n", "4", "--jobs", "0"], "--jobs"),
+        (["verify", "conjecture", "--max-n", "4", "--jobs", "-2"], "--jobs"),
+        (["enumerate", "--max-n", "-3"], "--max-n"),
+        (["verify", "conjecture", "--max-n", "-1"], "--max-n"),
+    ], ids=["zero-jobs", "negative-jobs", "negative-enumerate-max-n", "negative-verify-max-n"])
+    def test_non_positive_count_exits_two(self, args, option):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, proc.stdout
+        assert f"argument {option}: expected an integer >= 1" in proc.stderr
+
     @pytest.mark.parametrize("graph, problem", [
         ({"n": -2, "edges": []}, "vertex count must be a nonnegative integer"),
         ({"n": 2.5, "edges": [[0, 1]]}, "vertex count must be a nonnegative integer"),

@@ -233,6 +233,18 @@ class TestColorNPlus2:
         sizes = coloring.class_sizes()
         assert max(sizes) - min(sizes) <= 1
 
+    def test_slide_unlocks_pendant_edge_flowers(self):
+        # from the greedy start, the generic move alone stops one unit
+        # short of equitable on these k = 1 instances
+        for sizes, k, B in [((4,), 1, 4), ((7,), 1, 7)]:
+            g = build_gls(BinPackingInstance(sizes, k, B))
+            stats = {}
+            coloring = color_nplus2(g, stats=stats)
+            assert stats["moves_by_kind"]["slide"] >= 1, (sizes, k, B)
+            assert stats["moves"] == sum(stats["moves_by_kind"].values())
+            chk = oracle.check_coloring(g.graph, coloring)
+            assert chk.proper and chk.equitable, (sizes, k, B)
+
     def test_many_instances_reach_equitable(self):
         insts = [
             ((1, 2), 1, 3), ((2, 3), 1, 5), ((1, 1, 2), 2, 2), ((1, 2, 3), 2, 3),

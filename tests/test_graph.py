@@ -260,6 +260,7 @@ class TestDerivedDecomposition:
                     (id_map[u], id_map[v]) for u, v in g.edges() if u in id_map and v in id_map
                 ]
                 assert_same_decomposition(sub)
+                assert sub.is_connected() == (len(sub.connected_components()) <= 1)
                 disconnected += not sub.is_connected()
         assert disconnected > 100
 
