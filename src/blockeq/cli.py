@@ -5,6 +5,7 @@ turn the structural claims into reproducible reports."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import multiprocessing
 import sys
@@ -18,8 +19,7 @@ from .graph import clique_levels, decompose, generate_block_graphs
 
 
 def _emit(payload):
-    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _positive_int(text):
@@ -209,7 +209,8 @@ def _cmd_gls_build(args):
 
 def _cmd_gls_color_uniform(args):
     matrix, coloring = gls.color_uniform(args.a, args.n, args.k, args.B, args.t)
-    g = gls.build_gls(gls.BinPackingInstance((args.a,) * args.n, args.k, args.B))
+    # the graph color_uniform just colored, from the same cache
+    g = gls.uniform_gls(args.a, args.n, args.k, args.B)
     chk = oracle.check_coloring(g.graph, coloring)
     _emit({
         "matrix": matrix.to_json_dict(),
@@ -370,9 +371,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser `main` uses, built on the first call and kept for the
+    process; parse_args leaves it unchanged and returns a fresh namespace.
+    `build_parser` itself still returns a new parser on every call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, BlockeqError) as e:

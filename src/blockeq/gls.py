@@ -172,7 +172,13 @@ def _check_uniform(a, n, k, B):
 
 
 @lru_cache(maxsize=64)
-def _uniform_gls(a, n, k, B) -> GlsGraph:
+def uniform_gls(a, n, k, B) -> GlsGraph:
+    """The uniform flower graph for (a, n, k, B), built with its closed
+    forms cross-checked and cached for the last 64 parameter sets.
+
+    The result is shared by every caller that asks for the same
+    parameters, so it must not be mutated.
+    """
     return build_gls(BinPackingInstance((a,) * n, k, B))
 
 
@@ -249,11 +255,16 @@ def _transport_fill(sizes, caps, colsize, uc):
 
     Rows are colors with totals `sizes`, columns are flowers with totals
     `colsize`.  The hub cell of column x (row uc[x]-1) is pinned to 1;
-    every other cell holds at most caps[x].  Augmenting paths run on the
+    every other cell holds at most caps[x].  A greedy prefill then goes
+    column by column and gives the rows with the largest remaining need
+    as many units as the cap and the column total allow.  Augmenting
+    paths repair whatever the prefill leaves unmet; they run on the
     matrix itself: a forward step from row i to column x has room while
     C[i][x] < caps[x], a backward step from column x to row j takes back
-    units while C[j][x] > 0.  Any matrix that meets all totals realizes
-    to a proper equitable coloring.
+    units while C[j][x] > 0.  They reach a full matrix from any partial
+    fill that keeps the caps and the hub pins, so the prefill only saves
+    search.  Any matrix that meets all totals realizes to a proper
+    equitable coloring.
     """
     t, cols = len(sizes), len(caps)
     hub = [c - 1 for c in uc]
@@ -266,6 +277,16 @@ def _transport_fill(sizes, caps, colsize, uc):
         need_col[x] -= 1
     if min(need_row) < 0:
         raise AlgorithmInvariantError("hub placements alone overfill a class")
+
+    for x in range(cols):
+        for i in sorted(range(t), key=lambda i: (-need_row[i], i)):
+            if need_col[x] == 0:
+                break
+            if i != hub[x]:
+                units = min(need_row[i], caps[x], need_col[x])
+                C[i][x] = units
+                need_row[i] -= units
+                need_col[x] -= units
 
     while any(need_row):
         row_from = {i: None for i in range(t) if need_row[i] > 0}
@@ -314,14 +335,15 @@ def color_uniform(a: int, n: int, k: int, B: int, t: int):
     Spreads the hub colors evenly, fills the count matrix (rows are
     colors, columns flowers) with one transportation fill that meets the
     equitable class sizes and the per-flower caps, checks every matrix
-    invariant, then realizes it flower by flower.  Returns
+    invariant, then realizes it flower by flower.  The graph it colors
+    comes from the shared cached builder `uniform_gls`.  Returns
     (CountMatrix, Coloring).
     """
     _check_uniform(a, n, k, B)
     if t < k + 2:
         raise TBelowThresholdError(f"t={t} < k+2={k + 2}")
 
-    gls = _uniform_gls(a, n, k, B)
+    gls = uniform_gls(a, n, k, B)
     total = gls.graph.n
     sizes = _equitable_class_sizes(total, t)
 

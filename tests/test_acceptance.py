@@ -102,10 +102,8 @@ def test_criterion_05_uniform_coloring_grid():
     failures = []
     runs = 0
     # every color count t >= k+2 up to |V| (and at least up to k+6), on
-    # every uniform instance with |V| <= 90 in the box a <= 8, n <= 6, k <= 4
+    # every uniform instance in the box a <= 8, n <= 6, k <= 4
     for a, n, k, B in _uniform_grid(max_a=8, max_n=6, max_k=4):
-        if (k + 1) * (a * n + n + 1) > 90:
-            continue
         g = build_gls(BinPackingInstance((a,) * n, k, B))
         total = g.graph.n
         for t in range(k + 2, max(total, k + 6) + 1):
@@ -118,7 +116,7 @@ def test_criterion_05_uniform_coloring_grid():
             if not (chk.proper and chk.equitable) or bad:
                 failures.append((a, n, k, B, t, chk, bad))
     assert failures == []
-    assert runs == 3409
+    assert runs == 7939
     print(f"ACCEPTANCE 05 PASS: uniform coloring proper+equitable with clean "
           f"count matrices on {runs} (instance, t) pairs")
 

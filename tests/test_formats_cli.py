@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
-from blockeq import formats, oracle
+from blockeq import cli, formats, oracle
 from blockeq.characterization import generate_with_alphamin
 from blockeq.families import path_graph, triangle_with_pendant_edge
 from blockeq.gls import BinPackingInstance
@@ -323,6 +323,34 @@ class TestCli:
         proc = run_cli("char", "verify", str(p))
         assert proc.returncode == 2, proc.stdout
         assert problem in proc.stderr
+
+    def test_main_called_again_in_one_process_matches_fresh_runs(
+        self, graph_file, tmp_path, capsys
+    ):
+        # main keeps one parser for the whole process; every call must
+        # still print and exit exactly as a fresh `blockeq` process does
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"n": 2, "edges": 5}')
+        commands = [
+            (["params"], 2),
+            (["params", str(bad)], 2),
+            (["params", str(graph_file)], 0),
+            (["gls", "color-uniform", "--a", "3", "--n", "4", "--k", "3", "--B", "4",
+              "--t", "5"], 0),
+            (["params", str(graph_file)], 0),
+        ]
+        for argv, code in commands:
+            try:
+                rc = cli.main(argv)
+            except SystemExit as e:
+                assert argv == ["params"], "only the usage error may exit directly"
+                rc = e.code
+            out, err = capsys.readouterr()
+            proc = run_cli(*argv)
+            assert rc == proc.returncode == code, argv
+            assert out == proc.stdout, argv
+            assert err == proc.stderr, argv
+        assert json.loads(out)["n"] == 4
 
     def test_python_dash_m_blockeq(self, graph_file):
         proc = subprocess.run(

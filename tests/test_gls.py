@@ -132,6 +132,26 @@ class TestColorUniform:
         with pytest.raises(AlgorithmInvariantError, match="no feasible count matrix"):
             _transport_fill([3, 1], [2], [4], [1])
 
+    @pytest.mark.parametrize("a,n,k,B,t", [(1, 1, 1, 1, 3), (1, 2, 2, 1, 4)])
+    def test_fill_repairs_a_row_the_prefill_leaves_short(self, a, n, k, B, t):
+        # (1, 1, 1, 1, 3): the prefill fills column 0 with colors 1 and 3,
+        # and column 1 holds the hub of color 2, so color 2 is left one
+        # short; only an augmenting path that moves a unit of color 3 from
+        # column 0 to column 1 makes room for it
+        total = (k + 1) * (a * n + n + 1)
+        q, r = divmod(total, t)
+        sizes = [q + 1] * r + [q] * (t - r)
+        caps = [B + 1] + [a + 1] * n
+        colsize = [(B + 1) * k + 1] + [(a + 1) * k + 1] * n
+        matrix, _ = color_uniform(a, n, k, B, t)
+        uc = list(matrix.universal_colors)
+        C = _transport_fill(sizes, caps, colsize, uc)
+        assert [sum(row) for row in C] == sizes
+        assert [sum(row[x] for row in C) for x in range(n + 1)] == colsize
+        for x in range(n + 1):
+            assert C[uc[x] - 1][x] == 1
+            assert all(row[x] <= caps[x] for row in C)
+
     def test_matrix_invariants_across_grid(self):
         for a, n, k, B in uniform_grid():
             for t in range(k + 2, k + 7):
