@@ -8,6 +8,14 @@ certificates by replay, samples random graphs with prescribed
 alpha_min, and recovers a certificate for a given graph by exhaustive
 reverse search.
 
+The reverse search undoes one step at a time by a single piece rule.  A
+piece is what one attached clique added: a pendant block without the
+vertex it hangs from, or such a block E at w2 together with w2 when
+w2's only other block is a 2-block {w1, w2} (an attached edge at w1
+extended by E).  A candidate last step is one piece, or a twin attach
+of two pieces; which operation kind rebuilt it is then read off the
+guards, so the search lists no operation shapes of its own.
+
 Guard evaluation graphs are pinned clause by clause: structural guards
 (cut/pendant/level/simplicial counts) are read off the pre-attachment
 graph, while the two all-independent-set guards that the source result
@@ -38,6 +46,9 @@ from .graph import (
 )
 
 log = logging.getLogger(__name__)
+
+# random operations `generate_with_alphamin` tries per step before it gives up
+_RETRIES = 400
 
 
 class OpKind(Enum):
@@ -326,12 +337,7 @@ def _candidate_ops(g: BlockGraph, v: int):
     return out
 
 
-def generate_with_alphamin(
-    r: int,
-    max_clique: int = 4,
-    seed: Optional[int] = None,
-    retries: int = 400,
-):
+def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = None):
     """Random block graph with alpha_min exactly r, plus its certificate.
 
     Grows a random clique-star around vertex 0 and then applies r-1
@@ -355,7 +361,7 @@ def generate_with_alphamin(
         cands = _candidate_ops(g, 0)
         if not cands:
             raise ExhaustedRetriesError(f"no candidate operations at step {i}")
-        for _ in range(retries):
+        for _ in range(_RETRIES):
             kind, anchors = rng.choice(cands)
             sizes = tuple(rng.choice(size_pool) for _ in anchors)
             ext = None
@@ -375,7 +381,7 @@ def generate_with_alphamin(
                 steps.append(op)
                 break
         else:
-            raise ExhaustedRetriesError(f"no accepted operation within {retries} tries at step {i}")
+            raise ExhaustedRetriesError(f"no accepted operation within {_RETRIES} tries at step {i}")
     return g, CharCertificate(base, 0, tuple(steps))
 
 
@@ -395,94 +401,47 @@ class _Reverse:
     removed: frozenset = frozenset()
 
 
-def _pendants_of(sub, invmap):
-    """Pendant blocks of an induced subgraph, translated to host ids."""
+def _reverse_candidates(g, v, sub, hosts):
+    """Last-step removal candidates at a state S, read off G[S] (`sub`,
+    whose vertex i is g's vertex hosts[i]).
+
+    A piece is what one attached clique added: a pendant block of G[S]
+    without the vertex it hangs from; or such a block E at w2 together
+    with w2, when w2's only other block is a 2-block {w1, w2} (anchor
+    w1, extended by E).  No piece meets N[v].  A candidate is one piece,
+    or a twin attach of two pieces with distinct adjacent anchors,
+    disjoint removals and neither anchor in the other's removal, of
+    which at most one is extended and goes first.  A plain pair is
+    listed once, smaller anchor first: the guards and the fallback test
+    are symmetric in the two anchors."""
     deco = decompose(sub)
-    out = []
-    for qi in deco.pendant_block_indices():
-        b = deco.blocks[qi]
-        x = next(iter(b & deco.cut_vertices))
-        out.append((
-            frozenset(invmap[u] for u in b),
-            invmap[x],
-        ))
-    return out
-
-
-def _reverse_candidates(g, S, v):
-    """Last-step removal candidates at state S: single attach, twin
-    double attach, and both with a trailing extension."""
-    sub, idmap = g.induced_subgraph(sorted(S))
-    invmap = {new: old for old, new in idmap.items()}
     nv = g.closed_neighborhood(v)
-    pendants = _pendants_of(sub, invmap)
-    cands = []
+    pieces = []
+    for qi in deco.pendant_block_indices():
+        block = deco.blocks[qi]
+        x = next(iter(block & deco.cut_vertices))
+        fresh = tuple(sorted(hosts[u] for u in block - {x}))
+        pieces.append(_Reverse(None, (hosts[x],), (len(block),), None, (fresh,),
+                               removed=frozenset(fresh)))
+        other = [deco.blocks[qj] for qj in deco.block_indices_of(x) if qj != qi]
+        if len(other) == 1 and len(other[0]) == 2:
+            (w1,) = other[0] - {x}
+            pieces.append(_Reverse(None, (hosts[w1],), (2,), StarExtension(0, len(block)),
+                                   ((hosts[x],),), ext_group=fresh,
+                                   removed=frozenset(fresh + (hosts[x],))))
+    pieces = [p for p in pieces if p.removed.isdisjoint(nv)]
 
-    for block, x in pendants:
-        fresh = block - {x}
-        if fresh & nv:
+    cands = list(pieces)
+    for p, q in permutations(pieces, 2):
+        (a,), (b,) = p.anchors, q.anchors
+        # an extended piece goes first; a plain pair, smaller anchor first
+        if q.ext or (p.ext is None and a > b) or b not in g.neighbors(a):
             continue
-        cands.append(_Reverse(
-            kind=None, anchors=(x,), sizes=(len(block),), ext=None,
-            groups=(tuple(sorted(fresh)),), removed=frozenset(fresh),
-        ))
-
-    adjacency = {x: g.neighbors(x) for _, x in pendants}
-    for i, (b1, x1) in enumerate(pendants):
-        for b2, x2 in pendants[i + 1:]:
-            if x1 == x2 or x2 not in adjacency[x1]:
-                continue
-            f1, f2 = b1 - {x1}, b2 - {x2}
-            if (f1 | f2) & nv or (f1 & b2) or (f2 & b1):
-                continue
-            for a1, a2, fa, fb, s1, s2 in (
-                (x1, x2, f1, f2, len(b1), len(b2)),
-                (x2, x1, f2, f1, len(b2), len(b1)),
-            ):
-                cands.append(_Reverse(
-                    kind=OpKind.TWIN_ATTACH, anchors=(a1, a2), sizes=(s1, s2), ext=None,
-                    groups=(tuple(sorted(fa)), tuple(sorted(fb))),
-                    removed=frozenset(fa | fb),
-                ))
-
-    # extension shapes: a pendant block E at w2 whose only other block is
-    # a 2-block {w1, w2}; the step added {w2} and then E on top of it
-    sub_deco = decompose(sub)
-    for block, w2 in pendants:
-        w2_sub = idmap[w2]
-        bidx = sub_deco.block_indices_of(w2_sub)
-        if len(bidx) != 2:
+        if p.removed & q.removed or a in q.removed or b in p.removed:
             continue
-        others = [
-            sub_deco.blocks[qi]
-            for qi in bidx
-            if frozenset(invmap[u] for u in sub_deco.blocks[qi]) != block
-        ]
-        if len(others) != 1 or len(others[0]) != 2:
-            continue
-        w1 = invmap[next(u for u in others[0] if u != w2_sub)]
-        e_fresh = block - {w2}
-        removed = frozenset(e_fresh | {w2})
-        if removed & nv:
-            continue
-        ext = StarExtension(0, len(block))
-        cands.append(_Reverse(
-            kind=None, anchors=(w1,), sizes=(2,), ext=ext,
-            groups=((w2,),), ext_group=tuple(sorted(e_fresh)),
-            removed=removed,
-        ))
-        for b2, x2 in pendants:
-            if x2 in (w1, w2) or b2 & removed or x2 not in g.neighbors(w1):
-                continue
-            f2 = b2 - {x2}
-            if f2 & nv or w1 in b2:
-                continue
-            cands.append(_Reverse(
-                kind=OpKind.TWIN_ATTACH, anchors=(w1, x2), sizes=(2, len(b2)), ext=ext,
-                groups=((w2,), tuple(sorted(f2))),
-                removed=frozenset(removed | f2),
-            ))
-
+        cands.append(_Reverse(OpKind.TWIN_ATTACH, (a, b), p.sizes + q.sizes, p.ext,
+                              p.groups + q.groups, ext_group=p.ext_group,
+                              removed=p.removed | q.removed))
     cands.sort(key=lambda c: (len(c.removed), sorted(c.removed), c.anchors, c.sizes))
     return cands
 
@@ -510,14 +469,15 @@ def _reverse_search(g: BlockGraph, v: int, target: int):
     base_set = frozenset(g.closed_neighborhood(v))
     failed = set()
 
-    def search(S, am):
+    def search(S, sub, hosts, am):
         if S == base_set:
             return []
         if S in failed:
             return None
-        for cand in _reverse_candidates(g, S, v):
+        for cand in _reverse_candidates(g, v, sub, hosts):
             T = S - cand.removed
-            tsub, tmap = g.induced_subgraph(sorted(T))
+            thosts = sorted(T)
+            tsub, tmap = g.induced_subgraph(thosts)
             if not tsub.is_connected():
                 continue
             if invariants.alpha_min(tsub).value != am - 1:
@@ -527,13 +487,13 @@ def _reverse_search(g: BlockGraph, v: int, target: int):
             kind = _resolve_kind(tsub, tmap, v, cand)
             if kind is None:
                 continue
-            rest = search(T, am - 1)
+            rest = search(T, tsub, thosts, am - 1)
             if rest is not None:
                 return rest + [replace(cand, kind=kind)]
         failed.add(S)
         return None
 
-    return search(frozenset(range(g.n)), target)
+    return search(frozenset(range(g.n)), g, range(g.n), target)
 
 
 def find_decomposition(g: BlockGraph) -> Optional[CharCertificate]:

@@ -113,9 +113,6 @@ def certificate_from_json_dict(d: dict) -> CharCertificate:
     )
 
 
-def coloring_to_json_dict(c: Coloring) -> dict:
-    return c.to_json_dict()
-
-
 def coloring_from_json_dict(d: dict) -> Coloring:
-    return Coloring({int(v): int(c) for v, c in d["colors"].items()}, int(d["t"]))
+    colors = {int(v): require_int(c, f"color of vertex {v}") for v, c in d["colors"].items()}
+    return Coloring(colors, require_int(d["t"], "t"))

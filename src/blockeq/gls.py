@@ -95,17 +95,12 @@ class GlsGraph:
 
     graph: BlockGraph
     universal_vertices: Tuple[int, ...]
-    flower_of: dict
     cliques: tuple  # cliques[j] = tuple of k-vertex tuples of flower j
     instance: BinPackingInstance
 
     @property
     def n_items(self):
         return len(self.instance.item_sizes)
-
-    @property
-    def part_count(self):
-        return self.instance.parts
 
 
 def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
@@ -118,7 +113,6 @@ def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
     a, k, b = inst.item_sizes, inst.parts, inst.capacity
     n = len(a)
     edges = [(0, j) for j in range(1, n + 1)]
-    flower_of = {j: j for j in range(n + 1)}
     cliques = []
     nxt = n + 1
     for j in range(n + 1):
@@ -128,9 +122,7 @@ def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
             members = tuple(range(nxt, nxt + k))
             nxt += k
             mine.append(members)
-            for v in members:
-                flower_of[v] = j
-                edges.append((j, v))
+            edges.extend((j, v) for v in members)
             edges.extend(
                 (members[i], members[jj])
                 for i in range(k)
@@ -149,7 +141,7 @@ def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
         amin = invariants.alpha_min(g).value
         if amin != n + 1 + k * b:
             raise AlgorithmInvariantError(f"alpha_min={amin} != n+1+kB={n + 1 + k * b}")
-    return GlsGraph(g, tuple(range(n + 1)), flower_of, tuple(cliques), inst)
+    return GlsGraph(g, tuple(range(n + 1)), tuple(cliques), inst)
 
 
 def equitably_k1_colorable_uniform(a: int, n: int, k: int, B: int) -> bool:

@@ -350,9 +350,6 @@ class LevelAssignment:
     def max_level(self):
         return max(self.levels.values(), default=0)
 
-    def blocks_at_level(self, lv):
-        return tuple(i for i, l in sorted(self.levels.items()) if l == lv)
-
 
 def clique_levels(g: BlockGraph) -> LevelAssignment:
     """Assign peel levels to every block of a connected graph.

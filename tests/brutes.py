@@ -1,5 +1,5 @@
-"""Test-side brute oracles, kept apart from the package so the library
-never accidentally leans on them."""
+"""Test-side brute oracles and small exhaustive input grids, kept apart
+from the package so the library never accidentally leans on them."""
 
 from itertools import combinations
 
@@ -153,3 +153,17 @@ def peel_by_rounds(g):
         assert drop, "peeling made no progress"
         alive -= drop
     return LevelAssignment(levels, roots, unleveled, rounds)
+
+
+def uniform_grid(max_a=3, max_n=4, max_k=3):
+    """All uniform instance parameters with a*n = k*B in the small box."""
+    out = []
+    for a in range(1, max_a + 1):
+        for n in range(1, max_n + 1):
+            for k in range(1, max_k + 1):
+                if (a * n) % k:
+                    continue
+                B = a * n // k
+                if a <= B:
+                    out.append((a, n, k, B))
+    return out

@@ -29,20 +29,9 @@ from blockeq.gls import (
 )
 from blockeq.graph import decompose
 
+import brutes
+
 FIXTURES = Path(__file__).parent / "data"
-
-
-def _uniform_grid(max_a=3, max_n=4, max_k=3):
-    out = []
-    for a in range(1, max_a + 1):
-        for n in range(1, max_n + 1):
-            for k in range(1, max_k + 1):
-                if (a * n) % k:
-                    continue
-                B = a * n // k
-                if a <= B:
-                    out.append((a, n, k, B))
-    return out
 
 
 def test_criterion_01_dc_bounded_by_alpha_min(graphs_up_to_9):
@@ -103,7 +92,7 @@ def test_criterion_05_uniform_coloring_grid():
     runs = 0
     # every color count t >= k+2 up to |V| (and at least up to k+6), on
     # every uniform instance in the box a <= 8, n <= 6, k <= 4
-    for a, n, k, B in _uniform_grid(max_a=8, max_n=6, max_k=4):
+    for a, n, k, B in brutes.uniform_grid(max_a=8, max_n=6, max_k=4):
         g = build_gls(BinPackingInstance((a,) * n, k, B))
         total = g.graph.n
         for t in range(k + 2, max(total, k + 6) + 1):
@@ -123,7 +112,7 @@ def test_criterion_05_uniform_coloring_grid():
 
 def test_criterion_06_uniform_spectrum_gap_free():
     checked = 0
-    for a, n, k, B in _uniform_grid(max_a=8, max_n=4, max_k=3):
+    for a, n, k, B in brutes.uniform_grid(max_a=8, max_n=4, max_k=3):
         total = (k + 1) * (a * n + n + 1)
         if total > 20:
             continue
@@ -204,8 +193,6 @@ def test_criterion_07_n_plus_2_coloring_everywhere():
 
 
 def test_criterion_08_locked_vertex_test_matches_oracle(graphs_up_to_8):
-    import brutes
-
     disagreements = []
     vertices = 0
     for g in graphs_up_to_8:

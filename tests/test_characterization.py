@@ -8,6 +8,7 @@ from blockeq import oracle
 from blockeq.characterization import (
     CharCertificate,
     _candidate_ops,
+    _reverse_candidates,
     OpDescriptor,
     OpKind,
     StarExtension,
@@ -199,6 +200,35 @@ class TestFindDecomposition:
             cert = find_decomposition(g)
             assert cert is not None, perm
             assert cert.r == inv.alpha_min(g).value == 4
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP Known defect 1: no growth sequence found")
+    def test_three_triangles_with_five_pendant_edges(self):
+        # alpha_min = 5, realized only at vertex 1; the rooted forward
+        # closure misses this graph too, so the operations cannot build it
+        g = from_edge_list(12, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2),
+                                (1, 11), (3, 4), (3, 10), (4, 9), (5, 6), (5, 8), (6, 7)])
+        cert = find_decomposition(g)
+        assert cert is not None and cert.r == 5
+
+
+def test_reverse_candidates_are_distinct(graphs_up_to_8):
+    """No removal is offered twice: each (removed set, anchor set) occurs
+    at most once among the candidates of the whole graph, at every cut
+    vertex that realizes alpha_min."""
+    checked = 0
+    for g in graphs_up_to_8:
+        deco = decompose(g)
+        if not deco.cut_vertices:
+            continue
+        am = inv.alpha_min(g).value
+        for v in sorted(deco.cut_vertices):
+            if inv.alpha_with(g, v) != am:
+                continue
+            keys = [(c.removed, frozenset(c.anchors))
+                    for c in _reverse_candidates(g, v, g, range(g.n))]
+            assert len(keys) == len(set(keys)), (g.edges(), v)
+            checked += len(keys)
+    assert checked > 0
 
 
 def _clique_stars(n_max):

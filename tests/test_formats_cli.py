@@ -13,7 +13,7 @@ from referencing.jsonschema import DRAFT7
 from blockeq import cli, formats, oracle
 from blockeq.characterization import generate_with_alphamin
 from blockeq.families import path_graph, triangle_with_pendant_edge
-from blockeq.gls import BinPackingInstance
+from blockeq.gls import BinPackingInstance, Coloring
 from blockeq.graph import from_edge_list
 
 SCHEMAS = Path(__file__).parent.parent / "schemas"
@@ -91,6 +91,19 @@ class TestFormats:
     def test_dot_export_mentions_all_edges(self):
         dot = formats.graph_to_dot(path_graph(3))
         assert "0 -- 1" in dot and "1 -- 2" in dot
+
+    def test_coloring_round_trip(self):
+        c = Coloring({0: 1, 1: 2, 2: 1}, 2)
+        assert formats.coloring_from_json_dict(json.loads(json.dumps(c.to_json_dict()))) == c
+
+    @pytest.mark.parametrize("colors, t, problem", [
+        ({"0": 2.7, "1": 1}, 3, "color of vertex 0"),
+        ({"0": 2, "1": True}, 3, "color of vertex 1"),
+        ({"0": 2, "1": 1}, "3", "t must"),
+    ])
+    def test_coloring_takes_only_ints(self, colors, t, problem):
+        with pytest.raises(ValueError, match=problem):
+            formats.coloring_from_json_dict({"colors": colors, "t": t})
 
 
 @pytest.fixture()

@@ -25,19 +25,7 @@ from blockeq.gls import (
 )
 from blockeq.graph import decompose
 
-
-def uniform_grid(max_a=3, max_n=4, max_k=3):
-    """All uniform instance parameters with a*n = k*B in the small box."""
-    out = []
-    for a in range(1, max_a + 1):
-        for n in range(1, max_n + 1):
-            for k in range(1, max_k + 1):
-                if (a * n) % k:
-                    continue
-                B = a * n // k
-                if a <= B:
-                    out.append((a, n, k, B))
-    return out
+import brutes
 
 
 class TestBuild:
@@ -82,7 +70,7 @@ class TestUniformDecision:
 
     def test_matches_exact_search_small(self):
         # packing solvability really is (k+1)-colorability at desk scale
-        for a, n, k, B in uniform_grid():
+        for a, n, k, B in brutes.uniform_grid():
             g = build_gls(BinPackingInstance((a,) * n, k, B))
             if g.graph.n > 20:
                 continue
@@ -121,7 +109,7 @@ class TestColorUniform:
     def test_row_one_has_enough_room(self):
         # color 1 holds the hub cell of column 0 and no flower hub, so it
         # has room 1 + n(a+1); that always covers the largest class
-        for a, n, k, B in uniform_grid():
+        for a, n, k, B in brutes.uniform_grid():
             total = (k + 1) * (a * n + n + 1)
             for t in range(k + 2, max(total, k + 6) + 1):
                 assert 1 + n * (a + 1) >= -(total // -t)
@@ -153,7 +141,7 @@ class TestColorUniform:
             assert all(row[x] <= caps[x] for row in C)
 
     def test_matrix_invariants_across_grid(self):
-        for a, n, k, B in uniform_grid():
+        for a, n, k, B in brutes.uniform_grid():
             for t in range(k + 2, k + 7):
                 matrix, coloring = color_uniform(a, n, k, B, t)
                 total = (k + 1) * (a * n + n + 1)
