@@ -37,23 +37,23 @@ _SWEEP_CHUNK = 64
 
 def _sweep_one(args):
     """Worker: run one check on one generated graph, passed as
-    (check, graph, key) with key its canonical form."""
+    (check, graph, key) with key its canonical form.  Only a violation's
+    record carries the graph's edges; the others are counted and dropped."""
     check, g, key = args
-    record = {"graph": key, "n": g.n, "edges": [[u, v] for u, v in g.edges()], "check": check}
+    record = {"graph": key, "n": g.n, "check": check}
+    status = "ok"
     if check == "dc-le-alphamin":
         dc = invariants.dc_exact(g).value
         am = invariants.alpha_min(g).value
         if dc > am:
-            record["details"] = f"dc={dc} > alpha_min={am}"
-            return ("violation", record)
+            status, record["details"] = "violation", f"dc={dc} > alpha_min={am}"
     elif check in ("conjecture", "eq1"):
         am = invariants.alpha_min(g).value
         lower = invariants.counting_lower_bound(g.n, am, decompose(g).max_block_size())
         chi = oracle.exact_chi_eq(g)
         upper = lower + 1 if check == "conjecture" else g.max_degree() + 1
         if not lower <= chi <= upper:
-            record["details"] = f"chi_eq={chi} outside [{lower}, {upper}]"
-            return ("violation", record)
+            status, record["details"] = "violation", f"chi_eq={chi} outside [{lower}, {upper}]"
     elif check == "characterization":
         if not decompose(g).cut_vertices:
             record["details"] = "skipped: no cut vertex"
@@ -61,14 +61,16 @@ def _sweep_one(args):
         am = invariants.alpha_min(g).value
         cert = char.find_decomposition(g)
         if cert is None:
-            record["details"] = "no certificate found"
-            return ("violation", record)
-        if cert.r != am:
-            record["details"] = f"certificate length {cert.r} != alpha_min {am}"
-            return ("violation", record)
+            status, record["details"] = "violation", "no certificate found"
+        elif cert.r != am:
+            status, record["details"] = (
+                "violation", f"certificate length {cert.r} != alpha_min {am}"
+            )
     else:
         raise ValueError(f"unknown check {check}")
-    return ("ok", record)
+    if status == "violation":
+        record["edges"] = [[u, v] for u, v in g.edges()]
+    return (status, record)
 
 
 def _tally(max_n, results):
@@ -86,7 +88,7 @@ def _tally(max_n, results):
 
 
 def _run_sweep(check, max_n, jobs):
-    t0 = time.time()
+    t0 = time.perf_counter()
     tasks = ((check, g, key) for g, key in generate_block_graphs(max_n))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
@@ -99,7 +101,7 @@ def _run_sweep(check, max_n, jobs):
         "check": check,
         "scope": scope,
         "violations": violations,
-        "runtime_seconds": round(time.time() - t0, 3),
+        "runtime_seconds": round(time.perf_counter() - t0, 3),
         "jobs": jobs,
     }
 
@@ -340,12 +342,12 @@ def build_parser():
     esub = q.add_subparsers(dest="exact_cmd", required=True)
     c = esub.add_parser("chi-eq", help="exact equitable chromatic number")
     c.add_argument("graph")
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--budget", type=_positive_int, default=None)
     c.set_defaults(fn=_cmd_exact_chi_eq)
     c = esub.add_parser("spectrum", help="equitable feasibility for t = 1..cap")
     c.add_argument("graph")
-    c.add_argument("--cap", type=int, default=None)
-    c.add_argument("--budget", type=int, default=None)
+    c.add_argument("--cap", type=_positive_int, default=None)
+    c.add_argument("--budget", type=_positive_int, default=None)
     c.set_defaults(fn=_cmd_exact_spectrum)
     c = esub.add_parser("dc", help="exact distance to cluster")
     c.add_argument("graph")

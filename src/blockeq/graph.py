@@ -10,8 +10,9 @@ There are two ways to build a graph.  `BlockGraph(n, edges)` (and
 Hopcroft-Tarjan on the edges, checks that every block is a clique, and
 caches the decomposition.  `BlockGraph._from_blocks(n, blocks)` trusts
 a block list that is already known, sets the adjacency and the cached
-decomposition from it, and runs no search; induced subgraphs and the
-growth operations' clique attachments are built this way.
+decomposition from it, and runs no search; induced subgraphs, the
+growth operations' clique attachments and the generator's graphs are
+built this way.
 """
 
 from __future__ import annotations
@@ -500,14 +501,15 @@ def _centered(strata, total):
 
 
 def _realize(center):
-    """The graph of a centered piece, built by the validating constructor."""
-    edges = []
+    """The graph of a centered piece, built from its block list: each
+    block piece hung at vertex v is the block of v and its fresh ids."""
     if center.block_size:
         members = range(center.block_size)
+        blocks = [frozenset(members)]
         stack = list(zip(members, center.kids))
         nxt = center.block_size
-        edges += [(u, w) for u in members for w in members if u < w]
     else:
+        blocks = []
         stack = [(0, center)]
         nxt = 1
     while stack:
@@ -515,10 +517,9 @@ def _realize(center):
         for b in piece.kids:
             fresh = range(nxt, nxt + b.block_size - 1)
             nxt += b.block_size - 1
-            edges += [(v, u) for u in fresh]
-            edges += [(u, w) for u in fresh for w in fresh if u < w]
+            blocks.append(frozenset(fresh).union((v,)))
             stack += zip(fresh, b.kids)
-    return BlockGraph(nxt, edges)
+    return BlockGraph._from_blocks(nxt, blocks)
 
 
 def generate_block_graphs(max_n):

@@ -11,6 +11,7 @@ small connected block graphs up to isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 from typing import Iterator, Optional
 
@@ -51,17 +52,25 @@ def check_coloring(g: BlockGraph, coloring: Coloring) -> CheckResult:
 
 
 def _degeneracy_order(g: BlockGraph):
-    """Vertices in removal order of repeated minimum degree."""
-    deg = {v: g.degree(v) for v in range(g.n)}
-    alive = set(range(g.n))
+    """Vertices in removal order of repeated minimum degree, ties to the
+    smallest id.  A heap of (degree, id) stands in for the minimum over
+    the live vertices; an entry whose degree has since dropped is stale
+    and skipped, since the vertex was pushed again with its new degree."""
+    deg = [g.degree(v) for v in range(g.n)]
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapify(heap)
+    alive = [True] * g.n
     out = []
-    while alive:
-        v = min(alive, key=lambda u: (deg[u], u))
+    while heap:
+        d, v = heappop(heap)
+        if not alive[v] or d != deg[v]:
+            continue
         out.append(v)
-        alive.remove(v)
+        alive[v] = False
         for w in g.neighbors(v):
-            if w in alive:
+            if alive[w]:
                 deg[w] -= 1
+                heappush(heap, (deg[w], w))
     return out
 
 

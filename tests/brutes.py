@@ -155,6 +155,22 @@ def peel_by_rounds(g):
     return LevelAssignment(levels, roots, unleveled, rounds)
 
 
+def repeated_minimum_order(g):
+    """Vertices in removal order by the definition: each step removes the
+    live vertex of least (degree among live vertices, id)."""
+    deg = {v: g.degree(v) for v in range(g.n)}
+    alive = set(range(g.n))
+    out = []
+    while alive:
+        v = min(alive, key=lambda u: (deg[u], u))
+        out.append(v)
+        alive.remove(v)
+        for w in g.neighbors(v):
+            if w in alive:
+                deg[w] -= 1
+    return out
+
+
 def uniform_grid(max_a=3, max_n=4, max_k=3):
     """All uniform instance parameters with a*n = k*B in the small box."""
     out = []

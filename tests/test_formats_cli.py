@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
-from blockeq import cli, formats, oracle
+from blockeq import cli, formats, invariants, oracle
 from blockeq.characterization import generate_with_alphamin
 from blockeq.families import path_graph, triangle_with_pendant_edge
 from blockeq.gls import BinPackingInstance, Coloring
-from blockeq.graph import from_edge_list
+from blockeq.graph import decompose, from_edge_list, generate_block_graphs
 
 SCHEMAS = Path(__file__).parent.parent / "schemas"
 
@@ -231,6 +231,23 @@ class TestCli:
             assert ra["scope"] == rb["scope"], check
             assert ra["scope"]["graph_count"] == 98, check
 
+    def test_verify_violations_carry_their_edges(self, monkeypatch, capsys):
+        # only a violation's record keeps the edges; force every graph to be one
+        graphs = {key: g for g, key in generate_block_graphs(5)}
+
+        def above_window(g, node_budget=None):
+            am = invariants.alpha_min(g).value
+            return invariants.counting_lower_bound(
+                g.n, am, decompose(g).max_block_size()) + 2
+
+        monkeypatch.setattr(oracle, "exact_chi_eq", above_window)
+        assert cli.main(["verify", "conjecture", "--max-n", "5"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        validator("sweep_report").validate(report)
+        assert len(report["violations"]) == report["scope"]["graph_count"] == len(graphs)
+        for record in report["violations"]:
+            assert record["edges"] == [list(e) for e in graphs[record["graph"]].edges()]
+
     @pytest.mark.parametrize("kind", [1, 3, 4, 5])
     def test_char_verify_unknown_anchor_is_a_replay_failure(self, tmp_path, kind):
         base = {"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [2, 3]]}
@@ -264,7 +281,13 @@ class TestCli:
         (["verify", "conjecture", "--max-n", "4", "--jobs", "-2"], "--jobs"),
         (["enumerate", "--max-n", "-3"], "--max-n"),
         (["verify", "conjecture", "--max-n", "-1"], "--max-n"),
-    ], ids=["zero-jobs", "negative-jobs", "negative-enumerate-max-n", "negative-verify-max-n"])
+        (["exact", "spectrum", "g.json", "--cap", "-2"], "--cap"),
+        (["exact", "spectrum", "g.json", "--cap", "0"], "--cap"),
+        (["exact", "spectrum", "g.json", "--budget", "-1"], "--budget"),
+        (["exact", "chi-eq", "g.json", "--budget", "-3"], "--budget"),
+    ], ids=["zero-jobs", "negative-jobs", "negative-enumerate-max-n", "negative-verify-max-n",
+            "negative-spectrum-cap", "zero-spectrum-cap", "negative-spectrum-budget",
+            "negative-chi-eq-budget"])
     def test_non_positive_count_exits_two(self, args, option):
         proc = run_cli(*args)
         assert proc.returncode == 2, proc.stdout

@@ -17,7 +17,9 @@ from blockeq.families import (
     two_triangles_sharing_a_vertex,
 )
 from blockeq.gls import BinPackingInstance, Coloring
-from blockeq.graph import BlockGraph, from_edge_list, generate_block_graphs
+from blockeq.graph import BlockGraph, decompose, from_edge_list, generate_block_graphs
+
+import brutes
 
 FIXTURES = Path(__file__).parent / "data"
 
@@ -80,6 +82,15 @@ class TestExactEquitable:
             for t in range(1, g.n + 1):
                 assert oracle.exact_equitable_colorable(g, t, _plan=plan) == \
                     oracle.exact_equitable_colorable(g, t)
+
+    def test_vertex_order_is_repeated_minimum_degree(self, graphs_up_to_10):
+        # the search's node counts depend on this exact order, ties included
+        for g in graphs_up_to_10:
+            assert oracle._degeneracy_order(g) == brutes.repeated_minimum_order(g)
+        # a path 0-1-2-3-4 with a triangle {2, 5, 6}: ties at degrees 1 and 2
+        g = from_edge_list(7, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (2, 6), (5, 6)])
+        assert oracle._degeneracy_order(g) == brutes.repeated_minimum_order(g) == \
+            [0, 1, 4, 3, 2, 5, 6]
 
     def test_budget_raises(self):
         g = clique_with_pendant_cliques(3)
@@ -198,6 +209,13 @@ class TestGenerator:
     def test_small_graphs_pass_the_filter_oracle(self):
         for g, _ in generate_block_graphs(7):
             assert oracle.is_block_graph_by_filter(g)
+
+    def test_graphs_built_from_blocks_equal_validated_ones(self):
+        # the generator trusts its block lists; validation must agree
+        for g, _ in generate_block_graphs(10):
+            validated = BlockGraph(g.n, g.edges())
+            assert validated == g
+            assert decompose(validated) == decompose(g)
 
     def test_smallest_limits(self):
         assert list(generate_block_graphs(0)) == []
