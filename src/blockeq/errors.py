@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all blockeq modules, and the integer
-checks that input files go through."""
+"""Exception hierarchy shared by all blockeq modules, and the object and
+integer checks that input files go through."""
 
 
 class BlockeqError(Exception):
@@ -126,3 +126,14 @@ def require_ints(values, name):
     if not isinstance(values, (list, tuple)) or any(type(x) is not int for x in values):
         raise ValueError(f"{name} must be a list of integers, got {values!r}")
     return tuple(values)
+
+
+def require_object(value, name, keys):
+    """`value` when it is a dict (a JSON object) holding every key in
+    `keys`; a ValueError naming `name` and what is wrong otherwise."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {value!r}")
+    for key in keys:
+        if key not in value:
+            raise ValueError(f"{name} lacks key {key!r}")
+    return value

@@ -1,14 +1,23 @@
-"""Small named graph constructors used by tests, demos, and the CLI."""
+"""Small named graph constructors used by tests, demos, and the CLI.
 
-from .graph import BlockGraph, from_edge_list
+Each graph is built from its block list, which the construction knows,
+so it is not validated or decomposed again; a lone vertex is a
+singleton block.
+"""
+
+from .graph import BlockGraph
 
 
 def complete_graph(n: int) -> BlockGraph:
-    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    if n < 0:
+        raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
+    return BlockGraph._from_blocks(n, [frozenset(range(n))] if n else [])
 
 
 def path_graph(n: int) -> BlockGraph:
-    return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    if n < 2:
+        return complete_graph(n)
+    return BlockGraph._from_blocks(n, [frozenset((i, i + 1)) for i in range(n - 1)])
 
 
 def star_of_cliques(sizes) -> BlockGraph:
@@ -17,15 +26,14 @@ def star_of_cliques(sizes) -> BlockGraph:
     Each size counts the whole block, so size s contributes s-1 fresh
     vertices.
     """
-    edges = []
+    blocks = []
     nxt = 1
     for s in sizes:
         if s < 2:
             raise ValueError("block size must be >= 2")
-        group = [0] + list(range(nxt, nxt + s - 1))
+        blocks.append(frozenset(range(nxt, nxt + s - 1)).union((0,)))
         nxt += s - 1
-        edges.extend((group[i], group[j]) for i in range(len(group)) for j in range(i + 1, len(group)))
-    return from_edge_list(nxt, edges)
+    return BlockGraph._from_blocks(nxt, blocks or [frozenset((0,))])
 
 
 def clique_with_pendant_cliques(k: int) -> BlockGraph:
@@ -36,16 +44,13 @@ def clique_with_pendant_cliques(k: int) -> BlockGraph:
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    blocks = [frozenset(range(k))]
     nxt = k
     for u in range(k):
         for _ in range(k + 1):
-            group = [u] + list(range(nxt, nxt + k))
+            blocks.append(frozenset(range(nxt, nxt + k)).union((u,)))
             nxt += k
-            edges.extend(
-                (group[i], group[j]) for i in range(len(group)) for j in range(i + 1, len(group))
-            )
-    return from_edge_list(nxt, edges)
+    return BlockGraph._from_blocks(nxt, blocks)
 
 
 def two_triangles_sharing_a_vertex() -> BlockGraph:
@@ -53,4 +58,4 @@ def two_triangles_sharing_a_vertex() -> BlockGraph:
 
 
 def triangle_with_pendant_edge() -> BlockGraph:
-    return from_edge_list(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    return BlockGraph._from_blocks(4, [frozenset((0, 1, 2)), frozenset((2, 3))])

@@ -7,7 +7,7 @@ import json
 from pathlib import Path
 
 from .characterization import CharCertificate, OpDescriptor, OpKind, StarExtension
-from .errors import require_int, require_ints
+from .errors import require_int, require_ints, require_object
 from .gls import BinPackingInstance, Coloring
 from .graph import BlockGraph, from_edge_list
 
@@ -19,7 +19,8 @@ def graph_to_json_dict(g: BlockGraph) -> dict:
     return d
 
 
-def graph_from_json_dict(d: dict) -> BlockGraph:
+def graph_from_json_dict(d: dict, name: str = "graph JSON") -> BlockGraph:
+    require_object(d, name, ("n", "edges"))
     return from_edge_list(d["n"], d["edges"], d.get("labels"))
 
 
@@ -41,8 +42,9 @@ def parse_edge_list_text(text: str) -> BlockGraph:
 def load_graph(path) -> BlockGraph:
     """Read a graph from JSON or plain edge-list text, sniffing the format."""
     text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    # a plain edge list starts with its vertex count; a JSON number cannot
+    # be told from one, so only the other JSON values are read as JSON
+    if text.lstrip().startswith(("{", "[", '"', "null", "true", "false")):
         return graph_from_json_dict(json.loads(text))
     return parse_edge_list_text(text)
 
@@ -86,15 +88,17 @@ def certificate_to_json_dict(cert: CharCertificate) -> dict:
 
 
 def certificate_from_json_dict(d: dict) -> CharCertificate:
+    require_object(d, "certificate", ("base_graph", "base_vertex", "steps"))
     if not isinstance(d["steps"], list):
         raise ValueError(f"steps must be a list, got {d['steps']!r}")
     steps = []
     for i, s in enumerate(d["steps"]):
-        if not isinstance(s, dict):
-            raise ValueError(f"step {i} must be an object, got {s!r}")
+        require_object(s, f"step {i}", ("kind", "anchors", "sizes"))
         ext = s.get("extension")
         if ext is not None and not isinstance(ext, dict):
             raise ValueError(f"step {i} extension must be an object or null, got {ext!r}")
+        if ext is not None:
+            require_object(ext, f"step {i} extension", ("clique_index", "size"))
         steps.append(
             OpDescriptor(
                 OpKind(require_int(s["kind"], f"step {i} kind")),
@@ -103,16 +107,17 @@ def certificate_from_json_dict(d: dict) -> CharCertificate:
                 StarExtension(
                     require_int(ext["clique_index"], f"step {i} extension clique_index"),
                     require_int(ext["size"], f"step {i} extension size"),
-                ) if ext else None,
+                ) if ext is not None else None,
             )
         )
     return CharCertificate(
-        graph_from_json_dict(d["base_graph"]),
+        graph_from_json_dict(d["base_graph"], "base_graph"),
         require_int(d["base_vertex"], "base_vertex"),
         tuple(steps),
     )
 
 
 def coloring_from_json_dict(d: dict) -> Coloring:
+    require_object(d, "coloring", ("colors", "t"))
     colors = {int(v): require_int(c, f"color of vertex {v}") for v, c in d["colors"].items()}
     return Coloring(colors, require_int(d["t"], "t"))

@@ -30,8 +30,9 @@ from .errors import (
     UnrealizableError,
     require_int,
     require_ints,
+    require_object,
 )
-from .graph import BlockGraph, decompose, from_edge_list
+from .graph import BlockGraph, decompose
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +64,7 @@ class BinPackingInstance:
 
     @classmethod
     def from_json_dict(cls, d):
+        require_object(d, "instance", ("A", "k", "B"))
         return cls(
             require_ints(d["A"], "A"), require_int(d["k"], "k"), require_int(d["B"], "B")
         )
@@ -106,13 +108,17 @@ class GlsGraph:
 def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
     """Construct the flower graph for a packing instance.
 
-    Cross-checks the closed forms |V| = (k+1)(kB+n+1), omega = k+1 and
-    alpha_min = n+1+kB against structural recomputation.
+    The graph is built from its block list, which the construction
+    knows: the 2-block {y_0, y_j} per item and the (k+1)-clique of each
+    flower clique with its hub.  It is not validated or decomposed
+    again; only graphs read from files are.  Cross-checks the closed
+    forms |V| = (k+1)(kB+n+1), omega = k+1 and alpha_min = n+1+kB
+    against structural recomputation.
     """
     inst.validate()
     a, k, b = inst.item_sizes, inst.parts, inst.capacity
     n = len(a)
-    edges = [(0, j) for j in range(1, n + 1)]
+    blocks = [frozenset((0, j)) for j in range(1, n + 1)]
     cliques = []
     nxt = n + 1
     for j in range(n + 1):
@@ -122,14 +128,9 @@ def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
             members = tuple(range(nxt, nxt + k))
             nxt += k
             mine.append(members)
-            edges.extend((j, v) for v in members)
-            edges.extend(
-                (members[i], members[jj])
-                for i in range(k)
-                for jj in range(i + 1, k)
-            )
+            blocks.append(frozenset((j,) + members))
         cliques.append(tuple(mine))
-    g = from_edge_list(nxt, edges)
+    g = BlockGraph._from_blocks(nxt, blocks)
 
     expected_n = (k + 1) * (k * b + n + 1)
     if g.n != expected_n:

@@ -8,11 +8,13 @@ is a pure function, so instances can be shared freely.
 There are two ways to build a graph.  `BlockGraph(n, edges)` (and
 `from_edge_list`, which also checks the input types) validates: it runs
 Hopcroft-Tarjan on the edges, checks that every block is a clique, and
-caches the decomposition.  `BlockGraph._from_blocks(n, blocks)` trusts
-a block list that is already known, sets the adjacency and the cached
-decomposition from it, and runs no search; induced subgraphs, the
-growth operations' clique attachments and the generator's graphs are
-built this way.
+caches the decomposition; only graphs read from files are built this
+way.  `BlockGraph._from_blocks(n, blocks)` trusts a block list that is
+already known, sets the adjacency and the cached decomposition from it,
+and runs no search; every graph the library builds itself outside the
+brute-force oracle is built this way: induced subgraphs, the growth
+operations' clique attachments, the generator's graphs, the flower
+graphs and the named families.
 """
 
 from __future__ import annotations

@@ -183,3 +183,39 @@ def uniform_grid(max_a=3, max_n=4, max_k=3):
                 if a <= B:
                     out.append((a, n, k, B))
     return out
+
+
+def packing_box(max_k=4, max_b=8, max_n=6):
+    """Every instance (A, k, B) with k <= max_k, B <= max_b and A a
+    multiset of at most max_n items in 1..B summing to k*B."""
+    out = []
+
+    def extend(items, low, rest, k, B):
+        if rest == 0:
+            out.append((tuple(items), k, B))
+        elif len(items) < max_n:
+            for x in range(low, min(B, rest) + 1):
+                extend(items + [x], x, rest - x, k, B)
+
+    for k in range(1, max_k + 1):
+        for B in range(1, max_b + 1):
+            extend([], 1, k * B, k, B)
+    return out
+
+
+def flower_edges(inst):
+    """Edge list of the flower graph of a packing instance (A, k, B),
+    written from its definition: hub y_j is vertex j for j = 0..n, y_0
+    is joined to every other hub, and flower j is B+1 (j = 0) or a_j+1
+    (j >= 1) copies of K_k, each joined to y_j, numbered from n+1 on in
+    flower order."""
+    a, k, b = inst.item_sizes, inst.parts, inst.capacity
+    edges = [(0, j) for j in range(1, len(a) + 1)]
+    nxt = len(a) + 1
+    for j, size in enumerate((b,) + a):
+        for _ in range(size + 1):
+            clique = range(nxt, nxt + k)
+            nxt += k
+            edges += [(j, v) for v in clique]
+            edges += combinations(clique, 2)
+    return edges

@@ -130,24 +130,6 @@ def test_criterion_06_uniform_spectrum_gap_free():
           "graphs are gap-free with chi_eq = k+1 exactly when a divides B")
 
 
-def _packing_box(max_k=4, max_b=8, max_n=6):
-    """Every instance (A, k, B) with k <= max_k, B <= max_b and A a
-    multiset of at most max_n items in 1..B summing to k*B."""
-    out = []
-
-    def extend(items, low, rest, k, B):
-        if rest == 0:
-            out.append((tuple(items), k, B))
-        elif len(items) < max_n:
-            for x in range(low, min(B, rest) + 1):
-                extend(items + [x], x, rest - x, k, B)
-
-    for k in range(1, max_k + 1):
-        for B in range(1, max_b + 1):
-            extend([], 1, k * B, k, B)
-    return out
-
-
 def _random_start(built, seed):
     """A seeded random proper (n+2)-coloring of the auxiliary graph (hubs
     joined into a clique) with every class nonempty: the hubs take
@@ -171,7 +153,7 @@ def _random_start(built, seed):
 
 
 def test_criterion_07_n_plus_2_coloring_everywhere():
-    instances = _packing_box()
+    instances = brutes.packing_box()
     assert len(instances) == 911
     for seed, (sizes, k, B) in enumerate(instances):
         built = build_gls(BinPackingInstance(sizes, k, B))

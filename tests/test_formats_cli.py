@@ -17,6 +17,8 @@ from blockeq.gls import BinPackingInstance, Coloring
 from blockeq.graph import decompose, from_edge_list, generate_block_graphs
 
 SCHEMAS = Path(__file__).parent.parent / "schemas"
+# marks a key that a bad-input case removes
+DROP = object()
 
 
 def load_schema(name):
@@ -54,6 +56,10 @@ class TestFormats:
         p.write_text("4\n0 1\n1 2\n2 3\n")
         g = formats.load_graph(p)
         assert g.n == 4 and g.edge_count() == 3
+        # a lone count is also a JSON number; it still reads as an edge list
+        p.write_text("1\n")
+        g = formats.load_graph(p)
+        assert g.n == 1 and g.edge_count() == 0
 
     def test_graph_json_validates(self):
         v = validator("graph")
@@ -304,8 +310,14 @@ class TestCli:
         ({"n": 2, "edges": [5]}, "edge 5 is not a pair of vertex ids"),
         ({"n": 2, "edges": 5}, "edges must be a list of vertex pairs, got 5"),
         ({"n": 2, "edges": [[0, 1]], "labels": 7}, "labels must be a list, got 7"),
+        ([1], "graph JSON must be an object, got [1]"),
+        ("x", "graph JSON must be an object, got 'x'"),
+        (None, "graph JSON must be an object, got None"),
+        ({"edges": [[0, 1]]}, "graph JSON lacks key 'n'"),
+        ({"n": 2}, "graph JSON lacks key 'edges'"),
     ], ids=["negative-n", "fractional-n", "bool-vertex", "float-vertex", "short-labels",
-            "triple-edge", "single-edge", "scalar-edge", "scalar-edges", "scalar-labels"])
+            "triple-edge", "single-edge", "scalar-edge", "scalar-edges", "scalar-labels",
+            "list-graph", "string-graph", "null-graph", "no-n", "no-edges"])
     def test_bad_graph_input_exits_two(self, tmp_path, graph, problem):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(graph))
@@ -320,13 +332,17 @@ class TestCli:
         ({"A": [1, "1"], "k": 2, "B": 1}, "A must be a list of integers, got [1, '1']"),
         ({"A": [1, 1.0], "k": 2, "B": 1}, "A must be a list of integers, got [1, 1.0]"),
         ({"A": 2, "k": 2, "B": 1}, "A must be a list of integers, got 2"),
-    ], ids=["fractional-k", "bool-k", "string-B", "string-item", "float-item", "scalar-A"])
+        ([1], "instance must be an object, got [1]"),
+        ({"A": [1, 1], "k": 2}, "instance lacks key 'B'"),
+    ], ids=["fractional-k", "bool-k", "string-B", "string-item", "float-item", "scalar-A",
+            "list-instance", "no-B"])
     def test_bad_instance_input_exits_two(self, tmp_path, instance, problem):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(instance))
-        proc = run_cli("gls", "build", str(p))
-        assert proc.returncode == 2, proc.stdout
-        assert problem in proc.stderr
+        for command in (["gls", "build"], ["gls", "color-n2"], ["exact", "binpack"]):
+            proc = run_cli(*command, str(p))
+            assert proc.returncode == 2, (command, proc.stdout)
+            assert problem in proc.stderr, command
 
     @pytest.mark.parametrize("change, problem", [
         ({"anchors": ["x"]}, "step 0 anchors must be a list of integers, got ['x']"),
@@ -343,17 +359,31 @@ class TestCli:
         ({"base_vertex": 0.0}, "base_vertex must be an integer, got 0.0"),
         ({"steps": 4}, "steps must be a list, got 4"),
         ({"steps": [7]}, "step 0 must be an object, got 7"),
+        ("x", "certificate must be an object, got 'x'"),
+        (None, "certificate must be an object, got None"),
+        ({"base_graph": [1]}, "base_graph must be an object, got [1]"),
+        ({"steps": DROP}, "certificate lacks key 'steps'"),
+        ({"kind": DROP}, "step 0 lacks key 'kind'"),
+        ({"extension": {"size": 2}}, "step 0 extension lacks key 'clique_index'"),
+        ({"base_graph": {"n": 5}}, "base_graph lacks key 'edges'"),
     ], ids=["string-anchor", "string-size", "float-size", "scalar-anchors", "string-kind",
             "bool-kind", "float-ext-index", "bool-ext-size", "scalar-ext", "float-base-vertex",
-            "scalar-steps", "scalar-step"])
+            "scalar-steps", "scalar-step", "string-certificate", "null-certificate",
+            "list-base-graph", "no-steps", "no-kind", "no-ext-index", "no-base-edges"])
     def test_bad_certificate_input_exits_two(self, tmp_path, change, problem):
+        # `change` updates the certificate, or its step when it names only
+        # step keys; a DROP value removes the key; a non-object replaces
+        # the whole certificate
         base = {"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [0, 4], [1, 2], [1, 3], [2, 3]]}
         step = {"kind": 1, "anchors": [1], "sizes": [2], "extension": None}
         cert = {"base_graph": base, "base_vertex": 0, "r": 2, "steps": [step]}
-        if set(change) <= set(step):
-            step.update(change)
+        if not isinstance(change, dict):
+            cert = change
         else:
-            cert.update(change)
+            target = step if set(change) <= set(step) else cert
+            target.update(change)
+            for key in [key for key, value in change.items() if value is DROP]:
+                del target[key]
         p = tmp_path / "cert.json"
         p.write_text(json.dumps(cert))
         proc = run_cli("char", "verify", str(p))

@@ -23,7 +23,7 @@ from blockeq.gls import (
     equitably_k1_colorable_uniform,
     realize_flower,
 )
-from blockeq.graph import decompose
+from blockeq.graph import BlockGraph, decompose
 
 import brutes
 
@@ -54,6 +54,19 @@ class TestBuild:
             n = len(sizes)
             assert g.graph.n == (k + 1) * (k * B + n + 1)
             assert inv.alpha_min(g.graph).value == n + 1 + k * B
+
+    def test_built_from_blocks_equals_validated_build(self):
+        # build_gls trusts its block list; the validated build of the
+        # edges written from the definition must agree
+        instances = brutes.packing_box()
+        assert len(instances) == 911
+        for sizes, k, B in instances:
+            inst = BinPackingInstance(sizes, k, B)
+            edges = brutes.flower_edges(inst)
+            validated = BlockGraph(1 + max(map(max, edges)), edges)
+            g = build_gls(inst).graph
+            assert validated == g, (sizes, k, B)
+            assert decompose(validated) == decompose(g), (sizes, k, B)
 
 
 class TestUniformDecision:

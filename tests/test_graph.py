@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,8 +12,10 @@ from blockeq.errors import (
     UnknownVertexError,
 )
 from blockeq.families import (
+    clique_with_pendant_cliques,
     complete_graph,
     path_graph,
+    star_of_cliques,
     triangle_with_pendant_edge,
     two_triangles_sharing_a_vertex,
 )
@@ -276,3 +279,30 @@ class TestDerivedDecomposition:
                     (u, w) for c in cliques for u in c for w in c if u < w
                 }
                 assert_same_decomposition(grown)
+
+    def test_named_families(self):
+        # each constructor trusts its block list; the validated build of
+        # the edges written from the family's definition must agree
+        def cliques(*groups):
+            return [e for grp in groups for e in combinations(grp, 2)]
+
+        cases = []
+        for n in range(6):
+            cases.append((complete_graph(n), n, cliques(range(n))))
+            cases.append((path_graph(n), n, [(i, i + 1) for i in range(n - 1)]))
+        for k in (2, 3):
+            hosts = [u for u in range(k) for _ in range(k + 1)]
+            pendants = [(u,) + tuple(range(k * (i + 1), k * (i + 2))) for i, u in enumerate(hosts)]
+            cases.append((clique_with_pendant_cliques(k), k + k * k * (k + 1),
+                          cliques(range(k), *pendants)))
+        cases += [
+            (star_of_cliques([]), 1, []),
+            (star_of_cliques([2]), 2, [(0, 1)]),
+            (star_of_cliques([3, 2, 4]), 7, cliques((0, 1, 2), (0, 3), (0, 4, 5, 6))),
+            (two_triangles_sharing_a_vertex(), 5, cliques((0, 1, 2), (0, 3, 4))),
+            (triangle_with_pendant_edge(), 4, cliques((0, 1, 2), (2, 3))),
+        ]
+        for g, n, edges in cases:
+            validated = BlockGraph(n, edges)
+            assert validated == g, (g, edges)
+            assert decompose(validated) == decompose(g), (g, edges)
