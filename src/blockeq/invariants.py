@@ -3,8 +3,10 @@
 Every parameter comes from linear passes over the block-cut forest of
 `graph.decompose`: a post-order and a rerooting pass give the alpha
 table (cached on the graph), from which `alpha`, `alpha_with`,
-`alpha_min` and the AIS / v-AIS tests are read off, and one more
-post-order pass gives the distance to cluster.  The deliberately naive
+`alpha_min` and the AIS test are read off, and one more post-order
+pass gives the distance to cluster.  The v-AIS test is the same alpha
+pass over the host graph's forest with N[v] left out, cached per base
+vertex v; no residual graph G - N[v] is built.  The deliberately naive
 counterparts live in `oracle` so the two code paths stay independent.
 """
 
@@ -17,18 +19,23 @@ from .errors import EmptyGraphError, WIsInClosedNeighborhoodError
 from .graph import BlockGraph, decompose
 
 
-def _rooted_forest(g: BlockGraph):
-    """The block-cut forest rooted at the smallest vertex of each
-    component: (order, up, top) lists the vertices breadth first, the
-    block up[v] through which v hangs from its parent vertex (-1 at a
-    root; v's other blocks are its child blocks) and the vertex top[b]
-    from which block b hangs."""
+def _rooted_forest(g: BlockGraph, left_out=()):
+    """The block-cut forest of G - left_out rooted at the smallest vertex
+    of each component: (order, up, top) lists the kept vertices breadth
+    first, the block up[v] through which v hangs from its parent vertex
+    (-1 at a root, -2 if left out; v's other blocks are its child
+    blocks) and the vertex top[b] from which block b hangs.  A block cut
+    down to the kept vertices is still a clique, so this is g's own
+    forest restricted: a left-out vertex is never a root and never
+    hangs from a block."""
     deco = decompose(g)
     up = [-1] * g.n
+    for u in left_out:
+        up[u] = -2
     top = [-1] * len(deco.blocks)
     order = []
     for r in range(g.n):
-        if up[r] >= 0:
+        if up[r] != -1:
             continue
         i = len(order)
         order.append(r)
@@ -40,7 +47,7 @@ def _rooted_forest(g: BlockGraph):
                     continue
                 top[b] = v
                 for u in deco.blocks[b]:
-                    if u != v:
+                    if u != v and up[u] != -2:
                         up[u] = b
                         order.append(u)
     return order, up, top
@@ -53,7 +60,15 @@ class _AlphaTable(NamedTuple):
 
 
 def _alpha_table(g: BlockGraph) -> _AlphaTable:
-    """The alpha table of g, computed once and cached on the graph.
+    """The alpha table of g, computed once and cached on the graph."""
+    if g._alpha is None:
+        g._alpha = _alpha_pass(g)
+    return g._alpha
+
+
+def _alpha_pass(g: BlockGraph, left_out=()) -> _AlphaTable:
+    """The alpha table of G - left_out, indexed by g's vertex ids; the
+    entries of left-out vertices mean nothing.
 
     An independent set takes at most one vertex per block.  inc[v] and
     exc[v] are the largest sets through and avoiding v, first within
@@ -63,47 +78,45 @@ def _alpha_table(g: BlockGraph) -> _AlphaTable:
     parent vertex with the block cut off and u's siblings, where
     avoiding u frees the best gain left in the block.
     """
-    if g._alpha is None:
-        deco = decompose(g)
-        order, up, top = _rooted_forest(g)
-        nb = len(deco.blocks)
-        inc = [1] * g.n
-        exc = [0] * g.n
-        bsum = [0] * nb
-        best = [0] * nb
-        second = [0] * nb
-        holder = [-1] * nb
-        for v in reversed(order):
-            for b in deco.block_indices_of(v):
-                if b != up[v]:
-                    inc[v] += bsum[b]
-                    exc[v] += bsum[b] + best[b]
-            b = up[v]
-            if b >= 0:
-                bsum[b] += exc[v]
-                gain = inc[v] - exc[v]
-                if gain > best[b]:
-                    best[b], second[b], holder[b] = gain, best[b], v
-                elif gain > second[b]:
-                    second[b] = gain
-        for u in order:
-            b = up[u]
-            if b < 0:
-                continue
-            p = top[b]
-            rest_exc = exc[p] - bsum[b] - best[b]
-            rest_gain = inc[p] - bsum[b] - rest_exc
-            rest = rest_exc + bsum[b] - exc[u]
-            inc[u] += rest
-            exc[u] += rest + max(rest_gain, second[b] if holder[b] == u else best[b])
-        # max(inc, exc) is the alpha of the vertex's component
-        total = sum(max(inc[v], exc[v]) for v in order if up[v] < 0)
-        g._alpha = _AlphaTable(
-            total,
-            [total - max(inc[v], exc[v]) + inc[v] for v in range(g.n)],
-            [exc[v] < inc[v] for v in range(g.n)],
-        )
-    return g._alpha
+    deco = decompose(g)
+    order, up, top = _rooted_forest(g, left_out)
+    nb = len(deco.blocks)
+    inc = [1] * g.n
+    exc = [0] * g.n
+    bsum = [0] * nb
+    best = [0] * nb
+    second = [0] * nb
+    holder = [-1] * nb
+    for v in reversed(order):
+        for b in deco.block_indices_of(v):
+            if b != up[v]:
+                inc[v] += bsum[b]
+                exc[v] += bsum[b] + best[b]
+        b = up[v]
+        if b >= 0:
+            bsum[b] += exc[v]
+            gain = inc[v] - exc[v]
+            if gain > best[b]:
+                best[b], second[b], holder[b] = gain, best[b], v
+            elif gain > second[b]:
+                second[b] = gain
+    for u in order:
+        b = up[u]
+        if b < 0:
+            continue
+        p = top[b]
+        rest_exc = exc[p] - bsum[b] - best[b]
+        rest_gain = inc[p] - bsum[b] - rest_exc
+        rest = rest_exc + bsum[b] - exc[u]
+        inc[u] += rest
+        exc[u] += rest + max(rest_gain, second[b] if holder[b] == u else best[b])
+    # max(inc, exc) is the alpha of the vertex's component
+    total = sum(max(inc[v], exc[v]) for v in order if up[v] < 0)
+    return _AlphaTable(
+        total,
+        [total - max(inc[v], exc[v]) + inc[v] for v in range(g.n)],
+        [exc[v] < inc[v] for v in range(g.n)],
+    )
 
 
 def alpha(g: BlockGraph) -> int:
@@ -192,13 +205,22 @@ def is_ais(g: BlockGraph, w: int) -> bool:
 
 
 def is_v_ais(g: BlockGraph, v: int, w: int) -> bool:
-    """Whether w lies in every maximum independent set containing v."""
+    """Whether w lies in every maximum independent set containing v,
+    that is, in every maximum independent set of G - N[v].
+
+    The v-AIS flags of all w come from one alpha pass over g's own
+    forest with N[v] left out, cached on the graph per base vertex v.
+    """
     g._check_vertex(w)
     closed = g.closed_neighborhood(v)
     if w in closed:
         raise WIsInClosedNeighborhoodError(f"w={w} lies in N[{v}]")
-    residual, id_map = g.delete_vertices(closed)
-    return is_ais(residual, id_map[w])
+    if g._v_ais is None:
+        g._v_ais = {}
+    ais = g._v_ais.get(v)
+    if ais is None:
+        ais = g._v_ais[v] = _alpha_pass(g, closed).ais
+    return ais[w]
 
 
 @dataclass(frozen=True)

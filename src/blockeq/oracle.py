@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 
 from .errors import (
     ColorOutOfRangeError,
+    EmptyGraphError,
     SearchBudgetExceededError,
     TooLargeError,
     UncoloredVertexError,
@@ -228,13 +229,14 @@ def spectrum(g: BlockGraph, t_cap: Optional[int] = None, node_budget: Optional[i
 
 
 def exact_chi_eq(g: BlockGraph, node_budget: Optional[int] = None) -> int:
-    """Smallest t admitting an equitable coloring (t = n always works)."""
+    """Smallest t admitting an equitable coloring (t = n always works,
+    so only the empty graph, which has no such t, raises)."""
     plan = _search_plan(g)
     for t in range(1, g.n + 1):
         ok, _ = exact_equitable_colorable(g, t, node_budget, _plan=plan)
         if ok:
             return t
-    raise AssertionError("t = n is always feasible")
+    raise EmptyGraphError("exact chi-eq of the empty graph")
 
 
 # -- naive independence and cluster numbers ------------------------------

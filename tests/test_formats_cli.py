@@ -325,6 +325,17 @@ class TestCli:
         assert proc.returncode == 2
         assert problem in proc.stderr
 
+    @pytest.mark.parametrize("command, problem", [
+        (["params"], "bounds_report of the empty graph"),
+        (["exact", "chi-eq"], "exact chi-eq of the empty graph"),
+    ], ids=["params", "exact-chi-eq"])
+    def test_empty_graph_exits_two(self, tmp_path, command, problem):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps({"n": 0, "edges": []}))
+        proc = run_cli(*command, str(p))
+        assert proc.returncode == 2, proc.stdout
+        assert problem in proc.stderr
+
     @pytest.mark.parametrize("instance, problem", [
         ({"A": [1, 1], "k": 2.7, "B": 1}, "k must be an integer, got 2.7"),
         ({"A": [1, 1], "k": True, "B": 1}, "k must be an integer, got True"),

@@ -206,10 +206,10 @@ class TestVAis:
         with pytest.raises(WIsInClosedNeighborhoodError):
             inv.is_v_ais(path_graph(3), 0, 0)
 
-    def test_matches_definitional_oracle(self, graphs_up_to_7):
+    def test_matches_definitional_oracle(self, graphs_up_to_9):
         # w is v-locked exactly when w lies in every maximum independent
         # set of the graph with N[v] removed
-        for g in graphs_up_to_7[:80]:
+        for g in graphs_up_to_9:
             for v in range(g.n):
                 closed = g.closed_neighborhood(v)
                 residual, id_map = g.delete_vertices(closed)
@@ -221,6 +221,18 @@ class TestVAis:
                     if w in closed:
                         continue
                     assert inv.is_v_ais(g, v, w) == (id_map[w] in core)
+
+    def test_cache_is_kept_per_base_vertex(self, graphs_up_to_7):
+        # one graph object answers every query, base vertices taken in
+        # descending order; a fresh equal graph answers each one cold
+        for g in graphs_up_to_7:
+            for v in reversed(range(g.n)):
+                closed = g.closed_neighborhood(v)
+                for w in range(g.n):
+                    if w in closed:
+                        continue
+                    fresh = BlockGraph(g.n, g.edges())
+                    assert inv.is_v_ais(g, v, w) == inv.is_v_ais(fresh, v, w), (g.edges(), v, w)
 
 
 class TestBoundsReport:
