@@ -3,16 +3,12 @@
 from .graph import (
     BlockDecomposition,
     BlockGraph,
-    CliqueStarStatus,
     LevelAssignment,
     clique_levels,
-    clique_star_status,
+    clique_star_center,
     decompose,
-    delete_closed_neighborhood,
-    delete_vertices,
     from_edge_list,
     generate_block_graphs,
-    is_clique_star,
 )
 from .invariants import (
     AlphaMinResult,

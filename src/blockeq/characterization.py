@@ -34,6 +34,7 @@ from typing import Optional, Tuple
 
 from . import invariants
 from .errors import (
+    DisconnectedError,
     ExhaustedRetriesError,
     NoCutVertexError,
     PreconditionViolatedError,
@@ -41,7 +42,7 @@ from .errors import (
 from .graph import (
     BlockGraph,
     clique_levels,
-    clique_star_status,
+    clique_star_center,
     decompose,
 )
 
@@ -288,12 +289,10 @@ def verify_certificate(cert: CharCertificate) -> CertCheck:
     """Replay a certificate and check base shape plus conditions (B), (C)."""
     g = cert.base_graph
     v = cert.base_vertex
-    status = clique_star_status(g)
-    if not status.is_star or status.center != v:
+    if clique_star_center(g) != v:
         return CertCheck(False, "base graph is not a clique-star centered at the base vertex", None)
+    # v is adjacent to every vertex, so alpha_min = alpha(., v) = 1
     trace = [1]
-    if invariants.alpha_min(g).value != 1 or invariants.alpha_with(g, v) != 1:
-        return CertCheck(False, "clique-star base must have alpha_min = alpha(.,v) = 1", None)
     base_closed = frozenset(g.closed_neighborhood(v))
     for i, op in enumerate(cert.steps):
         try:
@@ -477,9 +476,8 @@ def _reverse_search(g: BlockGraph, v: int, target: int):
         for cand in _reverse_candidates(g, v, sub, hosts):
             T = S - cand.removed
             thosts = sorted(T)
+            # a piece hangs from one vertex, so G[T] stays connected
             tsub, tmap = g.induced_subgraph(thosts)
-            if not tsub.is_connected():
-                continue
             if invariants.alpha_min(tsub).value != am - 1:
                 continue
             if invariants.alpha_with(tsub, tmap[v]) != am - 1:
@@ -504,6 +502,8 @@ def find_decomposition(g: BlockGraph) -> Optional[CharCertificate]:
     deco = decompose(g)
     if not deco.cut_vertices:
         raise NoCutVertexError("decomposition needs a cut vertex")
+    if not g.is_connected():
+        raise DisconnectedError("decomposition needs a connected graph")
     target = invariants.alpha_min(g).value
     witnesses = [x for x in sorted(deco.cut_vertices) if invariants.alpha_with(g, x) == target]
     if not witnesses:

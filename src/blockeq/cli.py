@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 from . import characterization as char
-from . import formats, gls, invariants, oracle
+from . import errors, formats, gls, invariants, oracle
 from .errors import BlockeqError, NotABlockGraphError, SelfLoopError
 from .graph import clique_levels, decompose, generate_block_graphs
 
@@ -385,6 +385,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
+    except (errors.AlgorithmInvariantError, errors.NotEquitableAtFixpointError) as e:
+        print(f"internal error: {e}", file=sys.stderr)  # a bug, not bad input
+        return 3
     except (OSError, ValueError, KeyError, json.JSONDecodeError, BlockeqError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -60,10 +60,8 @@ def graph_to_dot(g: BlockGraph, name: str = "g") -> str:
     return "\n".join(lines)
 
 
-def instance_from_json(path_or_dict) -> BinPackingInstance:
-    if isinstance(path_or_dict, dict):
-        return BinPackingInstance.from_json_dict(path_or_dict)
-    return BinPackingInstance.from_json_dict(json.loads(Path(path_or_dict).read_text()))
+def instance_from_json(path) -> BinPackingInstance:
+    return BinPackingInstance.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def certificate_to_json_dict(cert: CharCertificate) -> dict:
@@ -119,5 +117,6 @@ def certificate_from_json_dict(d: dict) -> CharCertificate:
 
 def coloring_from_json_dict(d: dict) -> Coloring:
     require_object(d, "coloring", ("colors", "t"))
+    require_object(d["colors"], "colors", ())
     colors = {int(v): require_int(c, f"color of vertex {v}") for v, c in d["colors"].items()}
     return Coloring(colors, require_int(d["t"], "t"))

@@ -339,23 +339,13 @@ def color_uniform(a: int, n: int, k: int, B: int, t: int):
     total = gls.graph.n
     sizes = _equitable_class_sizes(total, t)
 
-    cols = n + 1
     caps = [B + 1] + [a + 1] * n
     colsize = [(B + 1) * k + 1] + [(a + 1) * k + 1] * n
 
-    # hub colors: y_0 gets 1, the rest take 2..t with ceil quotas
-    uc = [0] * cols
-    uc[0] = 1
-    j = 1
-    for ci, color in enumerate(range(2, t + 1)):
-        quota = max(0, -((n - ci) // -(t - 1)))
-        for _ in range(quota):
-            if j > n:
-                break
-            uc[j] = color
-            j += 1
-    if j != n + 1:
-        raise AlgorithmInvariantError("hub quotas did not cover all flowers")
+    # hub colors: y_0 gets 1, the other hubs split equitably over 2..t
+    uc = [1]
+    for color, count in enumerate(_equitable_class_sizes(n, t - 1), start=2):
+        uc += [color] * count
 
     C = _transport_fill(sizes, caps, colsize, uc)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import (
     DisconnectedError,
@@ -404,41 +404,15 @@ def clique_levels(g: BlockGraph) -> LevelAssignment:
     return g._levels
 
 
-@dataclass(frozen=True)
-class CliqueStarStatus:
-    is_star: bool
-    single_clique: bool
-    center: Optional[int]
-
-
-def clique_star_status(g: BlockGraph) -> CliqueStarStatus:
-    """Whether one vertex lies in every block (needs >= 2 blocks)."""
+def clique_star_center(g: BlockGraph) -> Optional[int]:
+    """The center of g when g is a clique-star (two or more blocks that
+    share one vertex), else None.  A connected block graph is a
+    clique-star exactly when it has one cut vertex, which then lies in
+    every block."""
     if not g.is_connected():
         raise DisconnectedError("clique-star test is defined for connected graphs")
-    deco = decompose(g)
-    if len(deco.blocks) < 2:
-        return CliqueStarStatus(False, True, None)
-    common = set(deco.blocks[0])
-    for b in deco.blocks[1:]:
-        common &= b
-        if not common:
-            return CliqueStarStatus(False, False, None)
-    center = next(iter(common))
-    return CliqueStarStatus(True, False, center)
-
-
-def is_clique_star(g: BlockGraph) -> bool:
-    return clique_star_status(g).is_star
-
-
-def delete_vertices(g: BlockGraph, removed: Iterable[int]):
-    """Induced subgraph dropping `removed`, plus old-to-new id map."""
-    return g.delete_vertices(removed)
-
-
-def delete_closed_neighborhood(g: BlockGraph, v: int):
-    """Induced subgraph dropping N[v], plus old-to-new id map."""
-    return g.delete_closed_neighborhood(v)
+    cuts = decompose(g).cut_vertices
+    return next(iter(cuts)) if len(cuts) == 1 else None
 
 
 # -- isomorph-free generation ----------------------------------------------

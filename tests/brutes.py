@@ -64,6 +64,17 @@ def brute_blocks(g):
     return sorted(blocks, key=sorted)
 
 
+def clique_star_center(g):
+    """The vertex that every block contains, when g has two or more
+    blocks and they share one; None otherwise.  The clique-star test by
+    intersecting the blocks."""
+    blocks = decompose(g).blocks
+    if len(blocks) < 2:
+        return None
+    common = frozenset.intersection(*blocks)
+    return next(iter(common)) if common else None
+
+
 def all_maximum_independent_sets(g):
     """Every maximum independent set, by subset enumeration."""
     best = 0

@@ -21,6 +21,7 @@ from blockeq.errors import NotEquitableAtFixpointError
 from blockeq.families import clique_with_pendant_cliques
 from blockeq.gls import (
     BinPackingInstance,
+    _equitable_class_sizes,
     _greedy_start,
     _recolor_to_equitable,
     build_gls,
@@ -102,6 +103,12 @@ def test_criterion_05_uniform_coloring_grid():
             q, r = divmod(total, t)
             sizes = [q + 1] * r + [q] * (t - r)
             bad = matrix.violations(sizes)
+            # y_0 takes color 1; the other hubs fill 2..t in equitable runs
+            y0, *hubs = matrix.universal_colors
+            runs_ok = hubs == sorted(hubs) and [hubs.count(c) for c in range(2, t + 1)] == (
+                _equitable_class_sizes(n, t - 1))
+            if y0 != 1 or not runs_ok:
+                bad.append(f"hub colors {matrix.universal_colors}")
             if not (chk.proper and chk.equitable) or bad:
                 failures.append((a, n, k, B, t, chk, bad))
     assert failures == []

@@ -17,7 +17,7 @@ from blockeq.characterization import (
     generate_with_alphamin,
     verify_certificate,
 )
-from blockeq.errors import NoCutVertexError, PreconditionViolatedError
+from blockeq.errors import DisconnectedError, NoCutVertexError, PreconditionViolatedError
 from blockeq.families import (
     clique_with_pendant_cliques,
     complete_graph,
@@ -166,6 +166,14 @@ class TestFindDecomposition:
     def test_no_cut_vertex_raises(self):
         with pytest.raises(NoCutVertexError):
             find_decomposition(complete_graph(4))
+        # the cut-vertex check comes first, also on a disconnected graph
+        with pytest.raises(NoCutVertexError):
+            find_decomposition(from_edge_list(4, [(0, 1), (2, 3)]))
+
+    def test_disconnected_graph_raises(self):
+        # a cut vertex at 1, and an edge apart from it
+        with pytest.raises(DisconnectedError, match="decomposition needs a connected graph"):
+            find_decomposition(from_edge_list(5, [(0, 1), (1, 2), (3, 4)]))
 
     def test_succeeds_on_all_small_graphs(self, graphs_up_to_7):
         for g in graphs_up_to_7:

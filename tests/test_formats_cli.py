@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,13 +11,15 @@ from hypothesis import strategies as st
 from referencing import Registry, Resource
 from referencing.jsonschema import DRAFT7
 
-from blockeq import cli, formats, invariants, oracle
+from blockeq import cli, formats, gls, invariants, oracle
 from blockeq.characterization import generate_with_alphamin
+from blockeq.errors import NotEquitableAtFixpointError
 from blockeq.families import path_graph, triangle_with_pendant_edge
 from blockeq.gls import BinPackingInstance, Coloring
 from blockeq.graph import decompose, from_edge_list, generate_block_graphs
 
-SCHEMAS = Path(__file__).parent.parent / "schemas"
+ROOT = Path(__file__).parent.parent
+SCHEMAS = ROOT / "schemas"
 # marks a key that a bad-input case removes
 DROP = object()
 
@@ -106,6 +109,7 @@ class TestFormats:
         ({"0": 2.7, "1": 1}, 3, "color of vertex 0"),
         ({"0": 2, "1": True}, 3, "color of vertex 1"),
         ({"0": 2, "1": 1}, "3", "t must"),
+        ([1], 2, "colors must be an object, got \\[1\\]"),
     ])
     def test_coloring_takes_only_ints(self, colors, t, problem):
         with pytest.raises(ValueError, match=problem):
@@ -253,6 +257,51 @@ class TestCli:
         assert len(report["violations"]) == report["scope"]["graph_count"] == len(graphs)
         for record in report["violations"]:
             assert record["edges"] == [list(e) for e in graphs[record["graph"]].edges()]
+
+    def test_fixpoint_failure_exits_three(self, instance_file, monkeypatch, capsys):
+        # a broken postcondition of the library is a bug, not bad input
+        def stuck(g, stats=None):
+            raise NotEquitableAtFixpointError(Coloring({}, 3), [1, 4, 1])
+
+        monkeypatch.setattr(gls, "color_nplus2", stuck)
+        assert cli.main(["gls", "color-n2", str(instance_file)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: local search fixpoint not equitable, class sizes [1, 1, 4]\n"
+
+    def test_matrix_invariant_failure_exits_three(self, monkeypatch, capsys):
+        # an all-zero count matrix breaks every row and column sum
+        def empty_fill(sizes, caps, colsize, uc):
+            return [[0] * len(caps) for _ in sizes]
+
+        monkeypatch.setattr(gls, "_transport_fill", empty_fill)
+        argv = ["gls", "color-uniform", "--a", "3", "--n", "4", "--k", "3", "--B", "4", "--t", "5"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("internal error: row sums [0, 0, 0, 0, 0] != ")
+
+    @pytest.mark.parametrize("edges, problem", [
+        ([[0, 1], [1, 2], [3, 4]], "decomposition needs a connected graph"),
+        ([[0, 1], [2, 3]], "decomposition needs a cut vertex"),
+    ], ids=["with-cut-vertex", "without-cut-vertex"])
+    def test_char_decompose_disconnected_exits_two(self, tmp_path, edges, problem):
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({"n": 5, "edges": edges}))
+        proc = run_cli("char", "decompose", str(p))
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stdout == "" and problem in proc.stderr
+
+    def test_readme_commands_parse(self):
+        # every documented command line is one the parser accepts
+        lines = []
+        for line in (ROOT / "README.md").read_text().splitlines():
+            if line.startswith(("blockeq ", "python -m blockeq ")):
+                words = shlex.split(line, comments=True)
+                lines.append(words[words.index("blockeq") + 1:])
+        assert len(lines) >= 20
+        parser = cli.build_parser()
+        for argv in lines:
+            assert parser.parse_args(argv).fn, argv
 
     @pytest.mark.parametrize("kind", [1, 3, 4, 5])
     def test_char_verify_unknown_anchor_is_a_replay_failure(self, tmp_path, kind):

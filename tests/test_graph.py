@@ -22,12 +22,9 @@ from blockeq.families import (
 from blockeq.graph import (
     BlockGraph,
     clique_levels,
-    clique_star_status,
+    clique_star_center,
     decompose,
-    delete_closed_neighborhood,
-    delete_vertices,
     from_edge_list,
-    is_clique_star,
 )
 
 import brutes
@@ -187,41 +184,49 @@ class TestCliqueLevels:
 
 class TestCliqueStar:
     def test_two_triangles(self):
-        st = clique_star_status(two_triangles_sharing_a_vertex())
-        assert st.is_star and st.center == 0
+        assert clique_star_center(two_triangles_sharing_a_vertex()) == 0
 
     def test_path4_not_star(self):
-        assert not is_clique_star(path_graph(4))
+        assert clique_star_center(path_graph(4)) is None
 
     def test_single_clique_flagged(self):
-        st = clique_star_status(complete_graph(4))
-        assert not st.is_star and st.single_clique
+        g = complete_graph(4)
+        assert clique_star_center(g) is None and len(decompose(g).blocks) == 1
 
     def test_star_means_no_level_two(self, graphs_up_to_7):
         for g in graphs_up_to_7:
             if g.edge_count() == 0 or len(decompose(g).blocks) < 2:
                 continue
             lv = clique_levels(g)
-            assert is_clique_star(g) == (lv.max_level() < 2)
+            assert (clique_star_center(g) is not None) == (lv.max_level() < 2)
+
+    def test_matches_block_intersection(self, graphs_up_to_9):
+        # the only cut vertex is the vertex common to every block
+        for g in graphs_up_to_9:
+            assert clique_star_center(g) == brutes.clique_star_center(g), g.edges()
+
+    def test_disconnected_graph_raises(self):
+        with pytest.raises(DisconnectedError):
+            clique_star_center(from_edge_list(5, [(0, 1), (1, 2), (3, 4)]))
 
 
 class TestSurgery:
     def test_delete_closed_neighborhood_of_path_center(self):
-        g, id_map = delete_closed_neighborhood(path_graph(3), 1)
+        g, id_map = path_graph(3).delete_closed_neighborhood(1)
         assert g.n == 0 and id_map == {}
 
     def test_k4_minus_vertex(self):
-        g, id_map = delete_vertices(complete_graph(4), [3])
+        g, id_map = complete_graph(4).delete_vertices([3])
         assert g.n == 3 and g.edge_count() == 3
         assert id_map == {0: 0, 1: 1, 2: 2}
 
     def test_triangle_pendant_minus_leaf(self):
-        g, _ = delete_vertices(triangle_with_pendant_edge(), [3])
+        g, _ = triangle_with_pendant_edge().delete_vertices([3])
         assert g.n == 3 and g.edge_count() == 3
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
-            delete_vertices(path_graph(3), [7])
+            path_graph(3).delete_vertices([7])
 
     def test_deletion_commutes_with_decomposition(self, graphs_up_to_7):
         # induced subgraph blocks agree with the brute biconnectivity
@@ -229,12 +234,12 @@ class TestSurgery:
         for g in graphs_up_to_7:
             if g.n < 2:
                 continue
-            sub, _ = delete_vertices(g, [g.n - 1])
+            sub, _ = g.delete_vertices([g.n - 1])
             assert brutes.brute_blocks(sub) == sorted(decompose(sub).blocks, key=sorted)
 
     def test_labels_follow_deletion(self):
         g = from_edge_list(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
-        sub, id_map = delete_vertices(g, [0])
+        sub, id_map = g.delete_vertices([0])
         assert sub.labels == ("b", "c")
         assert id_map == {1: 0, 2: 1}
 
