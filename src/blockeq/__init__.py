@@ -36,10 +36,8 @@ from .characterization import (
 from .gls import (
     BinPackingInstance,
     Coloring,
-    ComponentKind,
     CountMatrix,
     GlsGraph,
-    alternating_components,
     build_gls,
     color_nplus2,
     color_uniform,

@@ -208,8 +208,6 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
             raise PreconditionViolatedError(
                 "op4-simplicial-count", f"block has {len(simps)} simplicial vertices, need 2"
             )
-        if set(anchors) - simps:
-            raise PreconditionViolatedError("op4-anchor-outside", "anchor not simplicial in block")
         if len(anchors) == 2 and anchors[0] == anchors[1]:
             raise PreconditionViolatedError("op4-anchors-equal", "twin anchors must differ")
         return _block_roots(deco, lv, qi)

@@ -92,10 +92,6 @@ class NotEquitableAtFixpointError(BlockeqError):
         super().__init__(f"local search fixpoint not equitable, class sizes {sorted(class_sizes)}")
 
 
-class CycleFoundError(BlockeqError):
-    """Two color classes induce a cycle (impossible for proper colorings)."""
-
-
 class UncoloredVertexError(BlockeqError):
     """A coloring misses some vertex."""
 

@@ -25,17 +25,22 @@ def graph_from_json_dict(d: dict, name: str = "graph JSON") -> BlockGraph:
 
 
 def parse_edge_list_text(text: str) -> BlockGraph:
-    """Plain format: first line n, then one 'u v' pair per line."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
+    """Plain format: first line n, then one 'u v' pair per line; blank
+    lines and lines whose first non-blank character is '#' are skipped."""
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and not ln.startswith("#")]
     if not lines:
         raise ValueError("empty graph file")
-    n = int(lines[0])
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ValueError(f"vertex count must be a nonnegative integer, got {lines[0]!r}") from None
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:
+            raise ValueError(f"bad edge line: {ln!r}") from None
+        edges.append((u, v))
     return from_edge_list(n, edges)
 
 
@@ -49,10 +54,15 @@ def load_graph(path) -> BlockGraph:
     return parse_edge_list_text(text)
 
 
+def _dot_quoted(text) -> str:
+    """`text` as a DOT quoted string: backslashes and quotes escaped."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def graph_to_dot(g: BlockGraph, name: str = "g") -> str:
     lines = [f"graph {name} {{"]
     for v in range(g.n):
-        label = f' [label="{g.labels[v]}"]' if g.labels is not None else ""
+        label = f" [label={_dot_quoted(g.labels[v])}]" if g.labels is not None else ""
         lines.append(f"  {v}{label};")
     for u, v in g.edges():
         lines.append(f"  {u} -- {v};")
@@ -116,7 +126,19 @@ def certificate_from_json_dict(d: dict) -> CharCertificate:
 
 
 def coloring_from_json_dict(d: dict) -> Coloring:
+    """A Coloring from its JSON form: `colors` maps decimal vertex ids to
+    colors in 1..t, and t is at least 1."""
     require_object(d, "coloring", ("colors", "t"))
     require_object(d["colors"], "colors", ())
-    colors = {int(v): require_int(c, f"color of vertex {v}") for v, c in d["colors"].items()}
-    return Coloring(colors, require_int(d["t"], "t"))
+    t = require_int(d["t"], "t")
+    if t < 1:
+        raise ValueError(f"t must be at least 1, got {t}")
+    colors = {}
+    for v, c in d["colors"].items():
+        if not (isinstance(v, str) and v.isascii() and v.isdecimal()):
+            raise ValueError(f"colors key {v!r} is not a decimal vertex id")
+        c = require_int(c, f"color of vertex {v}")
+        if not 1 <= c <= t:
+            raise ValueError(f"colors: vertex {v} has color {c} outside 1..{t}")
+        colors[int(v)] = c
+    return Coloring(colors, t)

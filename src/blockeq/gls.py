@@ -15,14 +15,12 @@ import logging
 import math
 from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Optional, Tuple
 
 from . import invariants
 from .errors import (
     AlgorithmInvariantError,
-    CycleFoundError,
     InstanceInvariantError,
     NotEquitableAtFixpointError,
     NotUniformConsistentError,
@@ -531,35 +529,3 @@ def _recolor_to_equitable(g: GlsGraph, col: dict, stats: Optional[dict] = None) 
         raise NotEquitableAtFixpointError(coloring, live)
     return coloring
 
-
-class ComponentKind(Enum):
-    ISOLATED_VERTEX = "isolated_vertex"
-    ISOLATED_EDGE = "isolated_edge"
-    STAR = "star"
-    NON_STAR_TREE = "non_star_tree"
-
-
-def alternating_components(g: BlockGraph, coloring: Coloring, i: int, j: int):
-    """Classify the components induced by two color classes.
-
-    In a properly colored block graph these are always trees; a cycle
-    would mean the coloring is broken, and raises.
-    """
-    if i == j:
-        raise ValueError("need two distinct colors")
-    sub, id_map = g.induced_subgraph(v for v, c in coloring.color.items() if c in (i, j))
-    host = sorted(id_map)
-    comps = []
-    for comp in sub.connected_components():
-        members = frozenset(host[u] for u in comp)
-        if sum(sub.degree(u) for u in comp) // 2 != len(comp) - 1:
-            raise CycleFoundError(f"classes {i},{j} induce a cycle on {sorted(members)}")
-        if len(comp) == 1:
-            kind = ComponentKind.ISOLATED_VERTEX
-        elif len(comp) == 2:
-            kind = ComponentKind.ISOLATED_EDGE
-        else:
-            center_like = sum(1 for u in comp if sub.degree(u) > 1)
-            kind = ComponentKind.STAR if center_like == 1 else ComponentKind.NON_STAR_TREE
-        comps.append((members, kind))
-    return comps

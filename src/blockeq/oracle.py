@@ -123,11 +123,10 @@ def exact_equitable_colorable(
     counts = [0] * t
     assign = {}
     deficit = floor * t  # sum over classes of max(0, floor - count)
-    over = 0  # classes at floor+1
     nodes = 0
 
     def rec(idx):
-        nonlocal nodes, deficit, over
+        nonlocal nodes, deficit
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise SearchBudgetExceededError(f"budget {node_budget} exhausted")
@@ -148,22 +147,16 @@ def exact_equitable_colorable(
                 seen_empty = True
             if c in forbidden or counts[c] >= cap_hi:
                 continue
-            if counts[c] == floor and extra and over == extra:
-                continue
             d_dec = 1 if counts[c] < floor else 0
+            # also bars a class at floor once `extra` classes hold floor+1
             if deficit - d_dec > remaining:
                 continue
             counts[c] += 1
             deficit -= d_dec
-            was_over = counts[c] == floor + 1
-            if was_over:
-                over += 1
             assign[v] = c
             if rec(idx + 1):
                 return True
             del assign[v]
-            if was_over:
-                over -= 1
             deficit += d_dec
             counts[c] -= 1
         return False
@@ -247,8 +240,9 @@ def _check_cap(g, cap):
         raise TooLargeError(f"brute force capped at {cap} vertices, got {g.n}")
 
 
-def brute_alpha(g: BlockGraph, cap: int = BRUTE_CAP) -> int:
-    """Maximum independent set size by include/exclude enumeration."""
+def _brute_alpha_search(g: BlockGraph, forced: Optional[int], cap: int) -> int:
+    """Largest independent set by include/exclude enumeration; with
+    `forced`, the largest one that contains that vertex."""
     _check_cap(g, cap)
     masks = [0] * g.n
     for u, v in g.edges():
@@ -267,37 +261,23 @@ def brute_alpha(g: BlockGraph, cap: int = BRUTE_CAP) -> int:
             rec(v + 1, blocked | masks[v], size + 1)
         rec(v + 1, blocked, size)
 
-    rec(0, 0, 0)
+    if forced is None:
+        rec(0, 0, 0)
+    else:
+        g._check_vertex(forced)
+        # the forced vertex is taken up front: it and its neighbors start blocked
+        rec(0, masks[forced] | 1 << forced, 1)
     return best
+
+
+def brute_alpha(g: BlockGraph, cap: int = BRUTE_CAP) -> int:
+    """Maximum independent set size by include/exclude enumeration."""
+    return _brute_alpha_search(g, None, cap)
 
 
 def brute_alpha_with(g: BlockGraph, v: int, cap: int = BRUTE_CAP) -> int:
     """Maximum independent set containing v, enumerated directly."""
-    _check_cap(g, cap)
-    g._check_vertex(v)
-    masks = [0] * g.n
-    for a, b in g.edges():
-        masks[a] |= 1 << b
-        masks[b] |= 1 << a
-    best = 0
-
-    def rec(u, blocked, size):
-        nonlocal best
-        if size + (g.n - u) <= best:
-            return
-        if u == g.n:
-            best = max(best, size)
-            return
-        if u == v:
-            rec(u + 1, blocked, size)
-            return
-        if not (blocked >> u) & 1:
-            rec(u + 1, blocked | masks[u], size + 1)
-        rec(u + 1, blocked, size)
-
-    # v is committed up front; its neighbors start blocked
-    rec(0, masks[v], 1)
-    return best
+    return _brute_alpha_search(g, v, cap)
 
 
 def brute_dc(g: BlockGraph, cap: int = BRUTE_CAP) -> int:
@@ -441,16 +421,13 @@ def _attach_clique_raw(g: BlockGraph, anchor: int, size: int) -> BlockGraph:
     return BlockGraph(g.n + size - 1, edges, _validated=True)
 
 
-def enumerate_block_graphs(
-    n_max: int, verify_collisions: bool = False
-) -> Iterator[BlockGraph]:
+def enumerate_block_graphs(n_max: int) -> Iterator[BlockGraph]:
     """All connected block graphs up to n_max vertices, one per class.
 
     Grows graphs by attaching a fresh clique at an existing vertex;
     every connected block graph arises this way because removing a
     pendant clique leaves a smaller connected block graph.  Duplicates
-    are dropped via canonical_form; with verify_collisions each drop is
-    double-checked by explicit isomorphism search.
+    are dropped via canonical_form.
     """
     if n_max < 1:
         return
@@ -458,8 +435,6 @@ def enumerate_block_graphs(
     by_size = {1: {canonical_form(k1): k1}}
     yield k1
     for n in range(1, n_max):
-        if n not in by_size:
-            break
         for g in list(by_size[n].values()):
             for anchor in range(g.n):
                 for size in range(2, n_max - n + 2):
@@ -467,8 +442,6 @@ def enumerate_block_graphs(
                     key = canonical_form(cand)
                     bucket = by_size.setdefault(cand.n, {})
                     if key in bucket:
-                        if verify_collisions and not isomorphic_brute(bucket[key], cand):
-                            raise AssertionError("canonical collision on non-isomorphic pair")
                         continue
                     bucket[key] = cand
                     yield cand
@@ -515,10 +488,7 @@ def count_block_graphs_by_filter(n: int) -> int:
     seen = set()
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
-        try:
-            g = BlockGraph(n, edges, _validated=True)
-        except Exception:
-            continue
+        g = BlockGraph(n, edges, _validated=True)
         if len(g.connected_components()) > 1:
             continue
         if not is_block_graph_by_filter(g):

@@ -123,6 +123,32 @@ class TestVerifyCertificate:
         assert chk.step_index == len(cert.steps)
         assert "alpha_min" in chk.reason
 
+    @pytest.mark.parametrize("op, clause", [
+        (OpDescriptor(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (1,), (2, 2)),
+         "shape: anchors and sizes must align"),
+        (OpDescriptor(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (1,), (1,)),
+         "shape: attached block sizes must be >= 2"),
+        (OpDescriptor(OpKind.TWIN_ATTACH, (1, 2, 3), (2, 2, 2)),
+         "shape: twin attach takes 1 or 2 anchors"),
+        (OpDescriptor(OpKind.ATTACH_AT_PENDANT_CUT, (1, 2), (2, 2)),
+         "shape: single-anchor operation"),
+        (OpDescriptor(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (1,), (2,), StarExtension(0, 1)),
+         "shape: extension size must be >= 2"),
+        (OpDescriptor(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (1,), (2,), StarExtension(1, 2)),
+         "shape: extension indexes an added clique"),
+        (OpDescriptor(OpKind.TWIN_ATTACH, (1, 3), (2, 2)), "op4-anchors-split"),
+        (OpDescriptor(OpKind.TWIN_ATTACH, (1, 1), (2, 2)), "op4-anchors-equal"),
+    ], ids=["misaligned", "size-one", "three-twin-anchors", "two-kind1-anchors",
+            "extension-size-one", "extension-past-cliques", "twin-anchors-split",
+            "twin-anchors-equal"])
+    def test_replay_names_the_rejected_clause(self, op, clause):
+        # two triangles at vertex 0: blocks {0, 1, 2} and {0, 3, 4}
+        cert = CharCertificate(star_of_cliques([3, 3]), 0, (op,))
+        chk = verify_certificate(cert)
+        assert not chk.ok
+        assert chk.step_index == 0
+        assert f"replay failure: {clause}" in chk.reason
+
 
 class TestGenerate:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5])
@@ -268,8 +294,9 @@ def _growth_steps(g, n_max):
 
 def test_forward_closure_reaches_every_graph_with_a_cut_vertex(graphs_up_to_10):
     """The operations reach every block graph with a cut vertex and
-    n <= 10, and the reverse search certifies each of them.  States are
-    rooted at the growth vertex v, since a step's guards depend on v."""
+    n <= 10; acceptance criterion 09 runs the reverse search on the same
+    graphs.  States are rooted at the growth vertex v, since a step's
+    guards depend on v."""
     n_max = 10
     level = {}
     for sizes in _clique_stars(n_max):
@@ -298,6 +325,3 @@ def test_forward_closure_reaches_every_graph_with_a_cut_vertex(graphs_up_to_10):
     }
     assert len(expected) == 2289
     assert set(closure) == expected
-    for g in closure.values():
-        # find_decomposition verifies what it finds before returning it
-        assert find_decomposition(g) is not None, g.edges()

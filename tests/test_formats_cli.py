@@ -101,6 +101,12 @@ class TestFormats:
         dot = formats.graph_to_dot(path_graph(3))
         assert "0 -- 1" in dot and "1 -- 2" in dot
 
+    def test_dot_export_escapes_labels(self):
+        g = from_edge_list(2, [(0, 1)], ['a\\"; evil', "b"])
+        dot = formats.graph_to_dot(g)
+        assert '  0 [label="a\\\\\\"; evil"];' in dot.splitlines()
+        assert '  1 [label="b"];' in dot.splitlines()
+
     def test_coloring_round_trip(self):
         c = Coloring({0: 1, 1: 2, 2: 1}, 2)
         assert formats.coloring_from_json_dict(json.loads(json.dumps(c.to_json_dict()))) == c
@@ -110,6 +116,11 @@ class TestFormats:
         ({"0": 2, "1": True}, 3, "color of vertex 1"),
         ({"0": 2, "1": 1}, "3", "t must"),
         ([1], 2, "colors must be an object, got \\[1\\]"),
+        ({"0": 5}, 2, "colors: vertex 0 has color 5 outside 1..2"),
+        ({"-1": 1}, 2, "colors key '-1' is not a decimal vertex id"),
+        ({"0": 0, "1": 1}, 2, "colors: vertex 0 has color 0 outside 1..2"),
+        ({"x": 1}, 2, "colors key 'x' is not a decimal vertex id"),
+        ({}, 0, "t must be at least 1, got 0"),
     ])
     def test_coloring_takes_only_ints(self, colors, t, problem):
         with pytest.raises(ValueError, match=problem):
@@ -373,6 +384,23 @@ class TestCli:
         proc = run_cli("params", str(p))
         assert proc.returncode == 2
         assert problem in proc.stderr
+
+    @pytest.mark.parametrize("text, problem", [
+        ("4\n  # note\n0 1\n", None),
+        ("four\n0 1\n", "vertex count must be a nonnegative integer, got 'four'"),
+        ("3\n0 x\n", "bad edge line: '0 x'"),
+    ], ids=["indented-comment", "word-count", "word-vertex"])
+    def test_edge_list_input(self, tmp_path, text, problem):
+        # plain edge lists: comments may be indented, bad tokens are named
+        p = tmp_path / "g.txt"
+        p.write_text(text)
+        proc = run_cli("params", str(p))
+        if problem is None:
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["n"] == 4
+        else:
+            assert proc.returncode == 2, proc.stdout
+            assert problem in proc.stderr
 
     @pytest.mark.parametrize("command, problem", [
         (["params"], "bounds_report of the empty graph"),

@@ -4,19 +4,14 @@ from blockeq import invariants as inv
 from blockeq import oracle
 from blockeq.errors import (
     AlgorithmInvariantError,
-    CycleFoundError,
     InstanceInvariantError,
     NotUniformConsistentError,
     TBelowThresholdError,
     UnrealizableError,
 )
-from blockeq.families import complete_graph, path_graph
 from blockeq.gls import (
     BinPackingInstance,
     _transport_fill,
-    Coloring,
-    ComponentKind,
-    alternating_components,
     build_gls,
     color_nplus2,
     color_uniform,
@@ -278,39 +273,3 @@ class TestColorNPlus2:
             chk = oracle.check_coloring(g.graph, coloring)
             assert chk.proper and chk.equitable, (sizes, k, B)
 
-
-class TestAlternatingComponents:
-    def test_bicolored_path_is_non_star_tree(self):
-        g = path_graph(4)
-        c = Coloring({0: 1, 1: 2, 2: 1, 3: 2}, 2)
-        comps = alternating_components(g, c, 1, 2)
-        assert [kind for _, kind in comps] == [ComponentKind.NON_STAR_TREE]
-
-    def test_triangle_pair_is_isolated_edge(self):
-        g = complete_graph(3)
-        c = Coloring({0: 1, 1: 2, 2: 3}, 3)
-        comps = alternating_components(g, c, 1, 2)
-        assert comps == [(frozenset({0, 1}), ComponentKind.ISOLATED_EDGE)]
-
-    def test_improper_coloring_raises_cycle(self):
-        g = complete_graph(3)
-        c = Coloring({0: 1, 1: 2, 2: 1}, 2)
-        with pytest.raises(CycleFoundError):
-            alternating_components(g, c, 1, 2)
-
-    def test_showcase_extreme_pair_is_starlike(self):
-        # observational: components induced by the most and least used
-        # colors; star shapes expected, non-star trees tolerated
-        g = build_gls(BinPackingInstance((3, 3, 3, 3), 3, 4))
-        coloring = color_nplus2(g)
-        sizes = coloring.class_sizes()
-        big = sizes.index(max(sizes)) + 1
-        small = sizes.index(min(sizes)) + 1
-        comps = alternating_components(g.graph, coloring, big, small)
-        kinds = {kind for _, kind in comps}
-        assert kinds <= {
-            ComponentKind.ISOLATED_VERTEX,
-            ComponentKind.ISOLATED_EDGE,
-            ComponentKind.STAR,
-            ComponentKind.NON_STAR_TREE,
-        }

@@ -181,7 +181,18 @@ class TestEnumerator:
         assert sorted(g.edge_count() for g in three if g.n == 3) == [2, 3]
 
     def test_collision_verification_clean(self):
-        list(oracle.enumerate_block_graphs(6, verify_collisions=True))
+        # every clique attachment the enumerator drops as a duplicate is
+        # isomorphic to the kept graph with the same canonical form
+        n_max = 6
+        kept = {oracle.canonical_form(g): g for g in oracle.enumerate_block_graphs(n_max)}
+        attachments = 0
+        for g in kept.values():
+            for anchor in range(g.n):
+                for size in range(2, n_max - g.n + 2):
+                    cand = oracle._attach_clique_raw(g, anchor, size)
+                    assert oracle.isomorphic_brute(kept[oracle.canonical_form(cand)], cand)
+                    attachments += 1
+        assert attachments > len(kept) - 1  # some attachments were dropped
 
     def test_all_outputs_connected_and_distinct(self, graphs_up_to_7):
         keys = [oracle.canonical_form(g) for g in graphs_up_to_7]
