@@ -282,7 +282,9 @@ def _cmd_verify(args):
     return 1 if report["violations"] else 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared."""
     p = argparse.ArgumentParser(prog="blockeq", description=__doc__)
     sub = p.add_subparsers(dest="cmd", required=True)
 
@@ -373,16 +375,8 @@ def build_parser():
     return p
 
 
-@functools.cache
-def _parser():
-    """The parser `main` uses, built on the first call and kept for the
-    process; parse_args leaves it unchanged and returns a fresh namespace.
-    `build_parser` itself still returns a new parser on every call."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (errors.AlgorithmInvariantError, errors.NotEquitableAtFixpointError) as e:

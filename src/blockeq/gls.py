@@ -109,11 +109,10 @@ def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
     The graph is built from its block list, which the construction
     knows: the 2-block {y_0, y_j} per item and the (k+1)-clique of each
     flower clique with its hub.  It is not validated or decomposed
-    again; only graphs read from files are.  Checks the closed form
-    |V| = (k+1)(kB+n+1) against the vertex count and, with cross_check,
-    alpha_min = n+1+kB against its recomputation.  omega = k+1 holds by
-    construction, since the blocks written are the 2-blocks and the
-    (k+1)-cliques.
+    again; only graphs read from files are.  With cross_check, only the
+    closed form alpha_min = n+1+kB is checked, against its recomputation:
+    |V| = (k+1)(kB+n+1) and omega = k+1 hold by construction once
+    sum(A) = kB, as the loop writes n+1 hubs and k(B+1+sum(a_j+1)) more.
     """
     inst.validate()
     a, k, b = inst.item_sizes, inst.parts, inst.capacity
@@ -131,10 +130,6 @@ def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
             blocks.append(frozenset((j,) + members))
         cliques.append(tuple(mine))
     g = BlockGraph._from_blocks(nxt, blocks)
-
-    expected_n = (k + 1) * (k * b + n + 1)
-    if g.n != expected_n:
-        raise AlgorithmInvariantError(f"|V|={g.n} != closed form {expected_n}")
     if cross_check:
         amin = invariants.alpha_min(g).value
         if amin != n + 1 + k * b:
@@ -161,13 +156,13 @@ def _check_uniform(a, n, k, B):
         raise NotUniformConsistentError("item size exceeds capacity")
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def uniform_gls(a, n, k, B) -> GlsGraph:
     """The uniform flower graph for (a, n, k, B), built with its closed
-    forms cross-checked and cached for the last 64 parameter sets.
-
-    The result is shared by every caller that asks for the same
-    parameters, so it must not be mutated.
+    forms cross-checked.  Only the last instance is kept, since callers
+    ask for one instance at a time (twice per `gls color-uniform`, and
+    pair by pair in grid sweeps).  The result is shared by every caller
+    that asks for the same parameters, so it must not be mutated.
     """
     return build_gls(BinPackingInstance((a,) * n, k, B))
 
@@ -362,7 +357,7 @@ def realize_flower(counts, a: int, k: int, universal_color: int):
     `counts` maps color -> vertex count inside the flower, hub unit
     included; the flower has a+1 cliques whose non-hub part has k
     vertices.  Greedy largest-remaining-first, ties to the smaller
-    color.
+    color, which never runs short once the four input checks pass.
     """
     rem = {c: int(v) for c, v in dict(counts).items() if v > 0}
     if rem.get(universal_color, 0) < 1:
@@ -380,14 +375,10 @@ def realize_flower(counts, a: int, k: int, universal_color: int):
     out = []
     for _ in range(a + 1):
         live = sorted((c for c, v in rem.items() if v > 0), key=lambda c: (-rem[c], c))
-        if len(live) < k:
-            raise UnrealizableError("fewer than k colors left for a clique")
         chosen = sorted(live[:k])
         for c in chosen:
             rem[c] -= 1
         out.append(tuple(chosen))
-    if any(v for v in rem.values()):
-        raise UnrealizableError("counts left over after all cliques")
     return out
 
 
@@ -431,7 +422,8 @@ def color_nplus2(g: GlsGraph, stats: Optional[dict] = None) -> Coloring:
 def _greedy_start(g: GlsGraph) -> dict:
     """Proper (n+2)-coloring of the auxiliary graph: by decreasing degree,
     each vertex into its least-loaded free class, which leaves no class
-    empty, so the class-size product starts positive."""
+    empty, so the class-size product starts positive.  No vertex runs out
+    of classes: the hubs, an (n+1)-clique, come first; others see k <= n."""
     t = g.n_items + 2
     hubs = g.universal_vertices
     adj = [set(g.graph.neighbors(v)) for v in range(g.graph.n)]
@@ -442,8 +434,6 @@ def _greedy_start(g: GlsGraph) -> dict:
     for v in sorted(range(g.graph.n), key=lambda u: (-len(adj[u]), u)):
         used = {col[w] for w in adj[v] if w in col}
         free = [c for c in range(1, t + 1) if c not in used]
-        if not free:
-            raise AlgorithmInvariantError("greedy start needed more than n+2 colors")
         c = min(free, key=lambda c: (sizes[c], c))
         col[v] = c
         sizes[c] += 1

@@ -295,13 +295,6 @@ class BlockDecomposition:
     cut_vertices: frozenset
     _vertex_blocks: dict = field(repr=False, hash=False, compare=False)
 
-    @property
-    def tree_edges(self):
-        """Block-cut tree incidences (block index, cut vertex), in block order."""
-        return tuple(
-            (i, v) for i, b in enumerate(self.blocks) for v in sorted(b & self.cut_vertices)
-        )
-
     def block_indices_of(self, v):
         return self._vertex_blocks.get(v, ())
 
@@ -350,9 +343,6 @@ class LevelAssignment:
     roots: dict
     unleveled_singleton: Optional[int]
     rounds: int
-
-    def max_level(self):
-        return max(self.levels.values(), default=0)
 
 
 def clique_levels(g: BlockGraph) -> LevelAssignment:

@@ -10,7 +10,7 @@ small connected block graphs up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 from typing import Iterator, Optional
@@ -21,6 +21,7 @@ from .errors import (
     SearchBudgetExceededError,
     TooLargeError,
     UncoloredVertexError,
+    UnknownVertexError,
 )
 from .gls import BinPackingInstance, Coloring
 from .graph import BlockGraph, decompose
@@ -35,7 +36,7 @@ class CheckResult:
 
 
 def check_coloring(g: BlockGraph, coloring: Coloring) -> CheckResult:
-    """Properness and equitability of a complete coloring."""
+    """Properness and equitability of a coloring of exactly g's vertices."""
     col = coloring.color
     t = coloring.t
     for v in range(g.n):
@@ -43,6 +44,9 @@ def check_coloring(g: BlockGraph, coloring: Coloring) -> CheckResult:
             raise UncoloredVertexError(f"vertex {v} has no color")
         if not (1 <= col[v] <= t):
             raise ColorOutOfRangeError(f"color {col[v]} outside 1..{t}")
+    if len(col) != g.n:
+        extra = min(set(col) - set(range(g.n)))
+        raise UnknownVertexError(f"colored vertex {extra} outside 0..{g.n - 1}")
     proper = all(col[u] != col[v] for u, v in g.edges())
     sizes = [0] * t
     for v in range(g.n):
@@ -181,14 +185,9 @@ class SpectrumReport:
 
     def to_json_dict(self):
         return {
-            "n": self.n,
-            "t_cap": self.t_cap,
+            **asdict(self),
             "feasible_ts": sorted(self.feasible_ts),
             "unknown_ts": sorted(self.unknown_ts),
-            "chi_eq": self.chi_eq,
-            "chi_eq_star": self.chi_eq_star,
-            "gap_free": self.gap_free,
-            "complete": self.complete,
         }
 
 
@@ -351,7 +350,6 @@ def canonical_form(g: BlockGraph) -> bytes:
     of that forest, rooted at tree centers.
     """
     deco = decompose(g)
-    node_children = {}
 
     def encode(node, parent, neigh):
         kids = sorted(encode(w, node, neigh) for w in neigh[node] if w != parent)
@@ -359,7 +357,6 @@ def canonical_form(g: BlockGraph) -> bytes:
         return label + "(" + ",".join(kids) + ")"
 
     comps = []
-    assigned = set()
     for comp in sorted(g.connected_components(), key=sorted):
         bidx = sorted({i for v in comp for i in deco.block_indices_of(v)})
         nodes = [("B", i) for i in bidx] + [
@@ -372,7 +369,6 @@ def canonical_form(g: BlockGraph) -> bytes:
                 neigh[("C", v)].append(("B", i))
         centers = _tree_centers(nodes, neigh)
         comps.append(min(encode(c, None, neigh) for c in centers))
-        assigned |= comp
     return "|".join(sorted(comps)).encode("ascii")
 
 

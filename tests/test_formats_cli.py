@@ -328,6 +328,28 @@ class TestCli:
         assert out["ok"] is False and out["step_index"] == 0
         assert out["reason"].startswith("replay failure: anchor-unknown")
 
+    @pytest.mark.parametrize("steps, reason", [
+        ([{"kind": 5, "anchors": [1], "sizes": [2], "extension": None},
+          {"kind": 1, "anchors": [1], "sizes": [2], "extension": None}],
+         "alpha_min jumped to 2, expected 3"),
+        ([{"kind": 5, "anchors": [1], "sizes": [3], "extension": None},
+          {"kind": 4, "anchors": [3, 4], "sizes": [2, 2],
+           "extension": {"clique_index": 0, "size": 2}}],
+         "base vertex stopped realizing alpha_min"),
+    ], ids=["condition-B", "condition-C"])
+    def test_char_verify_rejects_a_replayed_step(self, tmp_path, steps, reason):
+        # both steps replay on the path 1-0-2; the second breaks (B) or (C)
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({
+            "base_graph": {"n": 3, "edges": [[0, 1], [0, 2]]},
+            "base_vertex": 0, "r": 3, "steps": steps,
+        }))
+        proc = run_cli("char", "verify", str(cert))
+        assert proc.returncode == 1, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["ok"] is False and out["step_index"] == 1
+        assert out["reason"] == reason
+
     def test_params_on_pendant_family(self, tmp_path):
         from blockeq.families import clique_with_pendant_cliques
 

@@ -9,6 +9,7 @@ from blockeq.errors import (
     SearchBudgetExceededError,
     TooLargeError,
     UncoloredVertexError,
+    UnknownVertexError,
 )
 from blockeq.families import (
     clique_with_pendant_cliques,
@@ -49,6 +50,11 @@ class TestCheckColoring:
     def test_color_out_of_range(self):
         with pytest.raises(ColorOutOfRangeError):
             oracle.check_coloring(path_graph(2), Coloring({0: 1, 1: 3}, 2))
+
+    def test_vertex_outside_graph(self):
+        # class sizes [2, 1] would count the extra vertex 7
+        with pytest.raises(UnknownVertexError, match="vertex 7 "):
+            oracle.check_coloring(path_graph(2), Coloring({0: 1, 1: 2, 7: 1}, 2))
 
 
 class TestExactEquitable:

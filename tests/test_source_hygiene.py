@@ -1,0 +1,49 @@
+"""Static checks on the package source: no function-local that is
+assigned and never read, and no import that nothing uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "blockeq").glob("*.py"))
+
+
+def _loads(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _own_stores(fn):
+    """Names a function binds by assignment, not counting nested scopes."""
+    out, todo = set(), list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_locals_or_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    unread = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            # a leading underscore marks a binding left unread on purpose
+            dead = {name for name in _own_stores(fn) - _loads(fn) if not name.startswith("_")}
+            unread += [f"{fn.name}: {name}" for name in sorted(dead)]
+    assert not unread, f"locals assigned and never read: {unread}"
+
+    if path.name == "__init__.py":
+        return  # the package's imports are its exports
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    unused = imported - _loads(tree)
+    assert not unused, f"unused imports: {sorted(unused)}"
