@@ -14,7 +14,11 @@ vertex it hangs from, or such a block E at w2 together with w2 when
 w2's only other block is a 2-block {w1, w2} (an attached edge at w1
 extended by E).  A candidate last step is one piece, or a twin attach
 of two pieces; which operation kind rebuilt it is then read off the
-guards, so the search lists no operation shapes of its own.
+guards, so the search lists no operation shapes of its own.  Whether a
+candidate lowers alpha_min by exactly one while v keeps realizing it is
+decided on the current state graph before the shrunken graph is built:
+a piece passes when every maximum independent set of G - N[v] meets it,
+and a twin gets one alpha pass with both pieces left out.
 
 Guard evaluation graphs are pinned clause by clause: structural guards
 (cut/pendant/level/simplicial counts) are read off the pre-attachment
@@ -29,6 +33,7 @@ import logging
 import random
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from itertools import permutations
 from typing import Optional, Tuple
 
@@ -391,7 +396,10 @@ class _Reverse:
     sizes: Tuple[int, ...]
     ext: Optional[StarExtension]
     fresh: Tuple[int, ...]  # removed vertices, in the order replay creates them
-    removed: frozenset = frozenset()
+
+    @cached_property
+    def removed(self):
+        return frozenset(self.fresh)
 
 
 def _reverse_candidates(g, v, sub, hosts):
@@ -414,14 +422,12 @@ def _reverse_candidates(g, v, sub, hosts):
         block = deco.blocks[qi]
         x = next(iter(block & deco.cut_vertices))
         fresh = tuple(sorted(hosts[u] for u in block - {x}))
-        pieces.append(_Reverse(None, (hosts[x],), (len(block),), None, fresh,
-                               removed=frozenset(fresh)))
+        pieces.append(_Reverse(None, (hosts[x],), (len(block),), None, fresh))
         other = [deco.blocks[qj] for qj in deco.block_indices_of(x) if qj != qi]
         if len(other) == 1 and len(other[0]) == 2:
             (w1,) = other[0] - {x}
             pieces.append(_Reverse(None, (hosts[w1],), (2,), StarExtension(0, len(block)),
-                                   (hosts[x],) + fresh,
-                                   removed=frozenset(fresh + (hosts[x],))))
+                                   (hosts[x],) + fresh))
     pieces = [p for p in pieces if p.removed.isdisjoint(nv)]
 
     cands = list(pieces)
@@ -435,10 +441,37 @@ def _reverse_candidates(g, v, sub, hosts):
         # replay adds p's clique, then q's, then p's extension
         n_p = 1 if p.ext else len(p.fresh)
         cands.append(_Reverse(OpKind.TWIN_ATTACH, (a, b), p.sizes + q.sizes, p.ext,
-                              p.fresh[:n_p] + q.fresh + p.fresh[n_p:],
-                              removed=p.removed | q.removed))
+                              p.fresh[:n_p] + q.fresh + p.fresh[n_p:]))
     cands.sort(key=lambda c: (len(c.removed), sorted(c.removed), c.anchors, c.sizes))
     return cands
+
+
+def _steps_down(sub, smap, v, am, cand):
+    """Whether removing `cand` from G[S] (`sub`, with host-to-sub ids
+    `smap`), where v realizes alpha_min(G[S]) = am, leaves
+    alpha_min(G[T]) = alpha_with(G[T], v) = am - 1.  G[T] is not built.
+
+    A single piece is one clique, so removing it lowers each alpha_with
+    by at most one and only v's value needs checking: it drops exactly
+    when every maximum independent set of G[S] - N[v] meets the piece.
+    An extended piece is a whole pendant block, which every such set
+    meets.  A plain piece hanging from x is a whole component of
+    G[S] - N[v] when x is next to v, and otherwise is avoided exactly by
+    the maximum sets through x.  A twin removes two cliques and gets one
+    alpha pass over G[S] with them left out."""
+    sv = smap[v]
+    if cand.kind is OpKind.TWIN_ATTACH:
+        removed = {smap[u] for u in cand.removed}
+        table = invariants._alpha_pass(sub, removed)
+        kept_min = min(a for u, a in enumerate(table.alpha_with) if u not in removed)
+        return table.alpha_with[sv] == kept_min == am - 1
+    if cand.ext is not None:
+        return True
+    x = smap[cand.anchors[0]]
+    if x in sub.neighbors(sv):
+        return True
+    table = invariants._residual_alpha_table(sub, sv)
+    return table.alpha_with[x] < table.alpha
 
 
 def _resolve_kind(tsub, tmap, v, cand):
@@ -464,30 +497,29 @@ def _reverse_search(g: BlockGraph, v: int, target: int):
     base_set = frozenset(g.closed_neighborhood(v))
     failed = set()
 
-    def search(S, sub, hosts, am):
+    def search(S, sub, hosts, smap, am):
         if S == base_set:
             return []
         if S in failed:
             return None
         for cand in _reverse_candidates(g, v, sub, hosts):
+            if not _steps_down(sub, smap, v, am, cand):
+                continue
             T = S - cand.removed
             thosts = sorted(T)
             # a piece hangs from one vertex, so G[T] stays connected
             tsub, tmap = g.induced_subgraph(thosts)
-            if invariants.alpha_min(tsub).value != am - 1:
-                continue
-            if invariants.alpha_with(tsub, tmap[v]) != am - 1:
-                continue
             kind = _resolve_kind(tsub, tmap, v, cand)
             if kind is None:
                 continue
-            rest = search(T, tsub, thosts, am - 1)
+            rest = search(T, tsub, thosts, tmap, am - 1)
             if rest is not None:
                 return rest + [replace(cand, kind=kind)]
         failed.add(S)
         return None
 
-    return search(frozenset(range(g.n)), g, range(g.n), target)
+    ids = range(g.n)
+    return search(frozenset(ids), g, ids, {u: u for u in ids}, target)
 
 
 def find_decomposition(g: BlockGraph) -> Optional[CharCertificate]:

@@ -375,18 +375,28 @@ def build_parser():
     return p
 
 
+def _describe(e):
+    """An exception's message, or its type name when the message is empty."""
+    return str(e) or type(e).__name__
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (errors.AlgorithmInvariantError, errors.NotEquitableAtFixpointError) as e:
-        print(f"internal error: {e}", file=sys.stderr)  # a bug, not bad input
+        print(f"internal error: {_describe(e)}", file=sys.stderr)  # a bug, not bad input
         return 3
     except (OSError, ValueError, KeyError, json.JSONDecodeError, BlockeqError) as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_describe(e)}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # an input too large to hold, such as a graph file declaring 10^8 vertices
+        command = " ".join(filter(None, (args.cmd, getattr(args, f"{args.cmd}_cmd", None))))
+        print(f"error: MemoryError: out of memory in `{command}`", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - internal failure contract
-        print(f"internal error: {e}", file=sys.stderr)
+        print(f"internal error: {_describe(e)}", file=sys.stderr)
         return 3
 
 

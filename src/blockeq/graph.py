@@ -99,7 +99,7 @@ def _biconnected_components(adj):
 class BlockGraph:
     """Immutable simple graph whose blocks are all cliques."""
 
-    __slots__ = ("n", "_adj", "labels", "_decomp", "_levels", "_alpha", "_v_ais")
+    __slots__ = ("n", "_adj", "labels", "_decomp", "_levels", "_alpha", "_v_alpha")
 
     def __init__(self, n, edges, labels=None, _validated=False):
         adj = [set() for _ in range(n)]
@@ -141,7 +141,7 @@ class BlockGraph:
         self._decomp = decomp
         self._levels = None
         self._alpha = None
-        self._v_ais = None
+        self._v_alpha = None
 
     def _validate(self):
         # the decomposition stays cached for the graph's later use

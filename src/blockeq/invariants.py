@@ -209,18 +209,24 @@ def is_v_ais(g: BlockGraph, v: int, w: int) -> bool:
     that is, in every maximum independent set of G - N[v].
 
     The v-AIS flags of all w come from one alpha pass over g's own
-    forest with N[v] left out, cached on the graph per base vertex v.
+    forest with N[v] left out, cached on the graph per base vertex v
+    (`_residual_alpha_table`).
     """
     g._check_vertex(w)
-    closed = g.closed_neighborhood(v)
-    if w in closed:
+    if w in g.closed_neighborhood(v):
         raise WIsInClosedNeighborhoodError(f"w={w} lies in N[{v}]")
-    if g._v_ais is None:
-        g._v_ais = {}
-    ais = g._v_ais.get(v)
-    if ais is None:
-        ais = g._v_ais[v] = _alpha_pass(g, closed).ais
-    return ais[w]
+    return _residual_alpha_table(g, v).ais[w]
+
+
+def _residual_alpha_table(g: BlockGraph, v: int) -> _AlphaTable:
+    """The alpha table of G - N[v], indexed by g's vertex ids, computed
+    once per base vertex v and cached on the graph."""
+    if g._v_alpha is None:
+        g._v_alpha = {}
+    table = g._v_alpha.get(v)
+    if table is None:
+        table = g._v_alpha[v] = _alpha_pass(g, g.closed_neighborhood(v))
+    return table
 
 
 @dataclass(frozen=True)

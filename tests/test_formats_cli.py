@@ -291,6 +291,27 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("internal error: row sums [0, 0, 0, 0, 0] != ")
 
+    @pytest.mark.parametrize("argv", [["validate"], ["char", "decompose"]])
+    def test_out_of_memory_exits_two_naming_the_command(
+            self, graph_file, monkeypatch, capsys, argv):
+        # stands in for a graph file whose n asks for more adjacency sets than fit
+        def exhausted(n, edges, labels=None):
+            raise MemoryError()
+
+        monkeypatch.setattr(formats, "from_edge_list", exhausted)
+        assert cli.main([*argv, str(graph_file)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: MemoryError: out of memory in `{' '.join(argv)}`\n"
+
+    def test_empty_exception_message_prints_its_type(self, graph_file, monkeypatch, capsys):
+        def broken(g):
+            raise RuntimeError()
+
+        monkeypatch.setattr(invariants, "bounds_report", broken)
+        assert cli.main(["params", str(graph_file)]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError\n"
+
     @pytest.mark.parametrize("edges, problem", [
         ([[0, 1], [1, 2], [3, 4]], "decomposition needs a connected graph"),
         ([[0, 1], [2, 3]], "decomposition needs a cut vertex"),
