@@ -144,7 +144,6 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
     twin-attach block when relevant.  Raises PreconditionViolatedError
     with the failed clause."""
     deco = decompose(g)
-    lv = clique_levels(g)
     cuts = deco.cut_vertices
 
     if kind is OpKind.ATTACH_AT_PENDANT_CUT:
@@ -153,8 +152,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
             raise PreconditionViolatedError("op1-anchor-is-base", f"anchor {x} equals v")
         if x not in cuts:
             raise PreconditionViolatedError("op1-anchor-not-cut", f"{x} is simplicial")
-        pend = set(deco.pendant_block_indices())
-        if not any(qi in pend for qi in deco.block_indices_of(x)):
+        if not any(len(deco.blocks[qi] & cuts) == 1 for qi in deco.block_indices_of(x)):
             raise PreconditionViolatedError("op1-not-in-pendant", f"{x} in no pendant clique")
         return None
 
@@ -162,6 +160,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         x = anchors[0]
         if x not in cuts:
             raise PreconditionViolatedError("op2-anchor-not-cut", f"{x} is simplicial")
+        lv = clique_levels(g)
         if not any(
             lv.levels.get(qi) == 2 and len(deco.blocks[qi]) == 2
             for qi in deco.block_indices_of(x)
@@ -176,6 +175,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         if s in cuts:
             raise PreconditionViolatedError("op3-anchor-not-simplicial", f"{s} is a cut vertex")
         qi = deco.block_indices_of(s)[0]
+        lv = clique_levels(g)
         level = lv.levels.get(qi)
         simps = deco.blocks[qi] - cuts
         if level in (1, 2):
@@ -206,6 +206,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         if len(qis) != 1:
             raise PreconditionViolatedError("op4-anchors-split", "anchors in different blocks")
         qi = qis.pop()
+        lv = clique_levels(g)
         if lv.levels.get(qi) not in (1, 2):
             raise PreconditionViolatedError("op4-level", f"block level {lv.levels.get(qi)}")
         simps = deco.blocks[qi] - cuts
@@ -222,6 +223,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         if s in cuts:
             raise PreconditionViolatedError("op5-anchor-not-simplicial", f"{s} is a cut vertex")
         qi = deco.block_indices_of(s)[0]
+        lv = clique_levels(g)
         if lv.levels.get(qi) not in (1, 2):
             raise PreconditionViolatedError("op5-level", f"block level {lv.levels.get(qi)}")
         if len(deco.blocks[qi] - cuts) != 1:
@@ -311,28 +313,38 @@ def verify_certificate(cert: CharCertificate) -> CertCheck:
 
 
 def _candidate_ops(g: BlockGraph, v: int):
-    """Every (kind, anchors) pair that `_guards_ok` accepts for one step.
-    The shapes tried, in this order: each cut vertex for kinds 1 and 2;
-    then per block, each simplicial vertex for kind 3, each ordered pair
-    and each single one for the twin attach, and each one for kind 5."""
+    """Every (kind, anchors) pair that `_guards_ok` accepts for one step,
+    in this order: each cut vertex for kinds 1 and 2; then per block,
+    each simplicial vertex for kind 3, each ordered pair and each single
+    one for the twin attach, and each one for kind 5.  The guards of
+    kinds 3-5 read only the anchors' block (and that twin anchors
+    differ), so each is tried once per block, at its first simplicial
+    vertex."""
     deco = decompose(g)
     cuts = deco.cut_vertices
-    shapes = []
-    for x in sorted(cuts):
-        shapes += [(OpKind.ATTACH_AT_PENDANT_CUT, (x,)), (OpKind.ATTACH_AT_LEVEL2_K2_CUT, (x,))]
-    for b in deco.blocks:
-        simps = sorted(b - cuts)
-        shapes += [(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (s,)) for s in simps]
-        shapes += [(OpKind.TWIN_ATTACH, pair) for pair in permutations(simps, 2)]
-        shapes += [(OpKind.TWIN_ATTACH, (s,)) for s in simps]
-        shapes += [(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (s,)) for s in simps]
-    out = []
-    for kind, anchors in shapes:
+
+    def accepts(kind, anchors):
         try:
             _guards_ok(g, v, kind, anchors)
         except PreconditionViolatedError:
+            return False
+        return True
+
+    out = []
+    for x in sorted(cuts):
+        out += [(kind, (x,)) for kind in (OpKind.ATTACH_AT_PENDANT_CUT,
+                                          OpKind.ATTACH_AT_LEVEL2_K2_CUT) if accepts(kind, (x,))]
+    for b in deco.blocks:
+        simps = sorted(b - cuts)
+        if not simps:
             continue
-        out.append((kind, anchors))
+        if accepts(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, simps[:1]):
+            out += [(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (s,)) for s in simps]
+        if accepts(OpKind.TWIN_ATTACH, simps[:1]):
+            out += [(OpKind.TWIN_ATTACH, pair) for pair in permutations(simps, 2)]
+            out += [(OpKind.TWIN_ATTACH, (s,)) for s in simps]
+        if accepts(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, simps[:1]):
+            out += [(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (s,)) for s in simps]
     return out
 
 
@@ -474,21 +486,44 @@ def _steps_down(sub, smap, v, am, cand):
     return table.alpha_with[x] < table.alpha
 
 
-def _resolve_kind(tsub, tmap, v, cand):
+def _resolve_kind(tsub, thosts, tmap, sub, smap, v, cand):
     """First kind whose replay on the shrunken graph G[T] (`tsub`, with
-    host-to-sub ids `tmap`) rebuilds every removed vertex; None when no
-    kind does.  A twin attach that falls back to one clique rebuilds
-    fewer and does not count."""
+    sub-to-host ids `thosts` and host-to-sub ids `tmap`) rebuilds every
+    removed vertex; None when no kind does.  Nothing is replayed: the
+    candidate's sizes and extension add exactly its removed vertices, so
+    the kind is the first whose shape and guards pass on G[T], unless a
+    twin attach falls back to one clique, which is read off the state
+    graph G[S] (`sub`, host-to-sub ids `smap`).  The extension clause
+    `ext-anchor-v-ais` cannot fire after a fresh 2-block and is left to
+    the final replay."""
     anchors = tuple(tmap[a] for a in cand.anchors)
     for kind in OpKind:
-        op = OpDescriptor(kind, anchors, cand.sizes, cand.ext)
         try:
-            grown = apply_operation(tsub, tmap[v], op)
+            OpDescriptor(kind, anchors, cand.sizes, cand.ext).check_shape()
+            roots = _guards_ok(tsub, tmap[v], kind, anchors)
         except PreconditionViolatedError:
             continue
-        if grown.n == tsub.n + len(cand.removed):
-            return kind
+        if kind is OpKind.TWIN_ATTACH and len(anchors) == 2:
+            if _twin_falls_back(sub, smap, v, cand, [smap[thosts[z]] for z in roots]):
+                continue
+        return kind
     return None
+
+
+def _twin_falls_back(sub, smap, v, cand, roots):
+    """Whether replaying the two-anchor twin `cand` keeps one clique:
+    whether every root (`sub` ids) is v-locked once both cliques are
+    attached, that is, in G[S] (`sub`) without the extension's fresh
+    vertices, which follow the first sum(size - 1) of `cand.fresh`."""
+    sv = smap[v]
+    ext_fresh = {smap[u] for u in cand.fresh[sum(s - 1 for s in cand.sizes):]}
+    if ext_fresh:
+        table = invariants._alpha_pass(sub, sub.closed_neighborhood(sv) | ext_fresh)
+    else:
+        table = invariants._residual_alpha_table(sub, sv)
+    nv = sub.neighbors(sv)
+    # as `_v_ais_guard`: v itself is locked, its neighbors are not
+    return all(z == sv or (z not in nv and table.ais[z]) for z in roots)
 
 
 def _reverse_search(g: BlockGraph, v: int, target: int):
@@ -509,7 +544,7 @@ def _reverse_search(g: BlockGraph, v: int, target: int):
             thosts = sorted(T)
             # a piece hangs from one vertex, so G[T] stays connected
             tsub, tmap = g.induced_subgraph(thosts)
-            kind = _resolve_kind(tsub, tmap, v, cand)
+            kind = _resolve_kind(tsub, thosts, tmap, sub, smap, v, cand)
             if kind is None:
                 continue
             rest = search(T, tsub, thosts, tmap, am - 1)

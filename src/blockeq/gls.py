@@ -11,6 +11,7 @@ instance equitably with n+2 colors via product-maximizing recoloring.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from collections import deque
@@ -430,13 +431,18 @@ def _greedy_start(g: GlsGraph) -> dict:
     for u in hubs:
         adj[u].update(w for w in hubs if w != u)
     col = {}
-    sizes = [0] * (t + 1)
+    # (size, color) per class; a sorted list is already a heap
+    heap = [(0, c) for c in range(1, t + 1)]
     for v in sorted(range(g.graph.n), key=lambda u: (-len(adj[u]), u)):
         used = {col[w] for w in adj[v] if w in col}
-        free = [c for c in range(1, t + 1) if c not in used]
-        c = min(free, key=lambda c: (sizes[c], c))
+        skipped = []
+        while heap[0][1] in used:
+            skipped.append(heapq.heappop(heap))
+        size, c = heap[0]
+        heapq.heapreplace(heap, (size + 1, c))
         col[v] = c
-        sizes[c] += 1
+        for entry in skipped:
+            heapq.heappush(heap, entry)
     return col
 
 

@@ -1,8 +1,10 @@
 """Test-side brute oracles and small exhaustive input grids, kept apart
 from the package so the library never accidentally leans on them."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
+from blockeq.characterization import OpDescriptor, OpKind, _guards_ok, apply_operation
+from blockeq.errors import PreconditionViolatedError
 from blockeq.graph import BlockGraph, LevelAssignment, decompose
 
 
@@ -230,3 +232,46 @@ def flower_edges(inst):
             edges += [(j, v) for v in clique]
             edges += combinations(clique, 2)
     return edges
+
+
+def resolve_kind_by_replay(tsub, tmap, v, cand):
+    """First kind whose replay on G[T] (`tsub`, host-to-sub ids `tmap`)
+    rebuilds every vertex the reverse-search candidate `cand` removed,
+    or None: each kind is applied with `apply_operation` and the grown
+    graph's vertex count compared."""
+    anchors = tuple(tmap[a] for a in cand.anchors)
+    for kind in OpKind:
+        op = OpDescriptor(kind, anchors, cand.sizes, cand.ext)
+        try:
+            grown = apply_operation(tsub, tmap[v], op)
+        except PreconditionViolatedError:
+            continue
+        if grown.n == tsub.n + len(cand.removed):
+            return kind
+    return None
+
+
+def candidate_ops_per_shape(g, v):
+    """Every (kind, anchors) pair that `_guards_ok` accepts, trying each
+    shape on its own: each cut vertex for kinds 1 and 2; then per block,
+    each simplicial vertex for kind 3, each ordered pair and each single
+    one for the twin attach, and each one for kind 5."""
+    deco = decompose(g)
+    cuts = deco.cut_vertices
+    shapes = []
+    for x in sorted(cuts):
+        shapes += [(OpKind.ATTACH_AT_PENDANT_CUT, (x,)), (OpKind.ATTACH_AT_LEVEL2_K2_CUT, (x,))]
+    for b in deco.blocks:
+        simps = sorted(b - cuts)
+        shapes += [(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (s,)) for s in simps]
+        shapes += [(OpKind.TWIN_ATTACH, pair) for pair in permutations(simps, 2)]
+        shapes += [(OpKind.TWIN_ATTACH, (s,)) for s in simps]
+        shapes += [(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (s,)) for s in simps]
+    out = []
+    for kind, anchors in shapes:
+        try:
+            _guards_ok(g, v, kind, anchors)
+        except PreconditionViolatedError:
+            continue
+        out.append((kind, anchors))
+    return out

@@ -7,9 +7,12 @@ from blockeq import invariants as inv
 from blockeq import oracle
 from blockeq.characterization import (
     CharCertificate,
+    _attach_cliques,
     _candidate_ops,
+    _resolve_kind,
     _reverse_candidates,
     _steps_down,
+    _v_ais_guard,
     OpDescriptor,
     OpKind,
     StarExtension,
@@ -291,6 +294,65 @@ def test_step_down_rule_matches_the_built_graph(graphs_up_to_9):
     assert verdicts == {"twin": {False, True}, "plain": {False, True}, "extended": {True}}
 
 
+def test_kind_is_read_off_the_guards(graphs_up_to_9):
+    """`_resolve_kind`, which replays nothing, names the kind that
+    replaying each kind in turn names (`brutes.resolve_kind_by_replay`),
+    for every candidate at every cut vertex v that realizes alpha_min.
+    The search asks only about candidates that pass `_steps_down`; the
+    rest are checked too, since among those that pass no two-anchor twin
+    falls back to one clique."""
+    seen = set()
+    for g in graphs_up_to_9:
+        deco = decompose(g)
+        if not deco.cut_vertices:
+            continue
+        am = inv.alpha_min(g).value
+        ids = {u: u for u in range(g.n)}
+        for v in sorted(deco.cut_vertices):
+            if inv.alpha_with(g, v) != am:
+                continue
+            for c in _reverse_candidates(g, v, g, range(g.n)):
+                thosts = sorted(set(range(g.n)) - c.removed)
+                tsub, tmap = g.induced_subgraph(thosts)
+                want = brutes.resolve_kind_by_replay(tsub, tmap, v, c)
+                assert _resolve_kind(tsub, thosts, tmap, g, ids, v, c) is want, (g.edges(), v, c)
+                steps = _steps_down(g, ids, v, am, c)
+                shape = "twin" if c.kind else "extended" if c.ext else "plain"
+                seen.add((steps, shape, want is not None))
+                if c.kind and want is None:
+                    op = OpDescriptor(OpKind.TWIN_ATTACH, tuple(tmap[a] for a in c.anchors),
+                                      c.sizes, c.ext)
+                    try:
+                        grown = apply_operation(tsub, tmap[v], op)
+                    except PreconditionViolatedError:
+                        continue
+                    assert grown.n < g.n
+                    seen.add((steps, "extended twin" if c.ext else "twin", "fallback"))
+    # kept candidates resolve to a kind and to None, extended pieces among
+    # them; twins, plain and extended, fall back only among dropped ones
+    assert {(True, "plain", True), (True, "plain", False), (True, "extended", True),
+            (True, "twin", True), (False, "twin", "fallback"),
+            (False, "extended twin", "fallback")} <= seen
+    assert not any(steps and tag == "fallback" for steps, _, tag in seen)
+
+
+def test_extension_anchor_is_never_v_locked(graphs_up_to_8):
+    """Right after a 2-block {w1, w2} is attached at w1 != v, w2's only
+    neighbor is w1, so a maximum independent set through v and w1 can
+    swap w1 for w2: the replay clause `ext-anchor-v-ais` cannot fire,
+    and `_resolve_kind` does not test it."""
+    checked = 0
+    for g in graphs_up_to_8:
+        for v in range(g.n):
+            for w1 in range(g.n):
+                if w1 == v:
+                    continue
+                grown, _ = _attach_cliques(g, (w1,), (2,))
+                assert not _v_ais_guard(grown, v, w1), (g.edges(), v, w1)
+                checked += 1
+    assert checked > 10_000
+
+
 def _clique_stars(n_max):
     """Block-size lists of every clique-star with at most n_max vertices."""
     def parts(room, largest):
@@ -318,12 +380,10 @@ def _growth_steps(g, n_max):
                         yield OpDescriptor(kind, anchors, sizes, StarExtension(ix, e))
 
 
-def test_forward_closure_reaches_every_graph_with_a_cut_vertex(graphs_up_to_10):
-    """The operations reach every block graph with a cut vertex and
-    n <= 10; acceptance criterion 09 runs the reverse search on the same
-    graphs.  States are rooted at the growth vertex v, since a step's
-    guards depend on v."""
-    n_max = 10
+def _forward_closure(n_max):
+    """Every state the operations reach from a clique-star within n_max
+    vertices, keyed by its form rooted at the growth vertex 0, since a
+    step's guards depend on that vertex."""
     level = {}
     for sizes in _clique_stars(n_max):
         g = star_of_cliques(sizes)
@@ -345,9 +405,30 @@ def test_forward_closure_reaches_every_graph_with_a_cut_vertex(graphs_up_to_10):
                     reached[key] = nxt[key] = grown
         level = nxt
         am += 1
-    closure = {oracle.canonical_form(g): g for g in reached.values()}
+    return reached
+
+
+def test_forward_closure_reaches_every_graph_with_a_cut_vertex(graphs_up_to_10):
+    """The operations reach every block graph with a cut vertex and
+    n <= 10; acceptance criterion 09 runs the reverse search on the same
+    graphs."""
+    closure = {oracle.canonical_form(g): g for g in _forward_closure(10).values()}
     expected = {
         oracle.canonical_form(g) for g in graphs_up_to_10 if decompose(g).cut_vertices
     }
     assert len(expected) == 2289
     assert set(closure) == expected
+
+
+def test_candidate_ops_match_the_per_shape_reference():
+    """Trying the guards of kinds 3-5 once per block gives the list that
+    trying every shape on its own gives, in the same order, on every
+    state of the n <= 9 forward closure."""
+    states = _forward_closure(9).values()
+    listed = set()
+    for g in states:
+        ops = _candidate_ops(g, 0)
+        assert ops == brutes.candidate_ops_per_shape(g, 0), g.edges()
+        listed.update((kind, len(anchors)) for kind, anchors in ops)
+    assert len(states) > 500
+    assert listed == {(kind, 1) for kind in OpKind} | {(OpKind.TWIN_ATTACH, 2)}
