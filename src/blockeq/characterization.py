@@ -294,7 +294,7 @@ def verify_certificate(cert: CharCertificate) -> CertCheck:
     """Replay a certificate and check base shape plus conditions (B), (C)."""
     g = cert.base_graph
     v = cert.base_vertex
-    if clique_star_center(g) != v:
+    if not g.is_connected() or clique_star_center(g) != v:
         return CertCheck(False, "base graph is not a clique-star centered at the base vertex", None)
     # v is adjacent to every vertex, so alpha_min = alpha(., v) = 1
     trace = [1]
@@ -425,8 +425,8 @@ def _reverse_candidates(g, v, sub, hosts):
     or a twin attach of two pieces with distinct adjacent anchors,
     disjoint removals and neither anchor in the other's removal, of
     which at most one is extended and goes first.  A plain pair is
-    listed once, smaller anchor first: the guards and the fallback test
-    are symmetric in the two anchors."""
+    listed once, smaller anchor first: the guards are symmetric in the
+    two anchors."""
     deco = decompose(sub)
     nv = g.closed_neighborhood(v)
     pieces = []
@@ -486,44 +486,39 @@ def _steps_down(sub, smap, v, am, cand):
     return table.alpha_with[x] < table.alpha
 
 
-def _resolve_kind(tsub, thosts, tmap, sub, smap, v, cand):
+def _resolve_kind(tsub, tmap, v, cand):
     """First kind whose replay on the shrunken graph G[T] (`tsub`, with
-    sub-to-host ids `thosts` and host-to-sub ids `tmap`) rebuilds every
-    removed vertex; None when no kind does.  Nothing is replayed: the
-    candidate's sizes and extension add exactly its removed vertices, so
-    the kind is the first whose shape and guards pass on G[T], unless a
-    twin attach falls back to one clique, which is read off the state
-    graph G[S] (`sub`, host-to-sub ids `smap`).  The extension clause
-    `ext-anchor-v-ais` cannot fire after a fresh 2-block and is left to
-    the final replay."""
+    host-to-sub ids `tmap`) rebuilds every removed vertex, for a
+    candidate that passed `_steps_down`; None when no kind does.
+    Nothing is replayed: the candidate's sizes and extension add exactly
+    its removed vertices, and a twin that passes the step rule never
+    falls back to one clique, so the kind is the first whose shape and
+    guards pass on G[T].  The extension clause `ext-anchor-v-ais`
+    cannot fire after a fresh 2-block and is left to the final replay.
+
+    Why no twin falls back.  Let X = G[T] - N[v], with twin anchors a
+    and b.  The kind-4 guard makes a and b simplicial in one block of
+    G[T], so every root z of it is a cut vertex next to both, and a, b
+    are both in N(v) or neither is.  Were both, both pieces would be
+    whole components of G[S] - N[v] and v's value would drop by two; so
+    a, b lie in X, and so does z unless z is in N(v), where
+    `_v_ais_guard` is False anyway.
+    Plain twin: the step rule gives alpha(X) = alpha(X - a - b) + 1, so
+    some maximum set of X takes an anchor and avoids z; swapping that
+    anchor for a fresh vertex of each attached clique gives a maximum
+    set of the double attach minus N[v] without z.  Extended twin
+    (2-block {a, w2}, clique Q at b): the step rule puts b in every
+    maximum set I of X, and (I - b) + {w2, q}, q in Q, is a maximum set
+    of the double attach minus N[v], before E is attached, avoiding z."""
     anchors = tuple(tmap[a] for a in cand.anchors)
     for kind in OpKind:
         try:
             OpDescriptor(kind, anchors, cand.sizes, cand.ext).check_shape()
-            roots = _guards_ok(tsub, tmap[v], kind, anchors)
+            _guards_ok(tsub, tmap[v], kind, anchors)
         except PreconditionViolatedError:
             continue
-        if kind is OpKind.TWIN_ATTACH and len(anchors) == 2:
-            if _twin_falls_back(sub, smap, v, cand, [smap[thosts[z]] for z in roots]):
-                continue
         return kind
     return None
-
-
-def _twin_falls_back(sub, smap, v, cand, roots):
-    """Whether replaying the two-anchor twin `cand` keeps one clique:
-    whether every root (`sub` ids) is v-locked once both cliques are
-    attached, that is, in G[S] (`sub`) without the extension's fresh
-    vertices, which follow the first sum(size - 1) of `cand.fresh`."""
-    sv = smap[v]
-    ext_fresh = {smap[u] for u in cand.fresh[sum(s - 1 for s in cand.sizes):]}
-    if ext_fresh:
-        table = invariants._alpha_pass(sub, sub.closed_neighborhood(sv) | ext_fresh)
-    else:
-        table = invariants._residual_alpha_table(sub, sv)
-    nv = sub.neighbors(sv)
-    # as `_v_ais_guard`: v itself is locked, its neighbors are not
-    return all(z == sv or (z not in nv and table.ais[z]) for z in roots)
 
 
 def _reverse_search(g: BlockGraph, v: int, target: int):
@@ -544,7 +539,7 @@ def _reverse_search(g: BlockGraph, v: int, target: int):
             thosts = sorted(T)
             # a piece hangs from one vertex, so G[T] stays connected
             tsub, tmap = g.induced_subgraph(thosts)
-            kind = _resolve_kind(tsub, thosts, tmap, sub, smap, v, cand)
+            kind = _resolve_kind(tsub, tmap, v, cand)
             if kind is None:
                 continue
             rest = search(T, tsub, thosts, tmap, am - 1)

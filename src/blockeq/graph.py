@@ -239,15 +239,6 @@ class BlockGraph:
             labels = [self.labels[v] for v in kept]
         return BlockGraph._from_blocks(len(kept), blocks, labels), id_map
 
-    def delete_vertices(self, removed):
-        removed = set(removed)
-        for v in removed:
-            self._check_vertex(v)
-        return self.induced_subgraph(v for v in range(self.n) if v not in removed)
-
-    def delete_closed_neighborhood(self, v):
-        return self.delete_vertices(self.closed_neighborhood(v))
-
     # -- value semantics --------------------------------------------------
 
     def __eq__(self, other):

@@ -93,6 +93,30 @@ def all_maximum_independent_sets(g):
     return best, sets
 
 
+def equitable_colorable_by_backtracking(g, t):
+    """Whether g has an equitable t-coloring, by plain backtracking over
+    vertex ids with only two prunes: colors stay proper, and no class
+    grows past ceil(n/t); a full coloring then counts only if every
+    class reaches floor(n/t)."""
+    floor, cap = g.n // t, -(-g.n // t)
+    color, counts = {}, [0] * t
+
+    def rec(v):
+        if v == g.n:
+            return min(counts) >= floor
+        for c in range(t):
+            if counts[c] == cap or any(color.get(w) == c for w in g.neighbors(v)):
+                continue
+            color[v], counts[c] = c, counts[c] + 1
+            if rec(v + 1):
+                return True
+            del color[v]
+            counts[c] -= 1
+        return False
+
+    return rec(0)
+
+
 def brute_alpha_min_full(g, brute_alpha_with):
     """Minimum of alpha(g, v) over every vertex, via the given oracle."""
     return min(brute_alpha_with(g, v) for v in range(g.n))

@@ -349,6 +349,18 @@ class TestCli:
         assert out["ok"] is False and out["step_index"] == 0
         assert out["reason"].startswith("replay failure: anchor-unknown")
 
+    def test_char_verify_disconnected_base_is_a_wrong_base(self, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({
+            "base_graph": {"n": 4, "edges": [[0, 1], [2, 3]]},
+            "base_vertex": 0, "r": 1, "steps": [],
+        }))
+        proc = run_cli("char", "verify", str(cert))
+        assert proc.returncode == 1, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["ok"] is False and out["step_index"] is None
+        assert out["reason"] == "base graph is not a clique-star centered at the base vertex"
+
     @pytest.mark.parametrize("steps, reason", [
         ([{"kind": 5, "anchors": [1], "sizes": [2], "extension": None},
           {"kind": 1, "anchors": [1], "sizes": [2], "extension": None}],

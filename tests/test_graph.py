@@ -212,21 +212,22 @@ class TestCliqueStar:
 
 class TestSurgery:
     def test_delete_closed_neighborhood_of_path_center(self):
-        g, id_map = path_graph(3).delete_closed_neighborhood(1)
+        p3 = path_graph(3)
+        g, id_map = p3.induced_subgraph(set(range(p3.n)) - p3.closed_neighborhood(1))
         assert g.n == 0 and id_map == {}
 
     def test_k4_minus_vertex(self):
-        g, id_map = complete_graph(4).delete_vertices([3])
+        g, id_map = complete_graph(4).induced_subgraph(set(range(4)) - {3})
         assert g.n == 3 and g.edge_count() == 3
         assert id_map == {0: 0, 1: 1, 2: 2}
 
     def test_triangle_pendant_minus_leaf(self):
-        g, _ = triangle_with_pendant_edge().delete_vertices([3])
+        g, _ = triangle_with_pendant_edge().induced_subgraph(set(range(4)) - {3})
         assert g.n == 3 and g.edge_count() == 3
 
     def test_unknown_vertex(self):
         with pytest.raises(UnknownVertexError):
-            path_graph(3).delete_vertices([7])
+            path_graph(3).induced_subgraph([0, 7])
 
     def test_deletion_commutes_with_decomposition(self, graphs_up_to_7):
         # induced subgraph blocks agree with the brute biconnectivity
@@ -234,12 +235,12 @@ class TestSurgery:
         for g in graphs_up_to_7:
             if g.n < 2:
                 continue
-            sub, _ = g.delete_vertices([g.n - 1])
+            sub, _ = g.induced_subgraph(set(range(g.n)) - {g.n - 1})
             assert brutes.brute_blocks(sub) == sorted(decompose(sub).blocks, key=sorted)
 
     def test_labels_follow_deletion(self):
         g = from_edge_list(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
-        sub, id_map = g.delete_vertices([0])
+        sub, id_map = g.induced_subgraph(set(range(g.n)) - {0})
         assert sub.labels == ("b", "c")
         assert id_map == {1: 0, 2: 1}
 

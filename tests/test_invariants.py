@@ -146,7 +146,7 @@ class TestDc:
         # G - N[v] is often disconnected: every component gets its own root
         for g in graphs_up_to_8:
             for v in range(g.n):
-                h, _ = g.delete_closed_neighborhood(v)
+                h, _ = g.induced_subgraph(set(range(g.n)) - g.closed_neighborhood(v))
                 assert inv.dc_exact(h).value == oracle.brute_dc(h), (g.edges(), v)
                 for w in range(h.n):
                     assert inv.alpha_with(h, w) == oracle.brute_alpha_with(h, w)
@@ -212,7 +212,7 @@ class TestVAis:
         for g in graphs_up_to_9:
             for v in range(g.n):
                 closed = g.closed_neighborhood(v)
-                residual, id_map = g.delete_vertices(closed)
+                residual, id_map = g.induced_subgraph(set(range(g.n)) - closed)
                 if residual.n == 0:
                     continue
                 _, sets = brutes.all_maximum_independent_sets(residual)

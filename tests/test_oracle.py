@@ -98,6 +98,16 @@ class TestExactEquitable:
         assert oracle._degeneracy_order(g) == brutes.repeated_minimum_order(g) == \
             [0, 1, 4, 3, 2, 5, 6]
 
+    def test_no_answers_match_plain_backtracking(self, graphs_up_to_8):
+        # the search's prunes and symmetry breaking cut no equitable coloring
+        answers = []
+        for g in graphs_up_to_8:
+            for t in range(1, g.n + 1):
+                want = brutes.equitable_colorable_by_backtracking(g, t)
+                assert oracle.exact_equitable_colorable(g, t)[0] == want, (g.edges(), t)
+                answers.append(want)
+        assert len(answers) > 1_900 and answers.count(False) > 600
+
     def test_budget_raises(self):
         g = clique_with_pendant_cliques(3)
         with pytest.raises(SearchBudgetExceededError):

@@ -1,5 +1,6 @@
 """Static checks on the package source: no function-local that is
-assigned and never read, and no import that nothing uses."""
+assigned and never read, no import that nothing uses, and no private
+helper that nothing references."""
 
 import ast
 from pathlib import Path
@@ -47,3 +48,39 @@ def test_no_unread_locals_or_unused_imports(path):
     }
     unused = imported - _loads(tree)
     assert not unused, f"unused imports: {sorted(unused)}"
+
+
+def _private_defs(body):
+    """Module- or class-level functions and classes named with a leading
+    underscore, dunders aside."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.endswith("__"):
+                yield node
+            if isinstance(node, ast.ClassDef):
+                yield from _private_defs(node.body)
+
+
+def _references(node):
+    """Every name a subtree mentions: as a name, an attribute or an import."""
+    out = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.append(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.append(n.attr)
+        elif isinstance(n, ast.alias):
+            out.append(n.name.split(".")[-1])
+    return out
+
+
+def test_no_unreferenced_private_helpers():
+    trees = [ast.parse(path.read_text()) for path in SOURCES]
+    refs = [name for tree in trees for name in _references(tree)]
+    # a helper that only calls itself is still dead
+    dead = sorted(
+        f"{path.name}: {d.name}"
+        for path, tree in zip(SOURCES, trees) for d in _private_defs(tree.body)
+        if refs.count(d.name) == _references(d).count(d.name)
+    )
+    assert not dead, f"private helpers nothing references: {dead}"
