@@ -22,9 +22,9 @@ and a twin gets one alpha pass with both pieces left out.
 
 Guard evaluation graphs are pinned clause by clause: structural guards
 (cut/pendant/level/simplicial counts) are read off the pre-attachment
-graph, while the two all-independent-set guards that the source result
-states on the grown graph (the twin-attach root test and the extension
-anchor test) are evaluated after attaching.
+graph g.  The two all-independent-set guards (the twin-attach root test
+and the extension anchor test) are stated on the grown graph and
+decided on g, with the proofs in `apply_operation`.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .errors import (
     NoCutVertexError,
     PreconditionViolatedError,
 )
+from .families import star_of_cliques
 from .graph import (
     BlockGraph,
     clique_levels,
@@ -119,15 +120,6 @@ class CharCertificate:
         return len(self.steps) + 1
 
 
-def _v_ais_guard(g: BlockGraph, v: int, w: int) -> bool:
-    """v-AIS status extended to trivial positions of w."""
-    if w == v:
-        return True
-    if w in g.neighbors(v):
-        return False
-    return invariants.is_v_ais(g, v, w)
-
-
 def _block_roots(deco, lv, qi):
     """Possible roots of a leveled block: the vertex it hangs from, or
     every cut vertex of the final residual clique, which hangs from none
@@ -166,7 +158,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
             for qi in deco.block_indices_of(x)
         ):
             raise PreconditionViolatedError("op2-no-level2-k2", f"{x} in no level-2 2-block")
-        if _v_ais_guard(g, v, x):
+        if x == v or (x not in g.neighbors(v) and invariants.is_v_ais(g, v, x)):
             raise PreconditionViolatedError("op2-anchor-v-ais", f"{x} locked into v's maximum sets")
         return None
 
@@ -233,53 +225,77 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
     raise PreconditionViolatedError("kind", f"unknown kind {kind}")
 
 
+def _accepts(g: BlockGraph, v: int, kind: OpKind, anchors) -> bool:
+    """Whether every structural guard of a `kind` step at `anchors` passes on g."""
+    try:
+        _guards_ok(g, v, kind, anchors)
+    except PreconditionViolatedError:
+        return False
+    return True
+
+
 def _attach_cliques(g: BlockGraph, anchors, sizes):
-    """g plus one fresh clique per anchor; returns the new graph and the
-    fresh vertex groups in anchor order.  The new graph's blocks are g's
-    blocks plus one per anchor (an anchor's singleton block is gone)."""
+    """g plus one fresh clique per (anchor, size) pair, its fresh vertices
+    numbered on from g.n in pair order; an anchor may be a fresh vertex
+    of an earlier pair.  The new graph's blocks are g's blocks plus one
+    per pair (an anchor's singleton block is gone)."""
     blocks = [b for b in decompose(g).blocks if len(b) > 1 or b.isdisjoint(anchors)]
     nxt = g.n
-    groups = []
     for anchor, size in zip(anchors, sizes):
-        fresh = tuple(range(nxt, nxt + size - 1))
+        blocks.append(frozenset(range(nxt, nxt + size - 1)) | {anchor})
         nxt += size - 1
-        blocks.append(frozenset((anchor,) + fresh))
-        groups.append(fresh)
-    return BlockGraph._from_blocks(nxt, blocks), groups
+    return BlockGraph._from_blocks(nxt, blocks)
 
 
 def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:
-    """One growth step; raises PreconditionViolatedError on any failed guard."""
+    """One growth step, built as one graph; raises PreconditionViolatedError
+    on any failed guard.  The clauses stated on the grown graph are
+    decided on g.
+
+    Twin fallback.  Let X = g - N[v].  After a fresh clique is attached
+    at each anchor, every maximum independent set of grown - N[v] holds
+    exactly one vertex per anchor side: the anchor, or a fresh vertex,
+    which can always replace the anchor.  So these sets meet X - {a, b}
+    in exactly the maximum independent sets of X - {a, b}.  A root z is
+    therefore locked after the double attach iff z = v, or z is not in
+    N(v) and lies in every maximum set of X - {a, b}.  The same holds
+    for anchors in N[v]: their fresh cliques leave with N[v], or stand
+    apart as their own component.
+
+    Extension.  Once the 2-block {w1, w2} is attached with w1 != v, w2's
+    only neighbor is w1, and w2 is not in N[v].  So a maximum set
+    through w1 can swap w1 for w2, and w1 is locked only when w1 = v.
+    """
     op.check_shape()
     g._check_vertex(v)
     for a in op.anchors:
         if not 0 <= a < g.n:
             raise PreconditionViolatedError("anchor-unknown", f"anchor {a} outside 0..{g.n - 1}")
     roots = _guards_ok(g, v, op.kind, op.anchors)
+    anchors, sizes = op.anchors, op.sizes
 
-    if op.kind is OpKind.TWIN_ATTACH and len(op.anchors) == 2:
-        grown, groups = _attach_cliques(g, op.anchors, op.sizes)
-        if all(_v_ais_guard(grown, v, z) for z in roots):
+    if op.kind is OpKind.TWIN_ATTACH and len(anchors) == 2:
+        nv = g.closed_neighborhood(v)
+        locked = invariants._alpha_pass(g, nv | set(anchors)).ais
+        if all(z == v or (z not in nv and locked[z]) for z in roots):
             # the double attach would lock every root into every maximum
             # independent set through v; fall back to a single clique
-            grown, groups = _attach_cliques(g, op.anchors[:1], op.sizes[:1])
-    else:
-        grown, groups = _attach_cliques(g, op.anchors, op.sizes)
+            anchors, sizes = anchors[:1], sizes[:1]
 
     ext = op.star_extension
     if ext is not None:
-        if ext.clique_index >= len(groups):
+        if ext.clique_index >= len(anchors):
             raise PreconditionViolatedError(
                 "ext-clique-missing", "extension targets a clique the fallback dropped"
             )
-        if op.sizes[ext.clique_index] != 2:
+        if sizes[ext.clique_index] != 2:
             raise PreconditionViolatedError("ext-not-2-block", "extension needs an attached 2-block")
-        w1 = op.anchors[ext.clique_index]
-        w2 = groups[ext.clique_index][0]
-        if _v_ais_guard(grown, v, w1):
+        w1 = anchors[ext.clique_index]
+        if w1 == v:
             raise PreconditionViolatedError("ext-anchor-v-ais", f"{w1} locked into v's maximum sets")
-        grown, _ = _attach_cliques(grown, (w2,), (ext.size,))
-    return grown
+        w2 = g.n + sum(s - 1 for s in sizes[:ext.clique_index])  # the 2-block's fresh end
+        anchors, sizes = anchors + (w2,), sizes + (ext.size,)
+    return _attach_cliques(g, anchors, sizes)
 
 
 @dataclass(frozen=True)
@@ -322,28 +338,21 @@ def _candidate_ops(g: BlockGraph, v: int):
     vertex."""
     deco = decompose(g)
     cuts = deco.cut_vertices
-
-    def accepts(kind, anchors):
-        try:
-            _guards_ok(g, v, kind, anchors)
-        except PreconditionViolatedError:
-            return False
-        return True
-
     out = []
     for x in sorted(cuts):
-        out += [(kind, (x,)) for kind in (OpKind.ATTACH_AT_PENDANT_CUT,
-                                          OpKind.ATTACH_AT_LEVEL2_K2_CUT) if accepts(kind, (x,))]
+        for kind in (OpKind.ATTACH_AT_PENDANT_CUT, OpKind.ATTACH_AT_LEVEL2_K2_CUT):
+            if _accepts(g, v, kind, (x,)):
+                out.append((kind, (x,)))
     for b in deco.blocks:
         simps = sorted(b - cuts)
         if not simps:
             continue
-        if accepts(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, simps[:1]):
+        if _accepts(g, v, OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, simps[:1]):
             out += [(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (s,)) for s in simps]
-        if accepts(OpKind.TWIN_ATTACH, simps[:1]):
+        if _accepts(g, v, OpKind.TWIN_ATTACH, simps[:1]):
             out += [(OpKind.TWIN_ATTACH, pair) for pair in permutations(simps, 2)]
             out += [(OpKind.TWIN_ATTACH, (s,)) for s in simps]
-        if accepts(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, simps[:1]):
+        if _accepts(g, v, OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, simps[:1]):
             out += [(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (s,)) for s in simps]
     return out
 
@@ -361,9 +370,6 @@ def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = No
         raise ValueError("max_clique must be >= 2")
     rng = random.Random(seed)
     size_pool = [2, 2] + list(range(2, max_clique + 1))
-
-    from .families import star_of_cliques
-
     base = star_of_cliques([rng.choice(size_pool) for _ in range(rng.randint(2, 3))])
     g = base
     steps = []
@@ -492,33 +498,23 @@ def _resolve_kind(tsub, tmap, v, cand):
     candidate that passed `_steps_down`; None when no kind does.
     Nothing is replayed: the candidate's sizes and extension add exactly
     its removed vertices, and a twin that passes the step rule never
-    falls back to one clique, so the kind is the first whose shape and
-    guards pass on G[T].  The extension clause `ext-anchor-v-ais`
-    cannot fire after a fresh 2-block and is left to the final replay.
+    falls back to one clique, so the kind is the first whose guards pass
+    on G[T]; two anchors can only be a twin.  The extension clause
+    `ext-anchor-v-ais` needs w1 = v, which would put the removed w2 in
+    N[v], so it cannot fire.
 
-    Why no twin falls back.  Let X = G[T] - N[v], with twin anchors a
-    and b.  The kind-4 guard makes a and b simplicial in one block of
-    G[T], so every root z of it is a cut vertex next to both, and a, b
-    are both in N(v) or neither is.  Were both, both pieces would be
-    whole components of G[S] - N[v] and v's value would drop by two; so
-    a, b lie in X, and so does z unless z is in N(v), where
-    `_v_ais_guard` is False anyway.
-    Plain twin: the step rule gives alpha(X) = alpha(X - a - b) + 1, so
-    some maximum set of X takes an anchor and avoids z; swapping that
-    anchor for a fresh vertex of each attached clique gives a maximum
-    set of the double attach minus N[v] without z.  Extended twin
-    (2-block {a, w2}, clique Q at b): the step rule puts b in every
-    maximum set I of X, and (I - b) + {w2, q}, q in Q, is a maximum set
-    of the double attach minus N[v], before E is attached, avoiding z."""
+    Why no twin falls back.  The kind-4 guard makes the twin anchors a
+    and b simplicial in one block of G[T], so each root z of it is next
+    to both, and a, b are both in N(v) or neither is.  Were both, v's
+    value would drop by two; so a, b lie in X = G[T] - N[v], and a root
+    in N(v) is never locked.  Plain twin: the step rule puts an anchor
+    in some maximum set of X, and dropping that anchor gives a maximum
+    set of X - {a, b} that avoids z.  Extended twin (2-block at a): b
+    lies in every maximum set I of X, and I - b is a maximum set of
+    X - {a, b} that avoids z."""
     anchors = tuple(tmap[a] for a in cand.anchors)
-    for kind in OpKind:
-        try:
-            OpDescriptor(kind, anchors, cand.sizes, cand.ext).check_shape()
-            _guards_ok(tsub, tmap[v], kind, anchors)
-        except PreconditionViolatedError:
-            continue
-        return kind
-    return None
+    kinds = (OpKind.TWIN_ATTACH,) if len(anchors) == 2 else OpKind
+    return next((kind for kind in kinds if _accepts(tsub, tmap[v], kind, anchors)), None)
 
 
 def _reverse_search(g: BlockGraph, v: int, target: int):

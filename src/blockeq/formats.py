@@ -126,8 +126,8 @@ def certificate_from_json_dict(d: dict) -> CharCertificate:
 
 
 def coloring_from_json_dict(d: dict) -> Coloring:
-    """A Coloring from its JSON form: `colors` maps decimal vertex ids to
-    colors in 1..t, and t is at least 1."""
+    """A Coloring from its JSON form: `colors` maps decimal vertex ids,
+    without leading zeros, to colors in 1..t, and t is at least 1."""
     require_object(d, "coloring", ("colors", "t"))
     require_object(d["colors"], "colors", ())
     t = require_int(d["t"], "t")
@@ -137,6 +137,8 @@ def coloring_from_json_dict(d: dict) -> Coloring:
     for v, c in d["colors"].items():
         if not (isinstance(v, str) and v.isascii() and v.isdecimal()):
             raise ValueError(f"colors key {v!r} is not a decimal vertex id")
+        if v != str(int(v)):
+            raise ValueError(f"colors key {v!r} is not written as vertex id {int(v)}")
         c = require_int(c, f"color of vertex {v}")
         if not 1 <= c <= t:
             raise ValueError(f"colors: vertex {v} has color {c} outside 1..{t}")

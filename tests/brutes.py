@@ -3,9 +3,16 @@ from the package so the library never accidentally leans on them."""
 
 from itertools import combinations, permutations
 
-from blockeq.characterization import OpDescriptor, OpKind, _guards_ok, apply_operation
+from blockeq.characterization import (
+    OpDescriptor,
+    OpKind,
+    _attach_cliques,
+    _guards_ok,
+    apply_operation,
+)
 from blockeq.errors import PreconditionViolatedError
 from blockeq.graph import BlockGraph, LevelAssignment, decompose
+from blockeq.invariants import is_v_ais
 
 
 def brute_articulation_points(g):
@@ -299,3 +306,14 @@ def candidate_ops_per_shape(g, v):
             continue
         out.append((kind, anchors))
     return out
+
+
+def twin_falls_back_by_double_attach(g, v, anchors, sizes):
+    """Whether a two-anchor twin attach at v that passes its guards falls
+    back to one clique, by the rule as stated on the grown graph: build
+    the double attach, and test that every root of the anchors' block is
+    v, or lies outside N(v) and in every maximum independent set of the
+    grown graph through v."""
+    roots = _guards_ok(g, v, OpKind.TWIN_ATTACH, anchors)
+    grown = _attach_cliques(g, anchors, sizes)
+    return all(z == v or (z not in grown.neighbors(v) and is_v_ais(grown, v, z)) for z in roots)

@@ -11,8 +11,8 @@ from blockeq.characterization import (
     _candidate_ops,
     _resolve_kind,
     _reverse_candidates,
+    _reverse_search,
     _steps_down,
-    _v_ais_guard,
     OpDescriptor,
     OpKind,
     StarExtension,
@@ -29,7 +29,7 @@ from blockeq.families import (
     star_of_cliques,
     two_triangles_sharing_a_vertex,
 )
-from blockeq.graph import decompose, from_edge_list
+from blockeq.graph import BlockGraph, decompose, from_edge_list
 
 import brutes
 
@@ -239,6 +239,19 @@ class TestFindDecomposition:
             assert cert is not None, perm
             assert cert.r == inv.alpha_min(g).value == 4
 
+    @pytest.mark.parametrize("blocks", [
+        [[0, 1], [1, 2, 3], [2, 4, 5, 6], [2, 7, 8, 9], [9, 10], [0, 11, 12], [7, 13], [2, 14],
+         [8, 15], [6, 16, 17, 18], [5, 19, 20, 21], [0, 22, 23, 24], [14, 25], [12, 26]],
+        [[0, 1, 2], [1, 3], [3, 4, 5], [1, 6, 7], [7, 8, 9], [8, 10, 11, 12], [6, 13],
+         [7, 14, 15, 16], [1, 17, 18, 19], [0, 20, 21], [21, 22, 23, 24], [19, 25, 26], [14, 27]],
+    ])
+    def test_search_backtracks(self, blocks):
+        # taking the first candidate that passes at each state dead-ends
+        # at witness 0 on these graphs; the search must back up a step
+        g = BlockGraph._from_blocks(max(map(max, blocks)) + 1, [frozenset(b) for b in blocks])
+        assert _reverse_search(g, 0, inv.alpha_min(g).value) is not None
+        assert verify_certificate(find_decomposition(g)).ok
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP Known defect 1: no growth sequence found")
     def test_three_triangles_with_five_pendant_edges(self):
         # alpha_min = 5, realized only at vertex 1; the rooted forward
@@ -336,21 +349,42 @@ def test_kind_is_read_off_the_guards(graphs_up_to_10):
     assert not any(steps and tag == "fallback" for steps, _, tag in seen)
 
 
-def test_extension_anchor_is_never_v_locked(graphs_up_to_8):
-    """Right after a 2-block {w1, w2} is attached at w1 != v, w2's only
-    neighbor is w1, so a maximum independent set through v and w1 can
-    swap w1 for w2: the replay clause `ext-anchor-v-ais` cannot fire,
-    and `_resolve_kind` does not test it."""
+def test_extension_anchor_is_never_v_locked(graphs_up_to_9):
+    """Right after a 2-block {w1, w2} is attached at w1 outside N[v],
+    w2's only neighbor is w1, so a maximum independent set through v and
+    w1 can swap w1 for w2: w1 is never v-locked, and `apply_operation`
+    decides the clause `ext-anchor-v-ais` as w1 = v."""
     checked = 0
-    for g in graphs_up_to_8:
+    for g in graphs_up_to_9:
         for v in range(g.n):
-            for w1 in range(g.n):
-                if w1 == v:
-                    continue
-                grown, _ = _attach_cliques(g, (w1,), (2,))
-                assert not _v_ais_guard(grown, v, w1), (g.edges(), v, w1)
+            for w1 in set(range(g.n)) - g.closed_neighborhood(v):
+                grown = _attach_cliques(g, (w1,), (2,))
+                assert not inv.is_v_ais(grown, v, w1), (g.edges(), v, w1)
                 checked += 1
     assert checked > 10_000
+
+
+def test_twin_fallback_is_decided_on_g(graphs_up_to_8):
+    """A two-anchor twin attach falls back to one clique exactly when the
+    rule stated on the grown graph says so (`brutes.
+    twin_falls_back_by_double_attach`), at every vertex v and every
+    accepted pair of anchors; the replay then builds the single attach."""
+    sizes = (2, 3)
+    outcomes = set()
+    for g in graphs_up_to_8:
+        if g.n < 2:
+            continue  # the guards read clique levels, which need an edge
+        for v in range(g.n):
+            for kind, anchors in brutes.candidate_ops_per_shape(g, v):
+                if len(anchors) != 2:
+                    continue
+                falls_back = brutes.twin_falls_back_by_double_attach(g, v, anchors, sizes)
+                kept = 1 if falls_back else 2
+                want = _attach_cliques(g, anchors[:kept], sizes[:kept])
+                grown = apply_operation(g, v, OpDescriptor(kind, anchors, sizes))
+                assert grown.n == want.n and grown.edges() == want.edges(), (g.edges(), v, anchors)
+                outcomes.add(falls_back)
+    assert outcomes == {False, True}
 
 
 def _clique_stars(n_max):

@@ -121,6 +121,7 @@ class TestFormats:
         ({"0": 0, "1": 1}, 2, "colors: vertex 0 has color 0 outside 1..2"),
         ({"x": 1}, 2, "colors key 'x' is not a decimal vertex id"),
         ({}, 0, "t must be at least 1, got 0"),
+        ({"1": 1, "01": 2, "0": 1}, 2, "colors key '01' is not written as vertex id 1"),
     ])
     def test_coloring_takes_only_ints(self, colors, t, problem):
         with pytest.raises(ValueError, match=problem):

@@ -277,9 +277,15 @@ class TestDerivedDecomposition:
             shapes = [((v,), (size,)) for v in range(g.n) for size in (2, 3, 4)]
             if g.n >= 2:
                 shapes.append(((0, g.n - 1), (2, 3)))  # twin double attach
+                # an extended twin: a clique at the first 2-block's fresh end
+                shapes.append(((0, g.n - 1, g.n), (2, 3, 3)))
             for anchors, sizes in shapes:
-                grown, groups = _attach_cliques(g, anchors, sizes)
-                cliques = [(a,) + fresh for a, fresh in zip(anchors, groups)]
+                grown = _attach_cliques(g, anchors, sizes)
+                cliques, nxt = [], g.n
+                for a, size in zip(anchors, sizes):
+                    cliques.append((a,) + tuple(range(nxt, nxt + size - 1)))
+                    nxt += size - 1
+                assert grown.n == nxt
                 assert set(grown.edges()) == set(g.edges()) | {
                     (u, w) for c in cliques for u in c for w in c if u < w
                 }

@@ -1,6 +1,6 @@
 """Static checks on the package source: no function-local that is
-assigned and never read, no import that nothing uses, and no private
-helper that nothing references."""
+assigned and never read, no import that nothing uses, no import inside
+a function, and no private helper that nothing references."""
 
 import ast
 from pathlib import Path
@@ -84,3 +84,14 @@ def test_no_unreferenced_private_helpers():
         if refs.count(d.name) == _references(d).count(d.name)
     )
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_at_module_level(path):
+    tree = ast.parse(path.read_text())
+    local = sorted(
+        f"{fn.name}: line {node.lineno}"
+        for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+    assert not local, f"imports inside a function: {local}"
