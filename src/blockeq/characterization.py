@@ -40,6 +40,7 @@ from typing import Optional, Tuple
 from . import invariants
 from .errors import (
     DisconnectedError,
+    EdgelessError,
     ExhaustedRetriesError,
     NoCutVertexError,
     PreconditionViolatedError,
@@ -130,6 +131,14 @@ def _block_roots(deco, lv, qi):
     return tuple(sorted(deco.blocks[qi] & deco.cut_vertices))
 
 
+def _levels(g: BlockGraph):
+    """clique_levels(g); a graph that has none fails the step's guards."""
+    try:
+        return clique_levels(g)
+    except (DisconnectedError, EdgelessError) as e:
+        raise PreconditionViolatedError("no-clique-levels", str(e)) from None
+
+
 def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
     """Check every structural guard of a `kind` step at `anchors` against
     g (the graph being grown).  Returns the possible roots of the
@@ -152,7 +161,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         x = anchors[0]
         if x not in cuts:
             raise PreconditionViolatedError("op2-anchor-not-cut", f"{x} is simplicial")
-        lv = clique_levels(g)
+        lv = _levels(g)
         if not any(
             lv.levels.get(qi) == 2 and len(deco.blocks[qi]) == 2
             for qi in deco.block_indices_of(x)
@@ -167,7 +176,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         if s in cuts:
             raise PreconditionViolatedError("op3-anchor-not-simplicial", f"{s} is a cut vertex")
         qi = deco.block_indices_of(s)[0]
-        lv = clique_levels(g)
+        lv = _levels(g)
         level = lv.levels.get(qi)
         simps = deco.blocks[qi] - cuts
         if level in (1, 2):
@@ -198,7 +207,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         if len(qis) != 1:
             raise PreconditionViolatedError("op4-anchors-split", "anchors in different blocks")
         qi = qis.pop()
-        lv = clique_levels(g)
+        lv = _levels(g)
         if lv.levels.get(qi) not in (1, 2):
             raise PreconditionViolatedError("op4-level", f"block level {lv.levels.get(qi)}")
         simps = deco.blocks[qi] - cuts
@@ -215,7 +224,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         if s in cuts:
             raise PreconditionViolatedError("op5-anchor-not-simplicial", f"{s} is a cut vertex")
         qi = deco.block_indices_of(s)[0]
-        lv = clique_levels(g)
+        lv = _levels(g)
         if lv.levels.get(qi) not in (1, 2):
             raise PreconditionViolatedError("op5-level", f"block level {lv.levels.get(qi)}")
         if len(deco.blocks[qi] - cuts) != 1:

@@ -19,7 +19,8 @@ from .graph import clique_levels, decompose, generate_block_graphs
 
 
 def _emit(payload):
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # one line: `indent` would make CPython fall back to its pure-Python encoder
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _positive_int(text):

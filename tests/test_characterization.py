@@ -81,6 +81,27 @@ class TestApplyOperation:
             apply_operation(g, 0, op)
         assert exc.value.clause == "ext-not-2-block"
 
+    @pytest.mark.parametrize("g, kinds", [
+        (complete_graph(1), {3, 4, 5}),
+        (from_edge_list(5, [(0, 1), (1, 2), (3, 4)]), {2, 3, 4, 5}),
+    ], ids=["one-vertex", "disconnected"])
+    def test_graph_without_clique_levels_fails_a_named_guard(self, g, kinds):
+        # the level guards need clique levels, which a graph without an
+        # edge or with two components has none of
+        seen = set()
+        for kind, v in product(OpKind, range(g.n)):
+            shapes = [(a,) for a in range(g.n)]
+            if kind is OpKind.TWIN_ATTACH:
+                shapes += list(product(range(g.n), repeat=2))
+            for anchors in shapes:
+                op = OpDescriptor(kind, anchors, (2,) * len(anchors))
+                try:
+                    apply_operation(g, v, op)
+                except PreconditionViolatedError as e:
+                    if e.clause == "no-clique-levels":
+                        seen.add(kind.value)
+        assert seen == kinds
+
 
 class TestVerifyCertificate:
     def test_trivial_star_certificate(self):

@@ -604,3 +604,4 @@ class TestCli:
             proc = run_cli(*args)
             assert proc.returncode == 0, (args, proc.stderr)
             validator(schema).validate(json.loads(proc.stdout))
+            assert proc.stdout == json.dumps(json.loads(proc.stdout), sort_keys=True) + "\n", args
