@@ -11,6 +11,15 @@ from .errors import require_int, require_ints, require_object
 from .gls import BinPackingInstance, Coloring
 from .graph import BlockGraph, from_edge_list
 
+# The largest vertex count a graph file may declare, as the `maximum` of
+# `n` in schemas/graph.schema.json; checked before any adjacency exists.
+MAX_VERTICES = 100_000
+
+
+def _check_vertex_count(n):
+    if type(n) is int and n > MAX_VERTICES:
+        raise ValueError(f"vertex count n = {n} exceeds the maximum {MAX_VERTICES}")
+
 
 def graph_to_json_dict(g: BlockGraph) -> dict:
     d = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
@@ -21,6 +30,7 @@ def graph_to_json_dict(g: BlockGraph) -> dict:
 
 def graph_from_json_dict(d: dict, name: str = "graph JSON") -> BlockGraph:
     require_object(d, name, ("n", "edges"))
+    _check_vertex_count(d["n"])
     return from_edge_list(d["n"], d["edges"], d.get("labels"))
 
 
@@ -34,6 +44,7 @@ def parse_edge_list_text(text: str) -> BlockGraph:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"vertex count must be a nonnegative integer, got {lines[0]!r}") from None
+    _check_vertex_count(n)
     edges = []
     for ln in lines[1:]:
         try:

@@ -12,7 +12,7 @@ counterparts live in `oracle` so the two code paths stay independent.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import EmptyGraphError, WIsInClosedNeighborhoodError
@@ -246,7 +246,19 @@ class ParamReport:
     hs_upper: int
 
     def to_json_dict(self):
-        return {**asdict(self), "dc_set": sorted(self.dc_set), "window": list(self.window)}
+        return {
+            "n": self.n,
+            "alpha": self.alpha,
+            "alpha_min": self.alpha_min,
+            "alpha_min_witness": self.alpha_min_witness,
+            "omega": self.omega,
+            "delta": self.delta,
+            "dc": self.dc,
+            "dc_set": sorted(self.dc_set),
+            "lower_bound": self.lower_bound,
+            "window": list(self.window),
+            "hs_upper": self.hs_upper,
+        }
 
 
 def counting_lower_bound(n: int, amin: int, omega: int) -> int:

@@ -10,7 +10,7 @@ small connected block graphs up to isomorphism.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
 from typing import Iterator, Optional
@@ -61,7 +61,8 @@ def _degeneracy_order(g: BlockGraph):
     smallest id.  A heap of (degree, id) stands in for the minimum over
     the live vertices; an entry whose degree has since dropped is stale
     and skipped, since the vertex was pushed again with its new degree."""
-    deg = [g.degree(v) for v in range(g.n)]
+    adj = g._adj
+    deg = [len(s) for s in adj]
     heap = [(d, v) for v, d in enumerate(deg)]
     heapify(heap)
     alive = [True] * g.n
@@ -72,7 +73,7 @@ def _degeneracy_order(g: BlockGraph):
             continue
         out.append(v)
         alive[v] = False
-        for w in g.neighbors(v):
+        for w in adj[v]:
             if alive[w]:
                 deg[w] -= 1
                 heappush(heap, (deg[w], w))
@@ -80,22 +81,30 @@ def _degeneracy_order(g: BlockGraph):
 
 
 def _true_twin_predecessors(g: BlockGraph, order):
-    """For each vertex, its nearest earlier vertex with the same closed
-    neighborhood (adjacent interchangeable twins); used to break color
-    symmetry inside cliques."""
-    pos = {v: i for i, v in enumerate(order)}
-    closed = [g.closed_neighborhood(v) for v in range(g.n)]
+    """For each vertex, its nearest earlier vertex in `order` with the
+    same closed neighborhood (adjacent interchangeable twins); used to
+    break color symmetry inside cliques."""
+    adj = g._adj
+    last = {}
     prev = {}
-    groups = {}
-    for v in range(g.n):
-        groups.setdefault(closed[v], []).append(v)
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        members.sort(key=lambda v: pos[v])
-        for earlier, later in zip(members, members[1:]):
-            prev[later] = earlier
+    for v in order:
+        key = adj[v] | {v}
+        if key in last:
+            prev[v] = last[key]
+        last[key] = v
     return prev
+
+
+def _clique_bound(g: BlockGraph) -> int:
+    """Size of the largest block of decompose(g) whose members are found
+    pairwise adjacent in g, or 1 if none is.  That block is a clique, so
+    no t below its size colors g properly, whatever decompose returned."""
+    adj = g._adj
+    best = 1
+    for b in decompose(g).blocks:
+        if len(b) > best and all(b - {u} <= adj[u] for u in b):
+            best = len(b)
+    return best
 
 
 def _search_plan(g: BlockGraph):
@@ -124,6 +133,7 @@ def exact_equitable_colorable(
     floor, extra = divmod(n, t)
     cap_hi = floor + 1 if extra else floor
     order, twin_prev = _plan if _plan is not None else _search_plan(g)
+    adj = g._adj
     counts = [0] * t
     assign = {}
     deficit = floor * t  # sum over classes of max(0, floor - count)
@@ -137,7 +147,7 @@ def exact_equitable_colorable(
         if idx == n:
             return True
         v = order[idx]
-        forbidden = {assign[w] for w in g.neighbors(v) if w in assign}
+        forbidden = {assign[w] for w in adj[v] if w in assign}
         lo = 0
         tw = twin_prev.get(v)
         if tw is not None and tw in assign:
@@ -185,21 +195,27 @@ class SpectrumReport:
 
     def to_json_dict(self):
         return {
-            **asdict(self),
+            "n": self.n,
+            "t_cap": self.t_cap,
             "feasible_ts": sorted(self.feasible_ts),
             "unknown_ts": sorted(self.unknown_ts),
+            "chi_eq": self.chi_eq,
+            "chi_eq_star": self.chi_eq_star,
+            "gap_free": self.gap_free,
+            "complete": self.complete,
         }
 
 
 def spectrum(g: BlockGraph, t_cap: Optional[int] = None, node_budget: Optional[int] = None) -> SpectrumReport:
-    """Scan t = 1..t_cap with the exact solver."""
+    """Scan t = 1..t_cap with the exact solver; every t below
+    `_clique_bound(g)` is infeasible without a search."""
     cap = g.n if t_cap is None else t_cap
     if cap > g.n:
         raise ValueError("t_cap exceeds the vertex count")
     feasible = set()
     unknown = set()
     plan = _search_plan(g)
-    for t in range(1, cap + 1):
+    for t in range(_clique_bound(g), cap + 1):
         try:
             ok, _ = exact_equitable_colorable(g, t, node_budget, _plan=plan)
         except SearchBudgetExceededError:
@@ -222,9 +238,10 @@ def spectrum(g: BlockGraph, t_cap: Optional[int] = None, node_budget: Optional[i
 
 def exact_chi_eq(g: BlockGraph, node_budget: Optional[int] = None) -> int:
     """Smallest t admitting an equitable coloring (t = n always works,
-    so only the empty graph, which has no such t, raises)."""
+    so only the empty graph, which has no such t, raises).  The scan
+    starts at `_clique_bound(g)`, below which no t works."""
     plan = _search_plan(g)
-    for t in range(1, g.n + 1):
+    for t in range(_clique_bound(g), g.n + 1):
         ok, _ = exact_equitable_colorable(g, t, node_budget, _plan=plan)
         if ok:
             return t

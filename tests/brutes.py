@@ -215,6 +215,18 @@ def repeated_minimum_order(g):
     return out
 
 
+def true_twin_predecessors(g, order):
+    """For each vertex that has one, by the definition: the nearest
+    earlier vertex in `order` with the same closed neighborhood."""
+    out = {}
+    for i, v in enumerate(order):
+        for u in reversed(order[:i]):
+            if g.closed_neighborhood(u) == g.closed_neighborhood(v):
+                out[v] = u
+                break
+    return out
+
+
 def uniform_grid(max_a=3, max_n=4, max_k=3):
     """All uniform instance parameters with a*n = k*B in the small box."""
     out = []

@@ -418,6 +418,7 @@ class TestCli:
     @pytest.mark.parametrize("graph, problem", [
         ({"n": -2, "edges": []}, "vertex count must be a nonnegative integer"),
         ({"n": 2.5, "edges": [[0, 1]]}, "vertex count must be a nonnegative integer"),
+        ({"n": 100_001, "edges": []}, "vertex count n = 100001 exceeds the maximum 100000"),
         ({"n": 2, "edges": [[0, True]]}, "vertex id that is not an integer"),
         ({"n": 2, "edges": [[0, 1.5]]}, "vertex id that is not an integer"),
         ({"n": 2, "edges": [[0, 1]], "labels": ["a"]}, "1 labels for 2 vertices"),
@@ -431,9 +432,9 @@ class TestCli:
         (None, "graph JSON must be an object, got None"),
         ({"edges": [[0, 1]]}, "graph JSON lacks key 'n'"),
         ({"n": 2}, "graph JSON lacks key 'edges'"),
-    ], ids=["negative-n", "fractional-n", "bool-vertex", "float-vertex", "short-labels",
-            "triple-edge", "single-edge", "scalar-edge", "scalar-edges", "scalar-labels",
-            "list-graph", "string-graph", "null-graph", "no-n", "no-edges"])
+    ], ids=["negative-n", "fractional-n", "n-above-bound", "bool-vertex", "float-vertex",
+            "short-labels", "triple-edge", "single-edge", "scalar-edge", "scalar-edges",
+            "scalar-labels", "list-graph", "string-graph", "null-graph", "no-n", "no-edges"])
     def test_bad_graph_input_exits_two(self, tmp_path, graph, problem):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(graph))
@@ -441,11 +442,18 @@ class TestCli:
         assert proc.returncode == 2
         assert problem in proc.stderr
 
+    def test_schema_bounds_n_as_the_reader_does(self):
+        assert load_schema("graph")["properties"]["n"]["maximum"] == formats.MAX_VERTICES
+        graph = {"n": formats.MAX_VERTICES, "edges": []}
+        assert validator("graph").is_valid(graph)
+        assert not validator("graph").is_valid({**graph, "n": formats.MAX_VERTICES + 1})
+
     @pytest.mark.parametrize("text, problem", [
         ("4\n  # note\n0 1\n", None),
         ("four\n0 1\n", "vertex count must be a nonnegative integer, got 'four'"),
         ("3\n0 x\n", "bad edge line: '0 x'"),
-    ], ids=["indented-comment", "word-count", "word-vertex"])
+        ("100001\n", "vertex count n = 100001 exceeds the maximum 100000"),
+    ], ids=["indented-comment", "word-count", "word-vertex", "count-above-bound"])
     def test_edge_list_input(self, tmp_path, text, problem):
         # plain edge lists: comments may be indented, bad tokens are named
         p = tmp_path / "g.txt"

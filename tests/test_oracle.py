@@ -98,6 +98,11 @@ class TestExactEquitable:
         assert oracle._degeneracy_order(g) == brutes.repeated_minimum_order(g) == \
             [0, 1, 4, 3, 2, 5, 6]
 
+    def test_twin_predecessors_match_the_definition(self, graphs_up_to_10):
+        for g in graphs_up_to_10:
+            order, twin_prev = oracle._search_plan(g)
+            assert twin_prev == brutes.true_twin_predecessors(g, order), g.edges()
+
     def test_no_answers_match_plain_backtracking(self, graphs_up_to_8):
         # the search's prunes and symmetry breaking cut no equitable coloring
         answers = []
@@ -117,6 +122,31 @@ class TestExactEquitable:
         g = clique_with_pendant_cliques(2)
         assert not oracle.exact_equitable_colorable(g, 3)[0]
         assert oracle.exact_equitable_colorable(g, 4)[0]
+
+
+class TestCliqueBound:
+    def test_chi_eq_is_the_least_t_plain_backtracking_colors(self, graphs_up_to_8):
+        # the scan starts at the clique bound; no t below it may be skipped wrongly
+        for g in graphs_up_to_8:
+            least = next(t for t in range(1, g.n + 1)
+                         if brutes.equitable_colorable_by_backtracking(g, t))
+            assert oracle.exact_chi_eq(g) == least, g.edges()
+
+    def test_spectrum_matches_a_scan_from_one(self, graphs_up_to_8):
+        for g in graphs_up_to_8:
+            full = {t for t in range(1, g.n + 1) if oracle.exact_equitable_colorable(g, t)[0]}
+            assert oracle.spectrum(g).feasible_ts == full, g.edges()
+
+    def test_bound_is_omega_on_block_graphs(self, graphs_up_to_8):
+        for g in graphs_up_to_8:
+            assert oracle._clique_bound(g) == decompose(g).max_block_size()
+
+    def test_block_that_is_no_clique_gives_no_bound(self):
+        # K3,3 decomposes into one 6-vertex block, which is not a clique
+        g = k33()
+        assert [len(b) for b in decompose(g).blocks] == [6]
+        assert oracle._clique_bound(g) == 1
+        assert oracle.exact_chi_eq(g) == 2
 
 
 class TestSpectrum:

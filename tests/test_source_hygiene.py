@@ -86,6 +86,17 @@ def test_no_unreferenced_private_helpers():
     assert not dead, f"private helpers nothing references: {dead}"
 
 
+def test_oracle_imports_nothing_from_the_fast_side():
+    # the oracle is ground truth only while it shares no code with what it checks
+    tree = ast.parse(next(p for p in SOURCES if p.name == "oracle.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((getattr(node, "module", None) or "").split("."))
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    assert not names & {"invariants", "characterization", "cli"}
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_imports_only_at_module_level(path):
     tree = ast.parse(path.read_text())
