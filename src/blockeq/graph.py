@@ -110,7 +110,7 @@ class BlockGraph:
                 raise SelfLoopError(f"self-loop at {u}")
             adj[u].add(v)
             adj[v].add(u)
-        self._fill(n, adj, labels, None)
+        self._fill(n, tuple(map(frozenset, adj)), labels, None)
         if not _validated:
             self._validate()
 
@@ -121,22 +121,27 @@ class BlockGraph:
         Every vertex lies in some block (an isolated one in a singleton
         block), and two blocks share at most one vertex.  The adjacency
         and the decomposition are both read off the block list, so the
-        graph is neither validated nor decomposed again.
+        graph is neither validated nor decomposed again.  Blocks that
+        miss a vertex or name one outside 0..n-1 raise AssertionError.
         """
         deco = _decomposition(blocks)
-        adj = [set() for _ in range(n)]
-        for b in deco.blocks:
-            for u in b:
-                adj[u].update(b)
-        for u, s in enumerate(adj):
-            s.discard(u)
+        blocks, vertex_blocks = deco.blocks, deco._vertex_blocks
+        if len(vertex_blocks) != n or n and not 0 <= min(vertex_blocks) <= max(vertex_blocks) < n:
+            odd = sorted(vertex_blocks.keys() ^ range(n))
+            raise AssertionError(f"blocks do not cover exactly 0..{n - 1}: ids {odd}")
+        adj = [None] * n
+        for u, ix in vertex_blocks.items():
+            if len(ix) == 1:
+                adj[u] = blocks[ix[0]] - {u}
+            else:
+                adj[u] = frozenset().union(*[blocks[i] for i in ix]) - {u}
         g = cls.__new__(cls)
-        g._fill(n, adj, labels, deco)
+        g._fill(n, tuple(adj), labels, deco)
         return g
 
     def _fill(self, n, adj, labels, decomp):
         self.n = n
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._adj = adj
         self.labels = tuple(labels) if labels is not None else None
         self._decomp = decomp
         self._levels = None
@@ -206,10 +211,10 @@ class BlockGraph:
         return comps
 
     def is_connected(self):
-        # components = blocks + cut vertices - block-cut tree edges
-        deco = decompose(self)
-        incidences = sum(len(deco.block_indices_of(v)) for v in deco.cut_vertices)
-        return len(deco.blocks) + len(deco.cut_vertices) - incidences <= 1
+        # the vertex-block incidence graph is a forest with as many
+        # components as g: vertices + blocks - incidences
+        blocks = decompose(self).blocks
+        return self.n + len(blocks) - sum(map(len, blocks)) <= 1
 
     # -- induced-subgraph surgery ----------------------------------------
 
@@ -223,12 +228,13 @@ class BlockGraph:
         vertices are visited.  The result may be disconnected.
         """
         kept = sorted(set(keep))
-        for v in kept:
-            self._check_vertex(v)
+        if kept and (kept[0] < 0 or kept[-1] >= self.n):
+            self._check_vertex(next(v for v in kept if not 0 <= v < self.n))
         id_map = {old: new for new, old in enumerate(kept)}
         deco = decompose(self)
+        vertex_blocks = deco._vertex_blocks
         blocks = []
-        for qi in {qi for v in kept for qi in deco.block_indices_of(v)}:
+        for qi in {qi for v in kept for qi in vertex_blocks[v]}:
             part = [id_map[u] for u in deco.blocks[qi] if u in id_map]
             if len(part) > 1:
                 blocks.append(frozenset(part))
@@ -296,7 +302,7 @@ class BlockDecomposition:
         )
 
     def max_block_size(self):
-        return max((len(b) for b in self.blocks), default=0)
+        return max(map(len, self.blocks), default=0)
 
 
 def _decomposition(blocks):
@@ -305,11 +311,15 @@ def _decomposition(blocks):
     that lie in two or more blocks."""
     blocks = tuple(sorted(blocks, key=sorted))
     vertex_blocks = {}
+    cuts = set()
     for i, b in enumerate(blocks):
         for v in b:
-            vertex_blocks[v] = vertex_blocks.get(v, ()) + (i,)
-    cuts = frozenset(v for v, ix in vertex_blocks.items() if len(ix) > 1)
-    return BlockDecomposition(blocks, cuts, vertex_blocks)
+            if v in vertex_blocks:
+                vertex_blocks[v] += (i,)
+                cuts.add(v)
+            else:
+                vertex_blocks[v] = (i,)
+    return BlockDecomposition(blocks, frozenset(cuts), vertex_blocks)
 
 
 def decompose(g: BlockGraph) -> BlockDecomposition:
@@ -350,12 +360,14 @@ def clique_levels(g: BlockGraph) -> LevelAssignment:
         return g._levels
     if not g.is_connected():
         raise DisconnectedError("clique levels are defined for connected graphs")
-    if g.edge_count() == 0:
+    deco = decompose(g)
+    # a connected graph has an edge exactly when it has a block of two
+    if deco.max_block_size() < 2:
         raise EdgelessError("clique levels require at least one edge")
 
-    deco = decompose(g)
-    live = [len(deco.block_indices_of(v)) for v in range(g.n)]
-    shared = [len(b & deco.cut_vertices) for b in deco.blocks]
+    blocks, vertex_blocks = deco.blocks, deco._vertex_blocks
+    live = [len(vertex_blocks[v]) for v in range(g.n)]
+    shared = [len(b & deco.cut_vertices) for b in blocks]
     levels = {}
     roots = {}
     frontier = [i for i, c in enumerate(shared) if c <= 1]
@@ -366,19 +378,19 @@ def clique_levels(g: BlockGraph) -> LevelAssignment:
         # roots are read before any of this round's blocks is removed
         for i in peeled:
             levels[i] = rounds
-            roots[i] = next((v for v in deco.blocks[i] if live[v] > 1), None)
+            roots[i] = next((v for v in blocks[i] if live[v] > 1), None)
         frontier = []
         for i in peeled:
-            for v in deco.blocks[i]:
+            for v in blocks[i]:
                 live[v] -= 1
                 if live[v] != 1:
                     continue
-                for j in deco.block_indices_of(v):
+                for j in vertex_blocks[v]:
                     if j not in levels:
                         shared[j] -= 1
                         if shared[j] == 1:
                             frontier.append(j)
-    if len(levels) != len(deco.blocks):
+    if len(levels) != len(blocks):
         raise AssertionError("peeling made no progress")
     # the last round peels one residual clique, or cliques around one vertex
     g._levels = LevelAssignment(levels, roots, roots[peeled[0]], rounds)

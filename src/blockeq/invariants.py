@@ -29,27 +29,27 @@ def _rooted_forest(g: BlockGraph, left_out=()):
     forest restricted: a left-out vertex is never a root and never
     hangs from a block."""
     deco = decompose(g)
+    blocks, vertex_blocks = deco.blocks, deco._vertex_blocks
     up = [-1] * g.n
     for u in left_out:
         up[u] = -2
-    top = [-1] * len(deco.blocks)
+    top = [-1] * len(blocks)
     order = []
     for r in range(g.n):
         if up[r] != -1:
             continue
-        i = len(order)
-        order.append(r)
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for b in deco.block_indices_of(v):
+        # the loop visits what it appends: one component, breadth first
+        comp = [r]
+        for v in comp:
+            for b in vertex_blocks[v]:
                 if b == up[v]:
                     continue
                 top[b] = v
-                for u in deco.blocks[b]:
+                for u in blocks[b]:
                     if u != v and up[u] != -2:
                         up[u] = b
-                        order.append(u)
+                        comp.append(u)
+        order += comp
     return order, up, top
 
 
@@ -78,9 +78,9 @@ def _alpha_pass(g: BlockGraph, left_out=()) -> _AlphaTable:
     parent vertex with the block cut off and u's siblings, where
     avoiding u frees the best gain left in the block.
     """
-    deco = decompose(g)
     order, up, top = _rooted_forest(g, left_out)
-    nb = len(deco.blocks)
+    vertex_blocks = decompose(g)._vertex_blocks
+    nb = len(top)
     inc = [1] * g.n
     exc = [0] * g.n
     bsum = [0] * nb
@@ -88,11 +88,11 @@ def _alpha_pass(g: BlockGraph, left_out=()) -> _AlphaTable:
     second = [0] * nb
     holder = [-1] * nb
     for v in reversed(order):
-        for b in deco.block_indices_of(v):
-            if b != up[v]:
-                inc[v] += bsum[b]
-                exc[v] += bsum[b] + best[b]
         b = up[v]
+        for c in vertex_blocks[v]:
+            if c != b:
+                inc[v] += bsum[c]
+                exc[v] += bsum[c] + best[c]
         if b >= 0:
             bsum[b] += exc[v]
             gain = inc[v] - exc[v]
@@ -109,13 +109,14 @@ def _alpha_pass(g: BlockGraph, left_out=()) -> _AlphaTable:
         rest_gain = inc[p] - bsum[b] - rest_exc
         rest = rest_exc + bsum[b] - exc[u]
         inc[u] += rest
-        exc[u] += rest + max(rest_gain, second[b] if holder[b] == u else best[b])
+        freed = second[b] if holder[b] == u else best[b]
+        exc[u] += rest + (rest_gain if rest_gain > freed else freed)
     # max(inc, exc) is the alpha of the vertex's component
     total = sum(max(inc[v], exc[v]) for v in order if up[v] < 0)
     return _AlphaTable(
         total,
-        [total - max(inc[v], exc[v]) + inc[v] for v in range(g.n)],
-        [exc[v] < inc[v] for v in range(g.n)],
+        [total if e <= i else total - e + i for i, e in zip(inc, exc)],
+        [e < i for i, e in zip(inc, exc)],
     )
 
 
@@ -144,7 +145,9 @@ def alpha_min(g: BlockGraph) -> AlphaMinResult:
     """
     if g.n == 0:
         raise EmptyGraphError("alpha_min of the empty graph")
-    return AlphaMinResult(*min((a, v) for v, a in enumerate(_alpha_table(g).alpha_with)))
+    aw = _alpha_table(g).alpha_with
+    value = min(aw)
+    return AlphaMinResult(value, aw.index(value))
 
 
 @dataclass(frozen=True)
@@ -166,9 +169,9 @@ def dc_exact(g: BlockGraph) -> DcResult:
     differently, the cheapest set is a smallest one and, among those,
     the lexicographically first, and its low n bits spell it out.
     """
-    deco = decompose(g)
-    order, up, _ = _rooted_forest(g)
-    n, nb = g.n, len(deco.blocks)
+    order, up, top = _rooted_forest(g)
+    vertex_blocks = decompose(g)._vertex_blocks
+    n, nb = g.n, len(top)
     drop = [(1 << n) - (1 << (n - 1 - v)) for v in range(n)]
     alone = [0] * n
     # per block, over its children: all deleted; survivors all alone;
@@ -179,13 +182,13 @@ def dc_exact(g: BlockGraph) -> DcResult:
     total = 0
     for v in reversed(order):
         joined = 0
-        for b in deco.block_indices_of(v):
-            if b != up[v]:
-                drop[v] += min(opened[b], closed[b] + lone[b])
-                alone[v] += closed[b]
-                joined = min(joined, opened[b] - closed[b])
-        joined += alone[v]
         b = up[v]
+        for c in vertex_blocks[v]:
+            if c != b:
+                drop[v] += min(opened[c], closed[c] + lone[c])
+                alone[v] += closed[c]
+                joined = min(joined, opened[c] - closed[c])
+        joined += alone[v]
         if b < 0:
             total += min(drop[v], joined)
         else:

@@ -229,6 +229,11 @@ class TestSurgery:
         with pytest.raises(UnknownVertexError):
             path_graph(3).induced_subgraph([0, 7])
 
+    @pytest.mark.parametrize("keep, named", [([-3, 0, 7], -3), ([0, 7, 9], 7), ({9, 7, 0}, 7)])
+    def test_unknown_vertex_named_first_in_sorted_order(self, keep, named):
+        with pytest.raises(UnknownVertexError, match=rf"^vertex {named} outside 0\.\.4$"):
+            path_graph(5).induced_subgraph(keep)
+
     def test_deletion_commutes_with_decomposition(self, graphs_up_to_7):
         # induced subgraph blocks agree with the brute biconnectivity
         # oracle run on the deleted graph directly
@@ -290,6 +295,26 @@ class TestDerivedDecomposition:
                     (u, w) for c in cliques for u in c for w in c if u < w
                 }
                 assert_same_decomposition(grown)
+
+    def test_block_list_must_cover_exactly_the_vertices(self):
+        # the block list is trusted, but it must describe 0..n-1: a
+        # vertex in no block gets no adjacency, an id beyond it no slot
+        cases = [
+            (3, [{0, 1}], r"0\.\.2: ids \[2\]"),
+            (2, [{0, 5}], r"0\.\.1: ids \[1, 5\]"),
+            (2, [{0, 1}, {1, 5}], r"0\.\.1: ids \[5\]"),
+            (2, [{0, 1}, {-1, 1}], r"0\.\.1: ids \[-1\]"),
+            (0, [{0}], r"ids \[0\]"),
+        ]
+        for n, blocks, ids in cases:
+            with pytest.raises(AssertionError, match=ids):
+                BlockGraph._from_blocks(n, [frozenset(b) for b in blocks])
+
+    def test_ids_outside_the_graph_lie_in_no_block(self, graphs_up_to_7):
+        grown = [_attach_cliques(g, (0,), (3,)) for g in graphs_up_to_7]
+        for g in graphs_up_to_7 + grown:
+            deco = decompose(g)
+            assert deco.block_indices_of(-1) == () == deco.block_indices_of(g.n), g.edges()
 
     def test_named_families(self):
         # each constructor trusts its block list; the validated build of

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from blockeq import invariants as inv
@@ -233,6 +235,24 @@ class TestVAis:
                         continue
                     fresh = BlockGraph(g.n, g.edges())
                     assert inv.is_v_ais(g, v, w) == inv.is_v_ais(fresh, v, w), (g.edges(), v, w)
+
+
+class TestAlphaPassLeftOut:
+    def test_matches_brute_on_the_kept_subgraph(self, graphs_up_to_8):
+        # any left-out set, not only a closed neighborhood: the pass over
+        # g's forest agrees with brute force on G - L itself
+        rng = random.Random(22)
+        for g in graphs_up_to_8:
+            for _ in range(4):
+                left_out = {v for v in range(g.n) if rng.random() < 0.4}
+                table = inv._alpha_pass(g, left_out)
+                sub, id_map = g.induced_subgraph(set(range(g.n)) - left_out)
+                assert table.alpha == oracle.brute_alpha(sub), (g.edges(), left_out)
+                _, sets = brutes.all_maximum_independent_sets(sub)
+                core = frozenset.intersection(*sets)
+                for v, w in id_map.items():
+                    assert table.alpha_with[v] == oracle.brute_alpha_with(sub, w)
+                    assert table.ais[v] == (w in core), (g.edges(), left_out, v)
 
 
 class TestBoundsReport:
