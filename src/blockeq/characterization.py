@@ -57,6 +57,8 @@ log = logging.getLogger(__name__)
 
 # random operations `generate_with_alphamin` tries per step before it gives up
 _RETRIES = 400
+# the largest block `generate_with_alphamin` attaches, 16 times its default
+MAX_CLIQUE = 64
 
 
 class OpKind(Enum):
@@ -139,6 +141,32 @@ def _levels(g: BlockGraph):
         raise PreconditionViolatedError("no-clique-levels", str(e)) from None
 
 
+def _in_pendant_block(deco, x):
+    """Whether x lies in a block with exactly one cut vertex."""
+    return any(len(deco.blocks[qi] & deco.cut_vertices) == 1 for qi in deco._vertex_blocks[x])
+
+
+def _in_level2_k2(deco, lv, x):
+    """Whether x lies in a 2-block of clique level 2."""
+    blocks = deco.blocks
+    return any(lv.levels.get(qi) == 2 and len(blocks[qi]) == 2 for qi in deco._vertex_blocks[x])
+
+
+def _v_locks(g, v, x):
+    """Whether x is v, or is outside N(v) and in every maximum independent set of G - N[v]."""
+    return x == v or (x not in g.neighbors(v) and invariants._residual_alpha_table(g, v).ais[x])
+
+
+def _level3_misfit(deco, lv, qi):
+    """The first level-2 block meeting the level-3 block qi that is not a
+    2-block, unless some root of qi lies in every such block; else None."""
+    big = [b for bj, b in enumerate(deco.blocks)
+           if lv.levels.get(bj) == 2 and b & deco.blocks[qi] and len(b) != 2]
+    if big and not any(all(z in b for b in big) for z in _block_roots(deco, lv, qi)):
+        return big[0]
+    return None
+
+
 def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
     """Check every structural guard of a `kind` step at `anchors` against
     g (the graph being grown).  Returns the possible roots of the
@@ -153,7 +181,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
             raise PreconditionViolatedError("op1-anchor-is-base", f"anchor {x} equals v")
         if x not in cuts:
             raise PreconditionViolatedError("op1-anchor-not-cut", f"{x} is simplicial")
-        if not any(len(deco.blocks[qi] & cuts) == 1 for qi in deco.block_indices_of(x)):
+        if not _in_pendant_block(deco, x):
             raise PreconditionViolatedError("op1-not-in-pendant", f"{x} in no pendant clique")
         return None
 
@@ -161,24 +189,29 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         x = anchors[0]
         if x not in cuts:
             raise PreconditionViolatedError("op2-anchor-not-cut", f"{x} is simplicial")
-        lv = _levels(g)
-        if not any(
-            lv.levels.get(qi) == 2 and len(deco.blocks[qi]) == 2
-            for qi in deco.block_indices_of(x)
-        ):
+        if not _in_level2_k2(deco, _levels(g), x):
             raise PreconditionViolatedError("op2-no-level2-k2", f"{x} in no level-2 2-block")
-        if x == v or (x not in g.neighbors(v) and invariants.is_v_ais(g, v, x)):
+        if _v_locks(g, v, x):
             raise PreconditionViolatedError("op2-anchor-v-ais", f"{x} locked into v's maximum sets")
         return None
 
-    if kind is OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE:
-        s = anchors[0]
+    if not isinstance(kind, OpKind):
+        raise PreconditionViolatedError("kind", f"unknown kind {kind}")
+    # kinds 3-5 anchor at simplicial vertices of one block
+    for s in anchors:
         if s in cuts:
-            raise PreconditionViolatedError("op3-anchor-not-simplicial", f"{s} is a cut vertex")
-        qi = deco.block_indices_of(s)[0]
-        lv = _levels(g)
-        level = lv.levels.get(qi)
-        simps = deco.blocks[qi] - cuts
+            raise PreconditionViolatedError(
+                f"op{kind.value}-anchor-not-simplicial", f"{s} is a cut vertex"
+            )
+    qis = {deco._vertex_blocks[s][0] for s in anchors}
+    if len(qis) != 1:  # only a twin attach takes two anchors
+        raise PreconditionViolatedError("op4-anchors-split", "anchors in different blocks")
+    (qi,) = qis
+    lv = _levels(g)
+    level = lv.levels.get(qi)
+    simps = deco.blocks[qi] - cuts
+
+    if kind is OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE:
         if level in (1, 2):
             if len(simps) < 3:
                 raise PreconditionViolatedError(
@@ -186,52 +219,27 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
                 )
             return None
         if level == 3:
-            # level-2 blocks meeting this one are 2-blocks, except at a root
-            big = [
-                b for bj, b in enumerate(deco.blocks)
-                if lv.levels.get(bj) == 2 and b & deco.blocks[qi] and len(b) != 2
-            ]
-            if big and not any(all(z in b for b in big) for z in _block_roots(deco, lv, qi)):
+            big = _level3_misfit(deco, lv, qi)
+            if big is not None:
                 raise PreconditionViolatedError(
-                    "op3-level2-not-k2", f"level-2 block {sorted(big[0])} has size {len(big[0])}"
+                    "op3-level2-not-k2", f"level-2 block {sorted(big)} has size {len(big)}"
                 )
             return None
         raise PreconditionViolatedError("op3-level", f"block level {level} not in 1..3")
 
-    if kind is OpKind.TWIN_ATTACH:
-        qis = set()
-        for s in anchors:
-            if s in cuts:
-                raise PreconditionViolatedError("op4-anchor-not-simplicial", f"{s} is a cut vertex")
-            qis.add(deco.block_indices_of(s)[0])
-        if len(qis) != 1:
-            raise PreconditionViolatedError("op4-anchors-split", "anchors in different blocks")
-        qi = qis.pop()
-        lv = _levels(g)
-        if lv.levels.get(qi) not in (1, 2):
-            raise PreconditionViolatedError("op4-level", f"block level {lv.levels.get(qi)}")
-        simps = deco.blocks[qi] - cuts
-        if len(simps) != 2:
-            raise PreconditionViolatedError(
-                "op4-simplicial-count", f"block has {len(simps)} simplicial vertices, need 2"
-            )
-        if len(anchors) == 2 and anchors[0] == anchors[1]:
-            raise PreconditionViolatedError("op4-anchors-equal", "twin anchors must differ")
-        return _block_roots(deco, lv, qi)
-
+    if level not in (1, 2):
+        raise PreconditionViolatedError(f"op{kind.value}-level", f"block level {level}")
     if kind is OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL:
-        s = anchors[0]
-        if s in cuts:
-            raise PreconditionViolatedError("op5-anchor-not-simplicial", f"{s} is a cut vertex")
-        qi = deco.block_indices_of(s)[0]
-        lv = _levels(g)
-        if lv.levels.get(qi) not in (1, 2):
-            raise PreconditionViolatedError("op5-level", f"block level {lv.levels.get(qi)}")
-        if len(deco.blocks[qi] - cuts) != 1:
+        if len(simps) != 1:
             raise PreconditionViolatedError("op5-not-unique", "block has other simplicial vertices")
         return None
-
-    raise PreconditionViolatedError("kind", f"unknown kind {kind}")
+    if len(simps) != 2:
+        raise PreconditionViolatedError(
+            "op4-simplicial-count", f"block has {len(simps)} simplicial vertices, need 2"
+        )
+    if len(anchors) == 2 and anchors[0] == anchors[1]:
+        raise PreconditionViolatedError("op4-anchors-equal", "twin anchors must differ")
+    return _block_roots(deco, lv, qi)
 
 
 def _accepts(g: BlockGraph, v: int, kind: OpKind, anchors) -> bool:
@@ -341,28 +349,38 @@ def _candidate_ops(g: BlockGraph, v: int):
     """Every (kind, anchors) pair that `_guards_ok` accepts for one step,
     in this order: each cut vertex for kinds 1 and 2; then per block,
     each simplicial vertex for kind 3, each ordered pair and each single
-    one for the twin attach, and each one for kind 5.  The guards of
-    kinds 3-5 read only the anchors' block (and that twin anchors
-    differ), so each is tried once per block, at its first simplicial
-    vertex."""
+    one for the twin attach, and each one for kind 5.
+
+    Read in one pass over g's blocks through the predicates the guards
+    raise from, with nothing raised.  The guards of kinds 3-5 read only
+    the anchors' block (and that twin anchors differ): its level and
+    simplicial count pick at most one of them.  With no clique levels
+    (one vertex, or disconnected) kinds 2-5 all fail."""
     deco = decompose(g)
     cuts = deco.cut_vertices
+    try:
+        lv = clique_levels(g)
+    except (DisconnectedError, EdgelessError):
+        lv = None
     out = []
     for x in sorted(cuts):
-        for kind in (OpKind.ATTACH_AT_PENDANT_CUT, OpKind.ATTACH_AT_LEVEL2_K2_CUT):
-            if _accepts(g, v, kind, (x,)):
-                out.append((kind, (x,)))
-    for b in deco.blocks:
+        if x != v and _in_pendant_block(deco, x):
+            out.append((OpKind.ATTACH_AT_PENDANT_CUT, (x,)))
+        if lv is not None and _in_level2_k2(deco, lv, x) and not _v_locks(g, v, x):
+            out.append((OpKind.ATTACH_AT_LEVEL2_K2_CUT, (x,)))
+    if lv is None:
+        return out
+    for qi, b in enumerate(deco.blocks):
         simps = sorted(b - cuts)
-        if not simps:
-            continue
-        if _accepts(g, v, OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, simps[:1]):
+        level = lv.levels[qi]
+        shallow = level in (1, 2)
+        if shallow and len(simps) >= 3 or level == 3 and simps and _level3_misfit(deco, lv, qi) is None:
             out += [(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (s,)) for s in simps]
-        if _accepts(g, v, OpKind.TWIN_ATTACH, simps[:1]):
+        elif shallow and len(simps) == 2:
             out += [(OpKind.TWIN_ATTACH, pair) for pair in permutations(simps, 2)]
             out += [(OpKind.TWIN_ATTACH, (s,)) for s in simps]
-        if _accepts(g, v, OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, simps[:1]):
-            out += [(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (s,)) for s in simps]
+        elif shallow and len(simps) == 1:
+            out.append((OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (simps[0],)))
     return out
 
 
@@ -375,11 +393,12 @@ def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = No
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    if max_clique < 2:
-        raise ValueError("max_clique must be >= 2")
+    if not 2 <= max_clique <= MAX_CLIQUE:
+        raise ValueError(f"max_clique must be in 2..{MAX_CLIQUE}")
     rng = random.Random(seed)
-    size_pool = [2, 2] + list(range(2, max_clique + 1))
-    base = star_of_cliques([rng.choice(size_pool) for _ in range(rng.randint(2, 3))])
+    def size():  # 2 with odds 3 in max_clique + 1, else uniform over 3..max_clique
+        return max(2, rng.randrange(max_clique + 1))
+    base = star_of_cliques([size() for _ in range(rng.randint(2, 3))])
     g = base
     steps = []
     for i in range(1, r):
@@ -389,11 +408,11 @@ def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = No
             raise ExhaustedRetriesError(f"no candidate operations at step {i}")
         for _ in range(_RETRIES):
             kind, anchors = rng.choice(cands)
-            sizes = tuple(rng.choice(size_pool) for _ in anchors)
+            sizes = tuple(size() for _ in anchors)
             ext = None
             k2s = [ix for ix, s in enumerate(sizes) if s == 2]
             if k2s and rng.random() < 0.4:
-                ext = StarExtension(rng.choice(k2s), rng.choice(size_pool))
+                ext = StarExtension(rng.choice(k2s), size())
             op = OpDescriptor(kind, anchors, sizes, ext)
             try:
                 grown = apply_operation(g, 0, op)
@@ -450,7 +469,7 @@ def _reverse_candidates(g, v, sub, hosts):
         x = next(iter(block & deco.cut_vertices))
         fresh = tuple(sorted(hosts[u] for u in block - {x}))
         pieces.append(_Reverse(None, (hosts[x],), (len(block),), None, fresh))
-        other = [deco.blocks[qj] for qj in deco.block_indices_of(x) if qj != qi]
+        other = [deco.blocks[qj] for qj in deco._vertex_blocks[x] if qj != qi]
         if len(other) == 1 and len(other[0]) == 2:
             (w1,) = other[0] - {x}
             pieces.append(_Reverse(None, (hosts[w1],), (2,), StarExtension(0, len(block)),

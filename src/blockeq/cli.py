@@ -165,6 +165,11 @@ def _cmd_dot(args):
 
 
 def _cmd_char_gen(args):
+    # at most three cliques in the base and three per step
+    largest = 1 + 3 * args.r * (args.max_clique - 1)
+    if largest > formats.MAX_VERTICES:
+        raise ValueError(f"--r {args.r} with --max-clique {args.max_clique} can grow {largest} "
+                         f"vertices, above the maximum {formats.MAX_VERTICES} of a graph file")
     g, cert = char.generate_with_alphamin(args.r, max_clique=args.max_clique, seed=args.seed)
     _emit({
         "seed": args.seed,

@@ -475,10 +475,11 @@ def test_forward_closure_reaches_every_graph_with_a_cut_vertex(graphs_up_to_10):
     assert set(closure) == expected
 
 
-def test_candidate_ops_match_the_per_shape_reference():
-    """Trying the guards of kinds 3-5 once per block gives the list that
-    trying every shape on its own gives, in the same order, on every
-    state of the n <= 9 forward closure."""
+def test_candidate_ops_match_the_per_shape_reference(graphs_up_to_8):
+    """The one-pass list is the list that trying every shape on its own
+    gives, in the same order: on every state of the n <= 9 forward
+    closure at v = 0, and on every graph with n <= 8 and graphs without
+    clique levels at every v."""
     states = _forward_closure(9).values()
     listed = set()
     for g in states:
@@ -487,3 +488,11 @@ def test_candidate_ops_match_the_per_shape_reference():
         listed.update((kind, len(anchors)) for kind, anchors in ops)
     assert len(states) > 500
     assert listed == {(kind, 1) for kind in OpKind} | {(OpKind.TWIN_ATTACH, 2)}
+
+    no_levels = [complete_graph(1), BlockGraph(5, [(0, 1), (1, 2), (3, 4)]),
+                 BlockGraph(4, [(0, 1), (1, 2)])]
+    for g in graphs_up_to_8 + no_levels:
+        for v in range(g.n):
+            assert _candidate_ops(g, v) == brutes.candidate_ops_per_shape(g, v), (g.edges(), v)
+    # a cut vertex in a pendant block of a disconnected graph is still a kind-1 anchor
+    assert _candidate_ops(no_levels[1], 0) == [(OpKind.ATTACH_AT_PENDANT_CUT, (1,))]

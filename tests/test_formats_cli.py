@@ -2,6 +2,7 @@ import json
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -447,6 +448,27 @@ class TestCli:
         graph = {"n": formats.MAX_VERTICES, "edges": []}
         assert validator("graph").is_valid(graph)
         assert not validator("graph").is_valid({**graph, "n": formats.MAX_VERTICES + 1})
+
+    @pytest.mark.parametrize("args, problem", [
+        (["--r", "2", "--max-clique", "100000000"],
+         "--r 2 with --max-clique 100000000 can grow 599999995 vertices, above the maximum 100000"),
+        (["--r", "40000"], "--r 40000 with --max-clique 4 can grow 360001 vertices"),
+        (["--r", "2", "--max-clique", "65"], "max_clique must be in 2..64"),
+    ], ids=["huge-clique", "huge-r", "clique-above-cap"])
+    def test_char_gen_bounds_exit_two_at_once(self, capsys, args, problem):
+        # rejected before anything is drawn or allocated
+        start = time.perf_counter()
+        assert cli.main(["char", "gen", *args]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and problem in err
+
+    def test_char_gen_within_the_bounds_exits_zero(self):
+        proc = run_cli("char", "gen", "--r", "16", "--max-clique", "4")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        validator("char_gen_output").validate(payload)
+        assert payload["alpha_min"] == 16
 
     @pytest.mark.parametrize("text, problem", [
         ("4\n  # note\n0 1\n", None),
