@@ -52,7 +52,7 @@ from .oracle import (
     brute_dc,
     canonical_form,
     check_coloring,
-    enumerate_block_graphs,
+    count_block_graphs,
     exact_chi_eq,
     exact_equitable_colorable,
     spectrum,

@@ -396,10 +396,12 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError, BlockeqError) as e:
         print(f"error: {_describe(e)}", file=sys.stderr)
         return 2
-    except MemoryError:
-        # an input too large to hold, such as a graph file declaring 10^8 vertices
+    except (MemoryError, RecursionError) as e:
+        # an input too large to hold, such as a graph file declaring 10^8 vertices,
+        # or too deep to recurse over, such as 10^5 nested brackets or a long path
         command = " ".join(filter(None, (args.cmd, getattr(args, f"{args.cmd}_cmd", None))))
-        print(f"error: MemoryError: out of memory in `{command}`", file=sys.stderr)
+        problem = "out of memory" if isinstance(e, MemoryError) else "recursion too deep"
+        print(f"error: {type(e).__name__}: {problem} in `{command}`", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - internal failure contract
         print(f"internal error: {_describe(e)}", file=sys.stderr)

@@ -9,16 +9,7 @@ from pathlib import Path
 from .characterization import CharCertificate, OpDescriptor, OpKind, StarExtension
 from .errors import require_int, require_ints, require_object
 from .gls import BinPackingInstance, Coloring
-from .graph import BlockGraph, from_edge_list
-
-# The largest vertex count a graph file may declare, as the `maximum` of
-# `n` in schemas/graph.schema.json; checked before any adjacency exists.
-MAX_VERTICES = 100_000
-
-
-def _check_vertex_count(n):
-    if type(n) is int and n > MAX_VERTICES:
-        raise ValueError(f"vertex count n = {n} exceeds the maximum {MAX_VERTICES}")
+from .graph import MAX_VERTICES, BlockGraph, check_vertex_count, from_edge_list
 
 
 def graph_to_json_dict(g: BlockGraph) -> dict:
@@ -30,7 +21,7 @@ def graph_to_json_dict(g: BlockGraph) -> dict:
 
 def graph_from_json_dict(d: dict, name: str = "graph JSON") -> BlockGraph:
     require_object(d, name, ("n", "edges"))
-    _check_vertex_count(d["n"])
+    check_vertex_count(d["n"])
     return from_edge_list(d["n"], d["edges"], d.get("labels"))
 
 
@@ -44,7 +35,7 @@ def parse_edge_list_text(text: str) -> BlockGraph:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"vertex count must be a nonnegative integer, got {lines[0]!r}") from None
-    _check_vertex_count(n)
+    check_vertex_count(n)
     edges = []
     for ln in lines[1:]:
         try:
@@ -129,11 +120,15 @@ def certificate_from_json_dict(d: dict) -> CharCertificate:
                 ) if ext is not None else None,
             )
         )
-    return CharCertificate(
-        graph_from_json_dict(d["base_graph"], "base_graph"),
-        require_int(d["base_vertex"], "base_vertex"),
-        tuple(steps),
-    )
+    base = graph_from_json_dict(d["base_graph"], "base_graph")
+    # bounded before any replay: a clique or extension of size s adds s - 1 vertices
+    sizes = [s for op in steps for s in op.sizes]
+    sizes += [op.star_extension.size for op in steps if op.star_extension is not None]
+    grown = base.n + sum(s - 1 for s in sizes if s > 1)
+    if grown > MAX_VERTICES:
+        raise ValueError(f"certificate replay can grow {grown} vertices, "
+                         f"above the maximum {MAX_VERTICES}")
+    return CharCertificate(base, require_int(d["base_vertex"], "base_vertex"), tuple(steps))
 
 
 def coloring_from_json_dict(d: dict) -> Coloring:

@@ -31,7 +31,7 @@ from .errors import (
     require_ints,
     require_object,
 )
-from .graph import BlockGraph
+from .graph import BlockGraph, check_vertex_count
 
 log = logging.getLogger(__name__)
 
@@ -118,6 +118,7 @@ def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
     inst.validate()
     a, k, b = inst.item_sizes, inst.parts, inst.capacity
     n = len(a)
+    _check_flower_size(n, k, b)
     blocks = [frozenset((0, j)) for j in range(1, n + 1)]
     cliques = []
     nxt = n + 1
@@ -136,6 +137,11 @@ def build_gls(inst: BinPackingInstance, cross_check: bool = True) -> GlsGraph:
         if amin != n + 1 + k * b:
             raise AlgorithmInvariantError(f"alpha_min={amin} != n+1+kB={n + 1 + k * b}")
     return GlsGraph(g, tuple(range(n + 1)), tuple(cliques), inst)
+
+
+def _check_flower_size(n, k, b):
+    """Bound |V| = (k+1)(kB+n+1) of the flower graph before any block exists."""
+    check_vertex_count((k + 1) * (k * b + n + 1), "flower graph vertex count (k+1)(kB+n+1)")
 
 
 def equitably_k1_colorable_uniform(a: int, n: int, k: int, B: int) -> bool:
@@ -165,6 +171,7 @@ def uniform_gls(a, n, k, B) -> GlsGraph:
     pair by pair in grid sweeps).  The result is shared by every caller
     that asks for the same parameters, so it must not be mutated.
     """
+    _check_flower_size(n, k, B)  # before the n items exist
     return build_gls(BinPackingInstance((a,) * n, k, B))
 
 

@@ -32,6 +32,17 @@ from .errors import (
     UnknownVertexError,
 )
 
+# The largest vertex count of a graph read from a file or built from
+# input, as the `maximum` of `n` in schemas/graph.schema.json; checked
+# before any adjacency exists.
+MAX_VERTICES = 100_000
+
+
+def check_vertex_count(n, what="vertex count n"):
+    """Raise ValueError when the vertex count `n` exceeds MAX_VERTICES."""
+    if type(n) is int and n > MAX_VERTICES:
+        raise ValueError(f"{what} = {n} exceeds the maximum {MAX_VERTICES}")
+
 
 def _biconnected_components(adj):
     """Blocks of the graph with adjacency sets `adj`, as vertex frozensets.

@@ -4,8 +4,9 @@ Everything here is deliberately naive or exhaustively exact so that it
 shares no code path with the fast implementations in `invariants` and
 `gls`: subset enumeration for independence numbers and cluster
 deletion, backtracking with sound pruning for equitable colorability,
-branch and bound for packing, and a clique-attachment generator of all
-small connected block graphs up to isomorphism.
+branch and bound for packing, permutation search for isomorphism, and
+two counts of connected block graphs up to isomorphism: one by
+filtering every small graph, one closed-form over block-cut trees.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, permutations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import (
     ColorOutOfRangeError,
@@ -356,7 +357,7 @@ def bin_packing_decide(inst: BinPackingInstance, cap: int = BRUTE_CAP):
     return False, None
 
 
-# -- canonical forms and exhaustive enumeration ---------------------------
+# -- canonical forms and counts of block graphs ---------------------------
 
 
 def canonical_form(g: BlockGraph) -> bytes:
@@ -425,39 +426,31 @@ def isomorphic_brute(g1: BlockGraph, g2: BlockGraph, cap: int = 8) -> bool:
     return False
 
 
-def _attach_clique_raw(g: BlockGraph, anchor: int, size: int) -> BlockGraph:
-    fresh = list(range(g.n, g.n + size - 1))
-    group = [anchor] + fresh
-    edges = g.edges() + [
-        (group[i], group[j]) for i in range(len(group)) for j in range(i + 1, len(group))
-    ]
-    return BlockGraph(g.n + size - 1, edges, _validated=True)
+def _mset_at(a, top):
+    """Coefficient of x^top in MSET(a) = prod_k (1 - x^k)^(-a[k]), with
+    a[k] objects of size k >= 1: m_0 = 1, n*m_n = sum_{k=1..n} c_k*m_{n-k}
+    and c_k = sum_{d | k} d*a[d]; every division is exact."""
+    c = [sum(d * a[d] for d in range(1, k + 1) if k % d == 0) for k in range(top + 1)]
+    m = [1] + [0] * top
+    for n in range(1, top + 1):
+        m[n] = sum(c[k] * m[n - k] for k in range(1, n + 1)) // n
+    return m[top]
 
 
-def enumerate_block_graphs(n_max: int) -> Iterator[BlockGraph]:
-    """All connected block graphs up to n_max vertices, one per class.
-
-    Grows graphs by attaching a fresh clique at an existing vertex;
-    every connected block graph arises this way because removing a
-    pendant clique leaves a smaller connected block graph.  Duplicates
-    are dropped via canonical_form.
-    """
-    if n_max < 1:
-        return
-    k1 = BlockGraph(1, [], _validated=True)
-    by_size = {1: {canonical_form(k1): k1}}
-    yield k1
-    for n in range(1, n_max):
-        for g in list(by_size[n].values()):
-            for anchor in range(g.n):
-                for size in range(2, n_max - n + 2):
-                    cand = _attach_clique_raw(g, anchor, size)
-                    key = canonical_form(cand)
-                    bucket = by_size.setdefault(cand.n, {})
-                    if key in bucket:
-                        continue
-                    bucket[key] = cand
-                    yield cand
+def count_block_graphs(n_max: int) -> dict:
+    """Connected block graphs on n vertices up to isomorphism, for each n
+    in 1..n_max, counted over block-cut trees as integer power series:
+    R (rooted at a vertex) = x*MSET(H); H (blocks hung from a root, each
+    with a nonempty multiset of rooted graphs at its other members) =
+    sum_{k>=1} MSET_k(R) = MSET(R) - 1; and free A = R + sum_{k>=2}
+    MSET_k(R) - R*H = H - R*H, by the dissymmetry theorem: rooted at a
+    vertex, plus at a block, minus at a vertex-block incidence."""
+    r = [0] * (n_max + 1)
+    h = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        r[n] = _mset_at(h, n - 1)
+        h[n] = _mset_at(r, n)
+    return {n: h[n] - sum(r[i] * h[n - i] for i in range(1, n)) for n in range(1, n_max + 1)}
 
 
 def is_block_graph_by_filter(g: BlockGraph) -> bool:
@@ -496,7 +489,7 @@ def _is_single_cycle(g, sub):
 def count_block_graphs_by_filter(n: int) -> int:
     """Count connected block graphs on exactly n labeled-free vertices
     by filtering all 2^(n choose 2) graphs; the independent cross-check
-    for the attachment enumerator."""
+    for `count_block_graphs`."""
     pairs = list(combinations(range(n), 2))
     seen = set()
     for mask in range(1 << len(pairs)):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import shlex
 import subprocess
@@ -50,7 +51,7 @@ def run_cli(*args, cwd=None):
 
 class TestFormats:
     def test_graph_json_round_trip_up_to_relabeling(self, graphs_up_to_7, tmp_path):
-        for g in graphs_up_to_7[30:60]:
+        for g in graphs_up_to_7:
             d = formats.graph_to_json_dict(g)
             back = formats.graph_from_json_dict(json.loads(json.dumps(d)))
             assert oracle.canonical_form(back) == oracle.canonical_form(g)
@@ -306,6 +307,39 @@ class TestCli:
         assert out == ""
         assert err == f"error: MemoryError: out of memory in `{' '.join(argv)}`\n"
 
+    @pytest.mark.parametrize("argv, text", [
+        (["validate"], "[" * 100_000 + "]" * 100_000),
+        (["gls", "build"], '{"A": ' + "[" * 100_000 + "]" * 100_000 + ', "k": 1, "B": 1}'),
+        (["exact", "chi-eq"], json.dumps(formats.graph_to_json_dict(path_graph(1500)))),
+        (["exact", "spectrum"], json.dumps(formats.graph_to_json_dict(path_graph(1500)))),
+    ], ids=["nested-graph-file", "nested-instance-file", "chi-eq-long-path",
+            "spectrum-long-path"])
+    def test_deep_recursion_exits_two_naming_the_command(self, tmp_path, capsys, argv, text):
+        # the JSON decoder recurses once per bracket, the exact search once per vertex
+        p = tmp_path / "deep.json"
+        p.write_text(text)
+        assert cli.main([*argv, str(p)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: RecursionError: recursion too deep in `{' '.join(argv)}`\n"
+
+    def test_deep_reverse_search_exits_two_naming_the_command(self, tmp_path, capsys):
+        # the reverse search recurses once per growth step, about 150 on a
+        # 300-vertex path: 100 frames above this one do not hold them
+        p = tmp_path / "path.json"
+        p.write_text(json.dumps(formats.graph_to_json_dict(path_graph(300))))
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            code = cli.main(["char", "decompose", str(p)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: RecursionError: recursion too deep in `char decompose`\n"
+
     def test_empty_exception_message_prints_its_type(self, graph_file, monkeypatch, capsys):
         def broken(g):
             raise RuntimeError()
@@ -462,6 +496,51 @@ class TestCli:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert out == "" and problem in err
+
+    @pytest.mark.parametrize("step, count", [
+        ({"kind": 3, "anchors": [1], "sizes": [300_000_000]}, 300_000_004),
+        ({"kind": 1, "anchors": [4], "sizes": [2],
+          "extension": {"clique_index": 0, "size": 100_000}}, 100_005),
+    ], ids=["huge-clique", "huge-extension"])
+    def test_certificate_replay_above_the_bound_exits_two_at_once(
+            self, tmp_path, capsys, step, count):
+        # base: K4 and K2 sharing vertex 0; the replay would add size - 1
+        # vertices per clique and extension, so it is rejected before it starts
+        base = {"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [0, 4]]}
+        p = tmp_path / "cert.json"
+        p.write_text(json.dumps({"base_graph": base, "base_vertex": 0, "steps": [step]}))
+        start = time.perf_counter()
+        assert cli.main(["char", "verify", str(p)]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: certificate replay can grow {count} vertices, "
+                       "above the maximum 100000\n")
+
+    @pytest.mark.parametrize("argv, count", [
+        (["gls", "build", "big.json"], 200_000_004),
+        (["gls", "color-n2", "big.json"], 200_000_004),
+        (["gls", "color-uniform", "--a", "1", "--n", "50000000", "--k", "1",
+          "--B", "50000000", "--t", "3"], 200_000_002),
+    ], ids=["build", "color-n2", "color-uniform"])
+    def test_flower_graph_above_the_bound_exits_two_at_once(
+            self, tmp_path, monkeypatch, capsys, argv, count):
+        # |V| = (k+1)(kB+n+1) is checked before any block or item exists
+        (tmp_path / "big.json").write_text('{"A": [100000000], "k": 1, "B": 100000000}')
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        assert cli.main(argv) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: flower graph vertex count (k+1)(kB+n+1) = {count} "
+                       "exceeds the maximum 100000\n")
+
+    def test_binpack_builds_no_flower_graph_and_stays_unbounded(self, tmp_path, capsys):
+        p = tmp_path / "big.json"
+        p.write_text('{"A": [100000000], "k": 1, "B": 100000000}')
+        assert cli.main(["exact", "binpack", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["yes"] is True
 
     def test_char_gen_within_the_bounds_exits_zero(self):
         proc = run_cli("char", "gen", "--r", "16", "--max-clique", "4")
