@@ -264,10 +264,11 @@ def _attach_cliques(g: BlockGraph, anchors, sizes):
     return BlockGraph._from_blocks(nxt, blocks)
 
 
-def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:
-    """One growth step, built as one graph; raises PreconditionViolatedError
-    on any failed guard.  The clauses stated on the grown graph are
-    decided on g.
+def _plan(g: BlockGraph, v: int, op: OpDescriptor):
+    """The (anchors, sizes) pairs that `_attach_cliques` builds for one
+    growth step on g, after the twin fallback and with the extension
+    clique last; raises PreconditionViolatedError on any failed guard.
+    The clauses stated on the grown graph are decided on g.
 
     Twin fallback.  Let X = g - N[v].  After a fresh clique is attached
     at each anchor, every maximum independent set of grown - N[v] holds
@@ -282,6 +283,13 @@ def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:
     Extension.  Once the 2-block {w1, w2} is attached with w1 != v, w2's
     only neighbor is w1, and w2 is not in N[v].  So a maximum set
     through w1 can swap w1 for w2, and w1 is locked only when w1 = v.
+
+    What the plan adds hangs from g's anchors, one structure each: a
+    plain clique, or the extended 2-block at w1.  Seen from its anchor,
+    a plain clique adds (d_inc, d_exc) = (0, 1) to the largest sets
+    through and avoiding it, and the extended 2-block (1, 1).  Their
+    other vertices are simplicial, and realize alpha, except w2, which
+    realizes the largest set avoiding w1 (`_grown_alpha_with`).
     """
     op.check_shape()
     g._check_vertex(v)
@@ -312,7 +320,34 @@ def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:
             raise PreconditionViolatedError("ext-anchor-v-ais", f"{w1} locked into v's maximum sets")
         w2 = g.n + sum(s - 1 for s in sizes[:ext.clique_index])  # the 2-block's fresh end
         anchors, sizes = anchors + (w2,), sizes + (ext.size,)
-    return _attach_cliques(g, anchors, sizes)
+    return anchors, sizes
+
+
+def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:
+    """One growth step, built as one graph from its plan (`_plan`);
+    raises PreconditionViolatedError on any failed guard."""
+    return _attach_cliques(g, *_plan(g, v, op))
+
+
+def _grown_alpha_with(g: BlockGraph, anchors, sizes):
+    """alpha_with of the graph `_attach_cliques(g, anchors, sizes)` would
+    build from a plan, over g's vertices and then its fresh ones, from
+    one alpha pass over g's own forest.  Needs g connected, so that the
+    largest set avoiding w1 is exc[w1]."""
+    w2 = anchors[-1] if anchors[-1] >= g.n else None  # an extension's anchor comes last
+    bonus, w1, nxt = [], None, g.n
+    for a, s in zip(anchors, sizes):
+        if a >= g.n:
+            break
+        if nxt == w2:  # the 2-block whose fresh end w2 is
+            w1 = a
+        bonus.append((a, int(nxt == w2), 1))
+        nxt += s - 1
+    table = invariants._alpha_pass(g, bonus=bonus)
+    aw = table.alpha_with + [table.alpha] * (sum(sizes) - len(sizes))
+    if w1 is not None:
+        aw[w2] = table.exc[w1]
+    return aw
 
 
 @dataclass(frozen=True)
@@ -390,6 +425,18 @@ def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = No
     Grows a random clique-star around vertex 0 and then applies r-1
     random legal operations, resampling any candidate that fails to
     raise alpha_min by one or to keep vertex 0 a witness.
+
+    Each attempt is decided on g, the graph being grown, and only the
+    kept one is built.  Its plan (`_plan`) hangs plain cliques, which
+    add (d_inc, d_exc) = (0, 1) at their anchors, or an extended 2-block,
+    which adds (1, 1) at w1, so one alpha pass over g's forest gives the
+    grown graph's alpha_with on g's vertices.  Fresh vertices of a
+    pendant clique are simplicial and realize alpha, and the 2-block's
+    fresh end w2 realizes the largest set avoiding w1
+    (`_grown_alpha_with`).  An attempt is kept when vertex 0's value and
+    the minimum of all of these are both the target.  A single plain
+    clique at x leaves alpha_with(., x) as it was, so if x realizes
+    alpha_min(g) the attempt is rejected with no pass at all.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -400,6 +447,7 @@ def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = No
         return max(2, rng.randrange(max_clique + 1))
     base = star_of_cliques([size() for _ in range(rng.randint(2, 3))])
     g = base
+    aw = invariants._alpha_table(base).alpha_with  # alpha_with of g, whose alpha_min is i
     steps = []
     for i in range(1, r):
         target = i + 1
@@ -415,14 +463,15 @@ def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = No
                 ext = StarExtension(rng.choice(k2s), size())
             op = OpDescriptor(kind, anchors, sizes, ext)
             try:
-                grown = apply_operation(g, 0, op)
+                plan = _plan(g, 0, op)
             except PreconditionViolatedError:
                 continue
-            if (
-                invariants.alpha_min(grown).value == target
-                and invariants.alpha_with(grown, 0) == target
-            ):
-                g = grown
+            if len(plan[0]) == 1 and aw[plan[0][0]] == i:
+                continue  # a lone plain clique at x keeps alpha_with(., x) = alpha_min(g)
+            grown_aw = _grown_alpha_with(g, *plan)
+            if grown_aw[0] == target == min(grown_aw):
+                g = _attach_cliques(g, *plan)
+                aw = grown_aw
                 steps.append(op)
                 break
         else:

@@ -98,6 +98,12 @@ def _run_sweep(check, max_n, jobs):
             )
     else:
         scope, violations = _tally(max_n, map(_sweep_one, tasks))
+    # a graph the generator missed has no edges to report, so it is not a violation record
+    expected = sum(oracle.count_block_graphs(max_n).values())
+    if scope["graph_count"] != expected:
+        raise errors.AlgorithmInvariantError(
+            f"generator produced {scope['graph_count']} graphs, the count gives {expected}"
+        )
     return {
         "check": check,
         "scope": scope,

@@ -57,6 +57,7 @@ class _AlphaTable(NamedTuple):
     alpha: int
     alpha_with: list  # largest independent set containing v
     ais: list  # whether v lies in every maximum independent set
+    exc: list  # largest independent set of v's component avoiding v
 
 
 def _alpha_table(g: BlockGraph) -> _AlphaTable:
@@ -66,9 +67,18 @@ def _alpha_table(g: BlockGraph) -> _AlphaTable:
     return g._alpha
 
 
-def _alpha_pass(g: BlockGraph, left_out=()) -> _AlphaTable:
+def _alpha_pass(g: BlockGraph, left_out=(), bonus=()) -> _AlphaTable:
     """The alpha table of G - left_out, indexed by g's vertex ids; the
     entries of left-out vertices mean nothing.
+
+    `bonus` lists (x, d_inc, d_exc) triples, each a structure hung from
+    the kept vertex x by one vertex and met by no other: it adds d_inc
+    to the largest set within x's subtree through x and d_exc to the
+    largest avoiding x.  A plain clique adds (0, 1): through x it gives
+    nothing, avoiding x one fresh vertex.  A 2-block {x, w2} with a
+    clique hung at w2 adds (1, 1): w2 through x, w2 or a clique vertex
+    avoiding x.  The table is then the grown graph's on g's vertices,
+    from one pass over g's own forest.
 
     An independent set takes at most one vertex per block.  inc[v] and
     exc[v] are the largest sets through and avoiding v, first within
@@ -83,6 +93,9 @@ def _alpha_pass(g: BlockGraph, left_out=()) -> _AlphaTable:
     nb = len(top)
     inc = [1] * g.n
     exc = [0] * g.n
+    for x, d_inc, d_exc in bonus:
+        inc[x] += d_inc
+        exc[x] += d_exc
     bsum = [0] * nb
     best = [0] * nb
     second = [0] * nb
@@ -117,6 +130,7 @@ def _alpha_pass(g: BlockGraph, left_out=()) -> _AlphaTable:
         total,
         [total if e <= i else total - e + i for i, e in zip(inc, exc)],
         [e < i for i, e in zip(inc, exc)],
+        exc,
     )
 
 

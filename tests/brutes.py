@@ -1,16 +1,23 @@
 """Test-side brute oracles and small exhaustive input grids, kept apart
 from the package so the library never accidentally leans on them."""
 
+import random
 from itertools import combinations, permutations
 
+from blockeq import invariants
 from blockeq.characterization import (
+    _RETRIES,
+    CharCertificate,
     OpDescriptor,
     OpKind,
+    StarExtension,
     _attach_cliques,
+    _candidate_ops,
     _guards_ok,
     apply_operation,
 )
-from blockeq.errors import PreconditionViolatedError
+from blockeq.errors import ExhaustedRetriesError, PreconditionViolatedError
+from blockeq.families import star_of_cliques
 from blockeq.graph import BlockGraph, LevelAssignment, decompose
 from blockeq.invariants import is_v_ais
 
@@ -329,3 +336,43 @@ def twin_falls_back_by_double_attach(g, v, anchors, sizes):
     roots = _guards_ok(g, v, OpKind.TWIN_ATTACH, anchors)
     grown = _attach_cliques(g, anchors, sizes)
     return all(z == v or (z not in grown.neighbors(v) and is_v_ais(grown, v, z)) for z in roots)
+
+
+def generate_with_alphamin_by_building(r, max_clique=4, seed=None):
+    """`generate_with_alphamin` as the build-then-check loop: every
+    resampled attempt is built with `apply_operation`, and kept when
+    the grown graph's alpha_min and vertex 0's alpha_with are both the
+    target.  Draws the same random numbers in the same order."""
+    rng = random.Random(seed)
+    def size():  # 2 with odds 3 in max_clique + 1, else uniform over 3..max_clique
+        return max(2, rng.randrange(max_clique + 1))
+    base = star_of_cliques([size() for _ in range(rng.randint(2, 3))])
+    g = base
+    steps = []
+    for i in range(1, r):
+        target = i + 1
+        cands = _candidate_ops(g, 0)
+        if not cands:
+            raise ExhaustedRetriesError(f"no candidate operations at step {i}")
+        for _ in range(_RETRIES):
+            kind, anchors = rng.choice(cands)
+            sizes = tuple(size() for _ in anchors)
+            ext = None
+            k2s = [ix for ix, s in enumerate(sizes) if s == 2]
+            if k2s and rng.random() < 0.4:
+                ext = StarExtension(rng.choice(k2s), size())
+            op = OpDescriptor(kind, anchors, sizes, ext)
+            try:
+                grown = apply_operation(g, 0, op)
+            except PreconditionViolatedError:
+                continue
+            if (
+                invariants.alpha_min(grown).value == target
+                and invariants.alpha_with(grown, 0) == target
+            ):
+                g = grown
+                steps.append(op)
+                break
+        else:
+            raise ExhaustedRetriesError(f"no accepted operation within {_RETRIES} tries at step {i}")
+    return g, CharCertificate(base, 0, tuple(steps))

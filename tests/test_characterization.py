@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from blockeq import characterization
 from blockeq import invariants as inv
 from blockeq import oracle
 from blockeq.characterization import (
@@ -21,7 +22,12 @@ from blockeq.characterization import (
     generate_with_alphamin,
     verify_certificate,
 )
-from blockeq.errors import DisconnectedError, NoCutVertexError, PreconditionViolatedError
+from blockeq.errors import (
+    DisconnectedError,
+    ExhaustedRetriesError,
+    NoCutVertexError,
+    PreconditionViolatedError,
+)
 from blockeq.families import (
     clique_with_pendant_cliques,
     complete_graph,
@@ -187,6 +193,49 @@ class TestGenerate:
         g1, c1 = generate_with_alphamin(4, max_clique=3, seed=99)
         g2, c2 = generate_with_alphamin(4, max_clique=3, seed=99)
         assert g1 == g2 and c1 == c2
+
+    def test_matches_the_build_then_check_reference(self, monkeypatch):
+        """Deciding each attempt on g keeps exactly the attempts that the
+        build-then-check loop (`brutes.generate_with_alphamin_by_building`)
+        keeps, and builds only those: the same graph and certificate for
+        120 seeds with r up to 30 and max_clique 2-6.  The corpus holds
+        every kind, a twin that falls back to one clique and a star
+        extension."""
+        builds = []
+
+        def counted(g, anchors, sizes):
+            builds.append(anchors)
+            return _attach_cliques(g, anchors, sizes)
+
+        def outcome(gen, r, max_clique, seed):
+            try:
+                return gen(r, max_clique=max_clique, seed=seed)
+            except ExhaustedRetriesError as e:
+                return str(e)
+
+        rng = random.Random(25)
+        kinds, fallbacks, extensions = set(), 0, 0
+        for seed in range(120):
+            r, max_clique = rng.randint(1, 30), rng.randint(2, 6)
+            want = outcome(brutes.generate_with_alphamin_by_building, r, max_clique, seed)
+            builds.clear()
+            with monkeypatch.context() as m:
+                m.setattr(characterization, "_attach_cliques", counted)
+                got = outcome(generate_with_alphamin, r, max_clique, seed)
+            assert got == want, (r, max_clique, seed)
+            if isinstance(got, str):
+                continue
+            g, cert = got
+            assert g.edges() == want[0].edges() and len(builds) == len(cert.steps)
+            cur = cert.base_graph
+            for op in cert.steps:
+                kinds.add(op.kind)
+                extensions += op.star_extension is not None
+                anchors, _ = characterization._plan(cur, 0, op)
+                fallbacks += len(op.anchors) == 2 and sum(a < cur.n for a in anchors) == 1
+                cur = apply_operation(cur, 0, op)
+        assert kinds == set(OpKind)
+        assert fallbacks > 0 and extensions > 0
 
     def test_steps_strictly_grow(self):
         g, cert = generate_with_alphamin(5, max_clique=4, seed=7)

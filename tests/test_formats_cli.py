@@ -272,6 +272,19 @@ class TestCli:
         for record in report["violations"]:
             assert record["edges"] == [list(e) for e in graphs[record["graph"]].edges()]
 
+    def test_verify_checks_the_graph_count(self, monkeypatch, capsys):
+        # a generator that drops one graph is a bug, caught by the closed-form count
+        def one_short(max_n):
+            stream = generate_block_graphs(max_n)
+            next(stream)
+            yield from stream
+
+        monkeypatch.setattr(cli, "generate_block_graphs", one_short)
+        assert cli.main(["verify", "dc-le-alphamin", "--max-n", "6"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: generator produced 38 graphs, the count gives 39\n"
+
     def test_fixpoint_failure_exits_three(self, instance_file, monkeypatch, capsys):
         # a broken postcondition of the library is a bug, not bad input
         def stuck(g, stats=None):

@@ -4,6 +4,7 @@ import pytest
 
 from blockeq import invariants as inv
 from blockeq import oracle
+from blockeq.characterization import _attach_cliques, _grown_alpha_with, generate_with_alphamin
 from blockeq.errors import (
     EmptyGraphError,
     UnknownVertexError,
@@ -253,6 +254,50 @@ class TestAlphaPassLeftOut:
                 for v, w in id_map.items():
                     assert table.alpha_with[v] == oracle.brute_alpha_with(sub, w)
                     assert table.ais[v] == (w in core), (g.edges(), left_out, v)
+
+
+class TestAlphaPassBonus:
+    def test_matches_the_built_graph(self, graphs_up_to_10):
+        """Structures hung from g's vertices, passed as (x, d_inc, d_exc):
+        plain cliques (0, 1), alone or two at once as in a twin attach, and
+        a 2-block {w1, w2} extended at w2 (1, 1).  One pass over g's forest
+        gives the built graph's alpha, its alpha_with on g's vertices, and
+        in exc[w1] its alpha_with at w2; `_grown_alpha_with` gives every
+        vertex's.  Checked against brute force where the built graph has
+        at most 9 vertices."""
+        rng = random.Random(25)
+        hosts = [g for g in graphs_up_to_10 if g.n <= 7] + rng.sample(graphs_up_to_10, 400)
+        hosts += [generate_with_alphamin(r, seed=r)[0] for r in range(2, 30)]
+        brute_checked = 0
+        for g in hosts:
+            for _ in range(3):
+                n_plain = rng.randint(0, 2)
+                pairs = [(rng.randrange(g.n), rng.randint(2, 4)) for _ in range(n_plain)]
+                bonus = [(a, 0, 1) for a, _ in pairs]
+                extended = n_plain == 0 or rng.random() < 0.5
+                if extended:
+                    w1, pos = rng.randrange(g.n), rng.randint(0, n_plain)
+                    pairs.insert(pos, (w1, 2))
+                    bonus.append((w1, 1, 1))
+                anchors = tuple(a for a, _ in pairs)
+                sizes = tuple(s for _, s in pairs)
+                if extended:
+                    w2 = g.n + sum(s - 1 for s in sizes[:pos])
+                    anchors, sizes = anchors + (w2,), sizes + (rng.randint(2, 3),)
+                grown = _attach_cliques(g, anchors, sizes)
+                table = inv._alpha_pass(g, bonus=bonus)
+                want = [inv.alpha_with(grown, u) for u in range(grown.n)]
+                case = (g.edges(), anchors, sizes)
+                assert table.alpha == inv.alpha(grown), case
+                assert table.alpha_with == want[:g.n], case
+                if extended:
+                    assert table.exc[w1] == want[w2], case
+                assert _grown_alpha_with(g, anchors, sizes) == want, case
+                if grown.n <= 9:
+                    assert table.alpha == oracle.brute_alpha(grown), case
+                    assert want == [oracle.brute_alpha_with(grown, u) for u in range(grown.n)], case
+                    brute_checked += 1
+        assert brute_checked > 100
 
 
 class TestBoundsReport:
