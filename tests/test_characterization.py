@@ -225,8 +225,8 @@ class TestGenerate:
             assert got == want, (r, max_clique, seed)
             if isinstance(got, str):
                 continue
-            g, cert = got
-            assert g.edges() == want[0].edges() and len(builds) == len(cert.steps)
+            cert = got[1]
+            assert len(builds) == len(cert.steps)
             cur = cert.base_graph
             for op in cert.steps:
                 kinds.add(op.kind)
