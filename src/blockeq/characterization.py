@@ -16,9 +16,18 @@ extended by E).  A candidate last step is one piece, or a twin attach
 of two pieces; which operation kind rebuilt it is then read off the
 guards, so the search lists no operation shapes of its own.  Whether a
 candidate lowers alpha_min by exactly one while v keeps realizing it is
-decided on the current state graph before the shrunken graph is built:
-a piece passes when every maximum independent set of G - N[v] meets it,
-and a twin gets one alpha pass with both pieces left out.
+decided on the current state: a piece passes when every maximum
+independent set of G[S] - N[v] meets it, and a twin gets one alpha pass
+with both pieces left out.
+
+The search runs on g's own blocks and builds no subgraph.  Every state
+S is a union of whole blocks of g (a piece is a pendant block minus its
+anchor), so a state is the list of g's blocks that miss the removed
+vertices, in g's vertex ids (`_State`): its decomposition is built from
+that list, its clique levels are peeled from it when a guard reads
+them, and its alpha tables are passes over g's forest with V - S left
+out.  The search keeps its path on an explicit stack, so its depth is
+not bounded by the recursion limit.
 
 Guard evaluation graphs are pinned clause by clause: structural guards
 (cut/pendant/level/simplicial counts) are read off the pre-attachment
@@ -31,10 +40,9 @@ from __future__ import annotations
 
 import logging
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Optional, Tuple
 
 from . import invariants
@@ -48,7 +56,8 @@ from .errors import (
 from .families import star_of_cliques
 from .graph import (
     BlockGraph,
-    clique_levels,
+    _indexed,
+    _peel,
     clique_star_center,
     decompose,
 )
@@ -133,12 +142,53 @@ def _block_roots(deco, lv, qi):
     return tuple(sorted(deco.blocks[qi] & deco.cut_vertices))
 
 
-def _levels(g: BlockGraph):
-    """clique_levels(g); a graph that has none fails the step's guards."""
-    try:
-        return clique_levels(g)
-    except (DisconnectedError, EdgelessError) as e:
-        raise PreconditionViolatedError("no-clique-levels", str(e)) from None
+class _State:
+    """A graph G[S] made of whole blocks of g, in g's vertex ids, as the
+    guards of a step at base vertex v read it: g itself while it grows
+    or replays, or a reverse-search state.  `deco` is its decomposition
+    and `out` is V - S.  G[S] is never built: its clique levels are
+    peeled from `deco`, N(v) lies in S, so it is g's, and the residual
+    alpha table is one alpha pass over g's forest with `out` and N[v]
+    left out, each made when first read."""
+
+    __slots__ = ("g", "v", "deco", "out", "_levels", "_residual")
+
+    def __init__(self, g: BlockGraph, v: int, deco=None, out=frozenset()):
+        self.g = g
+        self.v = v
+        self.deco = decompose(g) if deco is None else deco
+        self.out = out
+        self._levels = None
+        self._residual = None
+
+    def without(self, removed):
+        """The state left when `removed`, a union of pieces, is taken out:
+        the blocks that miss it.  A piece is a pendant block minus the
+        vertex it hangs from, so the blocks that meet it lie inside it,
+        but for that vertex."""
+        blocks = tuple(b for b in self.deco.blocks if b.isdisjoint(removed))
+        return _State(self.g, self.v, _indexed(blocks), self.out | removed)
+
+    def levels(self):
+        """The clique levels; a graph that has none fails the step's guards."""
+        if self._levels is None:
+            try:
+                self._levels = _peel(self.deco)
+            except (DisconnectedError, EdgelessError) as e:
+                raise PreconditionViolatedError("no-clique-levels", str(e)) from None
+        return self._levels
+
+    def residual(self):
+        """The alpha table of G[S] - N[v], indexed by g's vertex ids."""
+        if self._residual is None:
+            self._residual = invariants._alpha_pass(
+                self.g, chain(self.out, self.g.closed_neighborhood(self.v)))
+        return self._residual
+
+    def locks(self, x):
+        """Whether x is v, or is outside N(v) and in every maximum
+        independent set of G[S] - N[v]."""
+        return x == self.v or (x not in self.g.neighbors(self.v) and self.residual().ais[x])
 
 
 def _in_pendant_block(deco, x):
@@ -152,11 +202,6 @@ def _in_level2_k2(deco, lv, x):
     return any(lv.levels.get(qi) == 2 and len(blocks[qi]) == 2 for qi in deco._vertex_blocks[x])
 
 
-def _v_locks(g, v, x):
-    """Whether x is v, or is outside N(v) and in every maximum independent set of G - N[v]."""
-    return x == v or (x not in g.neighbors(v) and invariants._residual_alpha_table(g, v).ais[x])
-
-
 def _level3_misfit(deco, lv, qi):
     """The first level-2 block meeting the level-3 block qi that is not a
     2-block, unless some root of qi lies in every such block; else None."""
@@ -167,17 +212,18 @@ def _level3_misfit(deco, lv, qi):
     return None
 
 
-def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
+def _guards_ok(at: _State, kind: OpKind, anchors):
     """Check every structural guard of a `kind` step at `anchors` against
-    g (the graph being grown).  Returns the possible roots of the
-    twin-attach block when relevant.  Raises PreconditionViolatedError
-    with the failed clause."""
-    deco = decompose(g)
+    `at` (the graph being grown, at base vertex at.v).  Reads its
+    decomposition, its clique levels for kinds 2-5, and kind 2's v-lock.
+    Returns the possible roots of the twin-attach block when relevant.
+    Raises PreconditionViolatedError with the failed clause."""
+    deco = at.deco
     cuts = deco.cut_vertices
 
     if kind is OpKind.ATTACH_AT_PENDANT_CUT:
         x = anchors[0]
-        if x == v:
+        if x == at.v:
             raise PreconditionViolatedError("op1-anchor-is-base", f"anchor {x} equals v")
         if x not in cuts:
             raise PreconditionViolatedError("op1-anchor-not-cut", f"{x} is simplicial")
@@ -189,9 +235,9 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
         x = anchors[0]
         if x not in cuts:
             raise PreconditionViolatedError("op2-anchor-not-cut", f"{x} is simplicial")
-        if not _in_level2_k2(deco, _levels(g), x):
+        if not _in_level2_k2(deco, at.levels(), x):
             raise PreconditionViolatedError("op2-no-level2-k2", f"{x} in no level-2 2-block")
-        if _v_locks(g, v, x):
+        if at.locks(x):
             raise PreconditionViolatedError("op2-anchor-v-ais", f"{x} locked into v's maximum sets")
         return None
 
@@ -207,7 +253,7 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
     if len(qis) != 1:  # only a twin attach takes two anchors
         raise PreconditionViolatedError("op4-anchors-split", "anchors in different blocks")
     (qi,) = qis
-    lv = _levels(g)
+    lv = at.levels()
     level = lv.levels.get(qi)
     simps = deco.blocks[qi] - cuts
 
@@ -242,10 +288,10 @@ def _guards_ok(g: BlockGraph, v: int, kind: OpKind, anchors):
     return _block_roots(deco, lv, qi)
 
 
-def _accepts(g: BlockGraph, v: int, kind: OpKind, anchors) -> bool:
-    """Whether every structural guard of a `kind` step at `anchors` passes on g."""
+def _accepts(at: _State, kind: OpKind, anchors) -> bool:
+    """Whether every structural guard of a `kind` step at `anchors` passes on `at`."""
     try:
-        _guards_ok(g, v, kind, anchors)
+        _guards_ok(at, kind, anchors)
     except PreconditionViolatedError:
         return False
     return True
@@ -264,9 +310,9 @@ def _attach_cliques(g: BlockGraph, anchors, sizes):
     return BlockGraph._from_blocks(nxt, blocks)
 
 
-def _plan(g: BlockGraph, v: int, op: OpDescriptor):
+def _plan(at: _State, op: OpDescriptor):
     """The (anchors, sizes) pairs that `_attach_cliques` builds for one
-    growth step on g, after the twin fallback and with the extension
+    growth step on g = at.g at base vertex v = at.v, after the twin fallback and with the extension
     clique last; raises PreconditionViolatedError on any failed guard.
     The clauses stated on the grown graph are decided on g.
 
@@ -292,11 +338,12 @@ def _plan(g: BlockGraph, v: int, op: OpDescriptor):
     realizes the largest set avoiding w1 (`_grown_alpha_with`).
     """
     op.check_shape()
+    g, v = at.g, at.v
     g._check_vertex(v)
     for a in op.anchors:
         if not 0 <= a < g.n:
             raise PreconditionViolatedError("anchor-unknown", f"anchor {a} outside 0..{g.n - 1}")
-    roots = _guards_ok(g, v, op.kind, op.anchors)
+    roots = _guards_ok(at, op.kind, op.anchors)
     anchors, sizes = op.anchors, op.sizes
 
     if op.kind is OpKind.TWIN_ATTACH and len(anchors) == 2:
@@ -326,7 +373,7 @@ def _plan(g: BlockGraph, v: int, op: OpDescriptor):
 def apply_operation(g: BlockGraph, v: int, op: OpDescriptor) -> BlockGraph:
     """One growth step, built as one graph from its plan (`_plan`);
     raises PreconditionViolatedError on any failed guard."""
-    return _attach_cliques(g, *_plan(g, v, op))
+    return _attach_cliques(g, *_plan(_State(g, v), op))
 
 
 def _grown_alpha_with(g: BlockGraph, anchors, sizes):
@@ -380,9 +427,9 @@ def verify_certificate(cert: CharCertificate) -> CertCheck:
     return CertCheck(True, None, None, tuple(trace))
 
 
-def _candidate_ops(g: BlockGraph, v: int):
-    """Every (kind, anchors) pair that `_guards_ok` accepts for one step,
-    in this order: each cut vertex for kinds 1 and 2; then per block,
+def _candidate_ops(at: _State):
+    """Every (kind, anchors) pair that `_guards_ok` accepts for one step
+    on `at`, in this order: each cut vertex for kinds 1 and 2; then per block,
     each simplicial vertex for kind 3, each ordered pair and each single
     one for the twin attach, and each one for kind 5.
 
@@ -391,17 +438,17 @@ def _candidate_ops(g: BlockGraph, v: int):
     the anchors' block (and that twin anchors differ): its level and
     simplicial count pick at most one of them.  With no clique levels
     (one vertex, or disconnected) kinds 2-5 all fail."""
-    deco = decompose(g)
+    deco = at.deco
     cuts = deco.cut_vertices
     try:
-        lv = clique_levels(g)
-    except (DisconnectedError, EdgelessError):
+        lv = at.levels()
+    except PreconditionViolatedError:
         lv = None
     out = []
     for x in sorted(cuts):
-        if x != v and _in_pendant_block(deco, x):
+        if x != at.v and _in_pendant_block(deco, x):
             out.append((OpKind.ATTACH_AT_PENDANT_CUT, (x,)))
-        if lv is not None and _in_level2_k2(deco, lv, x) and not _v_locks(g, v, x):
+        if lv is not None and _in_level2_k2(deco, lv, x) and not at.locks(x):
             out.append((OpKind.ATTACH_AT_LEVEL2_K2_CUT, (x,)))
     if lv is None:
         return out
@@ -451,7 +498,8 @@ def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = No
     steps = []
     for i in range(1, r):
         target = i + 1
-        cands = _candidate_ops(g, 0)
+        at = _State(g, 0)
+        cands = _candidate_ops(at)
         if not cands:
             raise ExhaustedRetriesError(f"no candidate operations at step {i}")
         for _ in range(_RETRIES):
@@ -463,7 +511,7 @@ def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = No
                 ext = StarExtension(rng.choice(k2s), size())
             op = OpDescriptor(kind, anchors, sizes, ext)
             try:
-                plan = _plan(g, 0, op)
+                plan = _plan(at, op)
             except PreconditionViolatedError:
                 continue
             if len(plan[0]) == 1 and aw[plan[0][0]] == i:
@@ -491,15 +539,14 @@ class _Reverse:
     sizes: Tuple[int, ...]
     ext: Optional[StarExtension]
     fresh: Tuple[int, ...]  # removed vertices, in the order replay creates them
+    removed: frozenset = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def removed(self):
-        return frozenset(self.fresh)
+    def __post_init__(self):
+        object.__setattr__(self, "removed", frozenset(self.fresh))
 
 
-def _reverse_candidates(g, v, sub, hosts):
-    """Last-step removal candidates at a state S, read off G[S] (`sub`,
-    whose vertex i is g's vertex hosts[i]).
+def _reverse_candidates(S: _State):
+    """Last-step removal candidates at a state S, read off its blocks.
 
     A piece is what one attached clique added: a pendant block of G[S]
     without the vertex it hangs from; or such a block E at w2 together
@@ -510,19 +557,18 @@ def _reverse_candidates(g, v, sub, hosts):
     which at most one is extended and goes first.  A plain pair is
     listed once, smaller anchor first: the guards are symmetric in the
     two anchors."""
-    deco = decompose(sub)
-    nv = g.closed_neighborhood(v)
+    g, deco = S.g, S.deco
+    nv = g.closed_neighborhood(S.v)
     pieces = []
     for qi in deco.pendant_block_indices():
         block = deco.blocks[qi]
         x = next(iter(block & deco.cut_vertices))
-        fresh = tuple(sorted(hosts[u] for u in block - {x}))
-        pieces.append(_Reverse(None, (hosts[x],), (len(block),), None, fresh))
+        fresh = tuple(sorted(block - {x}))
+        pieces.append(_Reverse(None, (x,), (len(block),), None, fresh))
         other = [deco.blocks[qj] for qj in deco._vertex_blocks[x] if qj != qi]
         if len(other) == 1 and len(other[0]) == 2:
             (w1,) = other[0] - {x}
-            pieces.append(_Reverse(None, (hosts[w1],), (2,), StarExtension(0, len(block)),
-                                   (hosts[x],) + fresh))
+            pieces.append(_Reverse(None, (w1,), (2,), StarExtension(0, len(block)), (x,) + fresh))
     pieces = [p for p in pieces if p.removed.isdisjoint(nv)]
 
     cands = list(pieces)
@@ -541,10 +587,10 @@ def _reverse_candidates(g, v, sub, hosts):
     return cands
 
 
-def _steps_down(sub, smap, v, am, cand):
-    """Whether removing `cand` from G[S] (`sub`, with host-to-sub ids
-    `smap`), where v realizes alpha_min(G[S]) = am, leaves
-    alpha_min(G[T]) = alpha_with(G[T], v) = am - 1.  G[T] is not built.
+def _steps_down(S: _State, am, cand):
+    """Whether removing `cand` from the state S, where v realizes
+    alpha_min(G[S]) = am, leaves alpha_min(G[T]) = alpha_with(G[T], v)
+    = am - 1.  Neither graph is built.
 
     A single piece is one clique, so removing it lowers each alpha_with
     by at most one and only v's value needs checking: it drops exactly
@@ -553,32 +599,32 @@ def _steps_down(sub, smap, v, am, cand):
     meets.  A plain piece hanging from x is a whole component of
     G[S] - N[v] when x is next to v, and otherwise is avoided exactly by
     the maximum sets through x.  A twin removes two cliques and gets one
-    alpha pass over G[S] with them left out."""
-    sv = smap[v]
+    alpha pass over g's forest with V - S and both left out."""
+    g, v = S.g, S.v
     if cand.kind is OpKind.TWIN_ATTACH:
-        removed = {smap[u] for u in cand.removed}
-        table = invariants._alpha_pass(sub, removed)
-        kept_min = min(a for u, a in enumerate(table.alpha_with) if u not in removed)
-        return table.alpha_with[sv] == kept_min == am - 1
+        removed = cand.removed
+        table = invariants._alpha_pass(g, chain(S.out, removed))
+        aw = table.alpha_with
+        kept_min = min(aw[u] for u in S.deco._vertex_blocks if u not in removed)
+        return aw[v] == kept_min == am - 1
     if cand.ext is not None:
         return True
-    x = smap[cand.anchors[0]]
-    if x in sub.neighbors(sv):
+    x = cand.anchors[0]
+    if x in g.neighbors(v):
         return True
-    table = invariants._residual_alpha_table(sub, sv)
+    table = S.residual()
     return table.alpha_with[x] < table.alpha
 
 
-def _resolve_kind(tsub, tmap, v, cand):
-    """First kind whose replay on the shrunken graph G[T] (`tsub`, with
-    host-to-sub ids `tmap`) rebuilds every removed vertex, for a
-    candidate that passed `_steps_down`; None when no kind does.
-    Nothing is replayed: the candidate's sizes and extension add exactly
-    its removed vertices, and a twin that passes the step rule never
-    falls back to one clique, so the kind is the first whose guards pass
-    on G[T]; two anchors can only be a twin.  The extension clause
-    `ext-anchor-v-ais` needs w1 = v, which would put the removed w2 in
-    N[v], so it cannot fire.
+def _resolve_kind(T: _State, cand):
+    """First kind whose replay on the shrunken state T rebuilds every
+    removed vertex, for a candidate that passed `_steps_down`; None when
+    no kind does.  Nothing is replayed: the candidate's sizes and
+    extension add exactly its removed vertices, and a twin that passes
+    the step rule never falls back to one clique, so the kind is the
+    first whose guards pass on T; two anchors can only be a twin.  The
+    extension clause `ext-anchor-v-ais` needs w1 = v, which would put
+    the removed w2 in N[v], so it cannot fire.
 
     Why no twin falls back.  The kind-4 guard makes the twin anchors a
     and b simplicial in one block of G[T], so each root z of it is next
@@ -589,40 +635,50 @@ def _resolve_kind(tsub, tmap, v, cand):
     set of X - {a, b} that avoids z.  Extended twin (2-block at a): b
     lies in every maximum set I of X, and I - b is a maximum set of
     X - {a, b} that avoids z."""
-    anchors = tuple(tmap[a] for a in cand.anchors)
-    kinds = (OpKind.TWIN_ATTACH,) if len(anchors) == 2 else OpKind
-    return next((kind for kind in kinds if _accepts(tsub, tmap[v], kind, anchors)), None)
+    kinds = (OpKind.TWIN_ATTACH,) if len(cand.anchors) == 2 else OpKind
+    return next((kind for kind in kinds if _accepts(T, kind, cand.anchors)), None)
 
 
 def _reverse_search(g: BlockGraph, v: int, target: int):
     """Growth records that shrink g to the clique-star around v, one
-    alpha_min step at a time, or None when no sequence exists."""
-    base_set = frozenset(g.closed_neighborhood(v))
-    failed = set()
+    alpha_min step at a time, or None when no sequence exists.
 
-    def search(S, sub, hosts, smap, am):
-        if S == base_set:
-            return []
-        if S in failed:
-            return None
-        for cand in _reverse_candidates(g, v, sub, hosts):
-            if not _steps_down(sub, smap, v, am, cand):
+    Every state is a union of whole blocks of g: a piece is a pendant
+    block minus its anchor, so a state keeps the blocks that miss the
+    removed vertices, and stays connected.  A depth-first search on an
+    explicit stack: each frame is a state, its alpha_min and what is
+    left of its candidates; a state whose candidates all fail joins
+    `failed` and is never entered again."""
+    base_size = len(g.closed_neighborhood(v))
+    if g.n == base_size:
+        return []
+    failed = set()
+    root = _State(g, v)
+    frames = [(root, target, iter(_reverse_candidates(root)))]
+    records = []  # records[i] leads from frames[i] to frames[i + 1]
+    while frames:
+        S, am, cands = frames[-1]
+        for cand in cands:
+            if not _steps_down(S, am, cand):
                 continue
-            T = S - cand.removed
-            thosts = sorted(T)
-            # a piece hangs from one vertex, so G[T] stays connected
-            tsub, tmap = g.induced_subgraph(thosts)
-            kind = _resolve_kind(tsub, tmap, v, cand)
+            T = S.without(cand.removed)
+            kind = _resolve_kind(T, cand)
             if kind is None:
                 continue
-            rest = search(T, tsub, thosts, tmap, am - 1)
-            if rest is not None:
-                return rest + [replace(cand, kind=kind)]
-        failed.add(S)
-        return None
-
-    ids = range(g.n)
-    return search(frozenset(ids), g, ids, {u: u for u in ids}, target)
+            if T.out in failed:
+                continue
+            records.append(replace(cand, kind=kind))
+            # N[v] lies in every state, so T is the base when it is that small
+            if len(T.deco._vertex_blocks) == base_size:
+                return records[::-1]
+            frames.append((T, am - 1, iter(_reverse_candidates(T))))
+            break
+        else:
+            failed.add(S.out)
+            frames.pop()
+            if records:
+                records.pop()
+    return None
 
 
 def find_decomposition(g: BlockGraph) -> Optional[CharCertificate]:

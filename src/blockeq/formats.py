@@ -109,9 +109,12 @@ def certificate_from_json_dict(d: dict) -> CharCertificate:
             raise ValueError(f"step {i} extension must be an object or null, got {ext!r}")
         if ext is not None:
             require_object(ext, f"step {i} extension", ("clique_index", "size"))
+        kind = require_int(s["kind"], f"step {i} kind")
+        if not 1 <= kind <= len(OpKind):  # the kinds are numbered 1..5
+            raise ValueError(f"step {i} kind must be in 1..{len(OpKind)}, got {kind}")
         steps.append(
             OpDescriptor(
-                OpKind(require_int(s["kind"], f"step {i} kind")),
+                OpKind(kind),
                 require_ints(s["anchors"], f"step {i} anchors"),
                 require_ints(s["sizes"], f"step {i} sizes"),
                 StarExtension(
@@ -120,6 +123,9 @@ def certificate_from_json_dict(d: dict) -> CharCertificate:
                 ) if ext is not None else None,
             )
         )
+    if "r" in d and require_int(d["r"], "r") != len(steps) + 1:
+        raise ValueError(f"certificate r is {d['r']}, but its step count {len(steps)} "
+                         f"gives r = {len(steps) + 1}")
     base = graph_from_json_dict(d["base_graph"], "base_graph")
     # bounded before any replay: a clique or extension of size s adds s - 1 vertices
     sizes = [s for op in steps for s in op.sizes]

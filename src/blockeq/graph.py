@@ -222,10 +222,7 @@ class BlockGraph:
         return comps
 
     def is_connected(self):
-        # the vertex-block incidence graph is a forest with as many
-        # components as g: vertices + blocks - incidences
-        blocks = decompose(self).blocks
-        return self.n + len(blocks) - sum(map(len, blocks)) <= 1
+        return decompose(self).is_connected()
 
     # -- induced-subgraph surgery ----------------------------------------
 
@@ -315,12 +312,24 @@ class BlockDecomposition:
     def max_block_size(self):
         return max(map(len, self.blocks), default=0)
 
+    def is_connected(self):
+        """Whether the blocks make one connected graph (or none)."""
+        # the vertex-block incidence graph is a forest with as many
+        # components as the graph: vertices + blocks - incidences
+        blocks = self.blocks
+        return len(self._vertex_blocks) + len(blocks) - sum(map(len, blocks)) <= 1
+
 
 def _decomposition(blocks):
-    """The BlockDecomposition of a block list, in any order.  Blocks are
-    sorted by their sorted members; the cut vertices are the vertices
-    that lie in two or more blocks."""
-    blocks = tuple(sorted(blocks, key=sorted))
+    """The BlockDecomposition of a block list, in any order: blocks are
+    sorted by their sorted members (`_indexed`)."""
+    return _indexed(tuple(sorted(blocks, key=sorted)))
+
+
+def _indexed(blocks):
+    """The BlockDecomposition of a block tuple that is already in
+    `_decomposition`'s order, such as part of one; the cut vertices are
+    the vertices that lie in two or more blocks."""
     vertex_blocks = {}
     cuts = set()
     for i, b in enumerate(blocks):
@@ -363,21 +372,27 @@ def clique_levels(g: BlockGraph) -> LevelAssignment:
     Pendant cliques of the current residual get the current level, then
     their simplicial vertices are deleted and the process repeats.  The
     residual is always a union of whole blocks, so one pass over the
-    block-cut tree does the peeling: it counts the unpeeled blocks
-    through each vertex, and a block is pendant once at most one of its
-    vertices lies in two or more of them.
+    block-cut tree does the peeling (`_peel`), cached on the graph.
     """
-    if g._levels is not None:
-        return g._levels
-    if not g.is_connected():
+    if g._levels is None:
+        g._levels = _peel(decompose(g))
+    return g._levels
+
+
+def _peel(deco: BlockDecomposition) -> LevelAssignment:
+    """The clique levels of the graph that deco's blocks make, in its own
+    vertex ids, which need not be 0..n-1: the peel counts the unpeeled
+    blocks through each vertex of the vertex-to-blocks index, and a block
+    is pendant once at most one of its vertices lies in two or more of
+    them."""
+    if not deco.is_connected():
         raise DisconnectedError("clique levels are defined for connected graphs")
-    deco = decompose(g)
     # a connected graph has an edge exactly when it has a block of two
     if deco.max_block_size() < 2:
         raise EdgelessError("clique levels require at least one edge")
 
     blocks, vertex_blocks = deco.blocks, deco._vertex_blocks
-    live = [len(vertex_blocks[v]) for v in range(g.n)]
+    live = {v: len(ix) for v, ix in vertex_blocks.items()}
     shared = [len(b & deco.cut_vertices) for b in blocks]
     levels = {}
     roots = {}
@@ -404,8 +419,7 @@ def clique_levels(g: BlockGraph) -> LevelAssignment:
     if len(levels) != len(blocks):
         raise AssertionError("peeling made no progress")
     # the last round peels one residual clique, or cliques around one vertex
-    g._levels = LevelAssignment(levels, roots, roots[peeled[0]], rounds)
-    return g._levels
+    return LevelAssignment(levels, roots, roots[peeled[0]], rounds)
 
 
 def clique_star_center(g: BlockGraph) -> Optional[int]:

@@ -2,6 +2,7 @@
 from the package so the library never accidentally leans on them."""
 
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
 
 from blockeq import invariants
@@ -11,9 +12,12 @@ from blockeq.characterization import (
     OpDescriptor,
     OpKind,
     StarExtension,
+    _accepts,
     _attach_cliques,
     _candidate_ops,
     _guards_ok,
+    _Reverse,
+    _State,
     apply_operation,
 )
 from blockeq.errors import ExhaustedRetriesError, PreconditionViolatedError
@@ -320,7 +324,7 @@ def candidate_ops_per_shape(g, v):
     out = []
     for kind, anchors in shapes:
         try:
-            _guards_ok(g, v, kind, anchors)
+            _guards_ok(_State(g, v), kind, anchors)
         except PreconditionViolatedError:
             continue
         out.append((kind, anchors))
@@ -333,7 +337,7 @@ def twin_falls_back_by_double_attach(g, v, anchors, sizes):
     the double attach, and test that every root of the anchors' block is
     v, or lies outside N(v) and in every maximum independent set of the
     grown graph through v."""
-    roots = _guards_ok(g, v, OpKind.TWIN_ATTACH, anchors)
+    roots = _guards_ok(_State(g, v), OpKind.TWIN_ATTACH, anchors)
     grown = _attach_cliques(g, anchors, sizes)
     return all(z == v or (z not in grown.neighbors(v) and is_v_ais(grown, v, z)) for z in roots)
 
@@ -351,7 +355,7 @@ def generate_with_alphamin_by_building(r, max_clique=4, seed=None):
     steps = []
     for i in range(1, r):
         target = i + 1
-        cands = _candidate_ops(g, 0)
+        cands = _candidate_ops(_State(g, 0))
         if not cands:
             raise ExhaustedRetriesError(f"no candidate operations at step {i}")
         for _ in range(_RETRIES):
@@ -376,3 +380,119 @@ def generate_with_alphamin_by_building(r, max_clique=4, seed=None):
         else:
             raise ExhaustedRetriesError(f"no accepted operation within {_RETRIES} tries at step {i}")
     return g, CharCertificate(base, 0, tuple(steps))
+
+
+def _reverse_candidates_of_subgraph(g, v, sub, hosts):
+    """Last-step removal candidates at a state S, read off G[S] (`sub`,
+    whose vertex i is g's vertex hosts[i]).
+
+    A piece is what one attached clique added: a pendant block of G[S]
+    without the vertex it hangs from; or such a block E at w2 together
+    with w2, when w2's only other block is a 2-block {w1, w2} (anchor
+    w1, extended by E).  No piece meets N[v].  A candidate is one piece,
+    or a twin attach of two pieces with distinct adjacent anchors,
+    disjoint removals and neither anchor in the other's removal, of
+    which at most one is extended and goes first.  A plain pair is
+    listed once, smaller anchor first: the guards are symmetric in the
+    two anchors."""
+    deco = decompose(sub)
+    nv = g.closed_neighborhood(v)
+    pieces = []
+    for qi in deco.pendant_block_indices():
+        block = deco.blocks[qi]
+        x = next(iter(block & deco.cut_vertices))
+        fresh = tuple(sorted(hosts[u] for u in block - {x}))
+        pieces.append(_Reverse(None, (hosts[x],), (len(block),), None, fresh))
+        other = [deco.blocks[qj] for qj in deco._vertex_blocks[x] if qj != qi]
+        if len(other) == 1 and len(other[0]) == 2:
+            (w1,) = other[0] - {x}
+            pieces.append(_Reverse(None, (hosts[w1],), (2,), StarExtension(0, len(block)),
+                                   (hosts[x],) + fresh))
+    pieces = [p for p in pieces if p.removed.isdisjoint(nv)]
+
+    cands = list(pieces)
+    for p, q in permutations(pieces, 2):
+        (a,), (b,) = p.anchors, q.anchors
+        # an extended piece goes first; a plain pair, smaller anchor first
+        if q.ext or (p.ext is None and a > b) or b not in g.neighbors(a):
+            continue
+        if p.removed & q.removed or a in q.removed or b in p.removed:
+            continue
+        # replay adds p's clique, then q's, then p's extension
+        n_p = 1 if p.ext else len(p.fresh)
+        cands.append(_Reverse(OpKind.TWIN_ATTACH, (a, b), p.sizes + q.sizes, p.ext,
+                              p.fresh[:n_p] + q.fresh + p.fresh[n_p:]))
+    cands.sort(key=lambda c: (len(c.removed), sorted(c.removed), c.anchors, c.sizes))
+    return cands
+
+
+def _steps_down_on_subgraph(sub, smap, v, am, cand):
+    """Whether removing `cand` from G[S] (`sub`, with host-to-sub ids
+    `smap`), where v realizes alpha_min(G[S]) = am, leaves
+    alpha_min(G[T]) = alpha_with(G[T], v) = am - 1.  G[T] is not built.
+
+    A single piece is one clique, so removing it lowers each alpha_with
+    by at most one and only v's value needs checking: it drops exactly
+    when every maximum independent set of G[S] - N[v] meets the piece.
+    An extended piece is a whole pendant block, which every such set
+    meets.  A plain piece hanging from x is a whole component of
+    G[S] - N[v] when x is next to v, and otherwise is avoided exactly by
+    the maximum sets through x.  A twin removes two cliques and gets one
+    alpha pass over G[S] with them left out."""
+    sv = smap[v]
+    if cand.kind is OpKind.TWIN_ATTACH:
+        removed = {smap[u] for u in cand.removed}
+        table = invariants._alpha_pass(sub, removed)
+        kept_min = min(a for u, a in enumerate(table.alpha_with) if u not in removed)
+        return table.alpha_with[sv] == kept_min == am - 1
+    if cand.ext is not None:
+        return True
+    x = smap[cand.anchors[0]]
+    if x in sub.neighbors(sv):
+        return True
+    table = invariants._residual_alpha_table(sub, sv)
+    return table.alpha_with[x] < table.alpha
+
+
+def _resolve_kind_on_subgraph(tsub, tmap, v, cand):
+    """First kind whose guards pass on the shrunken graph G[T] (`tsub`,
+    with host-to-sub ids `tmap`), as a whole graph; two anchors can only
+    be a twin."""
+    anchors = tuple(tmap[a] for a in cand.anchors)
+    kinds = (OpKind.TWIN_ATTACH,) if len(anchors) == 2 else OpKind
+    at = _State(tsub, tmap[v])
+    return next((kind for kind in kinds if _accepts(at, kind, anchors)), None)
+
+
+def reverse_search_by_subgraphs(g, v, target):
+    """Growth records that shrink g to the clique-star around v, or None:
+    the reverse search as a recursion that builds each state G[T] with
+    `induced_subgraph` and reads its candidates, step rule and kind off
+    the renumbered graph (`sub`, with `hosts` and the host-to-sub maps
+    `smap`, `tmap`)."""
+    base_set = frozenset(g.closed_neighborhood(v))
+    failed = set()
+
+    def search(S, sub, hosts, smap, am):
+        if S == base_set:
+            return []
+        if S in failed:
+            return None
+        for cand in _reverse_candidates_of_subgraph(g, v, sub, hosts):
+            if not _steps_down_on_subgraph(sub, smap, v, am, cand):
+                continue
+            T = S - cand.removed
+            thosts = sorted(T)
+            # a piece hangs from one vertex, so G[T] stays connected
+            tsub, tmap = g.induced_subgraph(thosts)
+            kind = _resolve_kind_on_subgraph(tsub, tmap, v, cand)
+            if kind is None:
+                continue
+            rest = search(T, tsub, thosts, tmap, am - 1)
+            if rest is not None:
+                return rest + [replace(cand, kind=kind)]
+        failed.add(S)
+        return None
+
+    ids = range(g.n)
+    return search(frozenset(ids), g, ids, {u: u for u in ids}, target)

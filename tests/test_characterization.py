@@ -13,6 +13,7 @@ from blockeq.characterization import (
     _resolve_kind,
     _reverse_candidates,
     _reverse_search,
+    _State,
     _steps_down,
     OpDescriptor,
     OpKind,
@@ -35,9 +36,18 @@ from blockeq.families import (
     star_of_cliques,
     two_triangles_sharing_a_vertex,
 )
-from blockeq.graph import BlockGraph, decompose, from_edge_list
+from blockeq.graph import BlockGraph, clique_levels, decompose, from_edge_list
 
 import brutes
+
+# two random graphs on which taking the first candidate that passes at
+# each state dead-ends at witness 0
+BACKTRACKING_GRAPHS = [
+    [[0, 1], [1, 2, 3], [2, 4, 5, 6], [2, 7, 8, 9], [9, 10], [0, 11, 12], [7, 13], [2, 14],
+     [8, 15], [6, 16, 17, 18], [5, 19, 20, 21], [0, 22, 23, 24], [14, 25], [12, 26]],
+    [[0, 1, 2], [1, 3], [3, 4, 5], [1, 6, 7], [7, 8, 9], [8, 10, 11, 12], [6, 13],
+     [7, 14, 15, 16], [1, 17, 18, 19], [0, 20, 21], [21, 22, 23, 24], [19, 25, 26], [14, 27]],
+]
 
 
 class TestApplyOperation:
@@ -138,7 +148,7 @@ class TestVerifyCertificate:
     def test_step_that_keeps_alpha_min_flat_is_rejected(self):
         g, cert = generate_with_alphamin(2, max_clique=3, seed=3)
         flat = None
-        for kind, anchors in _candidate_ops(g, 0):
+        for kind, anchors in _candidate_ops(_State(g, 0)):
             op = OpDescriptor(kind, anchors, tuple(2 for _ in anchors))
             try:
                 grown = apply_operation(g, 0, op)
@@ -231,7 +241,7 @@ class TestGenerate:
             for op in cert.steps:
                 kinds.add(op.kind)
                 extensions += op.star_extension is not None
-                anchors, _ = characterization._plan(cur, 0, op)
+                anchors, _ = characterization._plan(_State(cur, 0), op)
                 fallbacks += len(op.anchors) == 2 and sum(a < cur.n for a in anchors) == 1
                 cur = apply_operation(cur, 0, op)
         assert kinds == set(OpKind)
@@ -309,15 +319,9 @@ class TestFindDecomposition:
             assert cert is not None, perm
             assert cert.r == inv.alpha_min(g).value == 4
 
-    @pytest.mark.parametrize("blocks", [
-        [[0, 1], [1, 2, 3], [2, 4, 5, 6], [2, 7, 8, 9], [9, 10], [0, 11, 12], [7, 13], [2, 14],
-         [8, 15], [6, 16, 17, 18], [5, 19, 20, 21], [0, 22, 23, 24], [14, 25], [12, 26]],
-        [[0, 1, 2], [1, 3], [3, 4, 5], [1, 6, 7], [7, 8, 9], [8, 10, 11, 12], [6, 13],
-         [7, 14, 15, 16], [1, 17, 18, 19], [0, 20, 21], [21, 22, 23, 24], [19, 25, 26], [14, 27]],
-    ])
+    @pytest.mark.parametrize("blocks", BACKTRACKING_GRAPHS)
     def test_search_backtracks(self, blocks):
-        # taking the first candidate that passes at each state dead-ends
-        # at witness 0 on these graphs; the search must back up a step
+        # the search must back up a step at witness 0
         g = BlockGraph._from_blocks(max(map(max, blocks)) + 1, [frozenset(b) for b in blocks])
         assert _reverse_search(g, 0, inv.alpha_min(g).value) is not None
         assert verify_certificate(find_decomposition(g)).ok
@@ -332,91 +336,141 @@ class TestFindDecomposition:
         assert cert is not None and cert.r == 5
 
 
+def _witnesses(graphs):
+    """(g, v, alpha_min) for every graph with a cut vertex and every cut
+    vertex v that realizes alpha_min."""
+    for g in graphs:
+        deco = decompose(g)
+        am = inv.alpha_min(g).value if deco.cut_vertices else None
+        for v in sorted(deco.cut_vertices):
+            if inv.alpha_with(g, v) == am:
+                yield g, v, am
+
+
 def test_reverse_candidates_are_distinct(graphs_up_to_8):
     """No removal is offered twice: each (removed set, anchor set) occurs
     at most once among the candidates of the whole graph, at every cut
     vertex that realizes alpha_min."""
     checked = 0
-    for g in graphs_up_to_8:
-        deco = decompose(g)
-        if not deco.cut_vertices:
-            continue
-        am = inv.alpha_min(g).value
-        for v in sorted(deco.cut_vertices):
-            if inv.alpha_with(g, v) != am:
-                continue
-            keys = [(c.removed, frozenset(c.anchors))
-                    for c in _reverse_candidates(g, v, g, range(g.n))]
-            assert len(keys) == len(set(keys)), (g.edges(), v)
-            checked += len(keys)
+    for g, v, _ in _witnesses(graphs_up_to_8):
+        keys = [(c.removed, frozenset(c.anchors)) for c in _reverse_candidates(_State(g, v))]
+        assert len(keys) == len(set(keys)), (g.edges(), v)
+        checked += len(keys)
     assert checked > 0
 
 
 def test_step_down_rule_matches_the_built_graph(graphs_up_to_9):
-    """The reverse search's verdict on a candidate, read off G[S] alone,
-    equals alpha_min(G[T]) = alpha_with(G[T], v) = alpha_min(G[S]) - 1
-    computed on the built G[T], for every candidate at every cut vertex
-    v that realizes alpha_min."""
+    """The reverse search's verdict on a candidate, read off the state's
+    blocks alone, equals alpha_min(G[T]) = alpha_with(G[T], v) =
+    alpha_min(G[S]) - 1 computed on G[T] built by `induced_subgraph`,
+    for every candidate at every cut vertex v that realizes alpha_min."""
     verdicts = {}
-    for g in graphs_up_to_9:
-        deco = decompose(g)
-        if not deco.cut_vertices:
-            continue
-        am = inv.alpha_min(g).value
-        ids = {u: u for u in range(g.n)}
-        for v in sorted(deco.cut_vertices):
-            if inv.alpha_with(g, v) != am:
-                continue
-            for c in _reverse_candidates(g, v, g, range(g.n)):
-                tsub, tmap = g.induced_subgraph(set(range(g.n)) - c.removed)
-                built = inv.alpha_min(tsub).value == inv.alpha_with(tsub, tmap[v]) == am - 1
-                assert _steps_down(g, ids, v, am, c) == built, (g.edges(), v, c)
-                shape = "twin" if c.kind else "extended" if c.ext else "plain"
-                verdicts.setdefault(shape, set()).add(built)
+    for g, v, am in _witnesses(graphs_up_to_9):
+        S = _State(g, v)
+        for c in _reverse_candidates(S):
+            tsub, tmap = g.induced_subgraph(set(range(g.n)) - c.removed)
+            built = inv.alpha_min(tsub).value == inv.alpha_with(tsub, tmap[v]) == am - 1
+            assert _steps_down(S, am, c) == built, (g.edges(), v, c)
+            shape = "twin" if c.kind else "extended" if c.ext else "plain"
+            verdicts.setdefault(shape, set()).add(built)
     # twins and plain pieces both pass and fail; an extended piece always passes
     assert verdicts == {"twin": {False, True}, "plain": {False, True}, "extended": {True}}
 
 
 def test_kind_is_read_off_the_guards(graphs_up_to_10):
     """`_resolve_kind`, which replays nothing, names the kind that
-    replaying each kind in turn names (`brutes.resolve_kind_by_replay`),
-    for every candidate that passes `_steps_down` at every cut vertex v
-    that realizes alpha_min; the search asks about no other.  A twin
-    that passes never falls back to one clique on replay, while twins
-    the step rule drops do."""
+    replaying each kind in turn on G[T], built by `induced_subgraph`,
+    names (`brutes.resolve_kind_by_replay`), for every candidate that
+    passes `_steps_down` at every cut vertex v that realizes alpha_min;
+    the search asks about no other.  A twin that passes never falls back
+    to one clique on replay, while twins the step rule drops do."""
     seen = set()
-    for g in graphs_up_to_10:
-        deco = decompose(g)
-        if not deco.cut_vertices:
-            continue
-        am = inv.alpha_min(g).value
-        ids = {u: u for u in range(g.n)}
-        for v in sorted(deco.cut_vertices):
-            if inv.alpha_with(g, v) != am:
-                continue
-            for c in _reverse_candidates(g, v, g, range(g.n)):
-                steps = _steps_down(g, ids, v, am, c)
-                tsub, tmap = g.induced_subgraph(set(range(g.n)) - c.removed)
-                if steps:
-                    want = brutes.resolve_kind_by_replay(tsub, tmap, v, c)
-                    assert _resolve_kind(tsub, tmap, v, c) is want, (g.edges(), v, c)
-                    shape = "twin" if c.kind else "extended" if c.ext else "plain"
-                    seen.add((steps, shape, want is not None))
-                if c.kind:
-                    op = OpDescriptor(OpKind.TWIN_ATTACH, tuple(tmap[a] for a in c.anchors),
-                                      c.sizes, c.ext)
-                    try:
-                        grown = apply_operation(tsub, tmap[v], op)
-                    except PreconditionViolatedError:
-                        continue
-                    if grown.n < g.n:
-                        seen.add((steps, "extended twin" if c.ext else "twin", "fallback"))
+    for g, v, am in _witnesses(graphs_up_to_10):
+        S = _State(g, v)
+        for c in _reverse_candidates(S):
+            steps = _steps_down(S, am, c)
+            tsub, tmap = g.induced_subgraph(set(range(g.n)) - c.removed)
+            if steps:
+                want = brutes.resolve_kind_by_replay(tsub, tmap, v, c)
+                assert _resolve_kind(S.without(c.removed), c) is want, (g.edges(), v, c)
+                shape = "twin" if c.kind else "extended" if c.ext else "plain"
+                seen.add((steps, shape, want is not None))
+            if c.kind:
+                op = OpDescriptor(OpKind.TWIN_ATTACH, tuple(tmap[a] for a in c.anchors),
+                                  c.sizes, c.ext)
+                try:
+                    grown = apply_operation(tsub, tmap[v], op)
+                except PreconditionViolatedError:
+                    continue
+                if grown.n < g.n:
+                    seen.add((steps, "extended twin" if c.ext else "twin", "fallback"))
     # kept candidates resolve to a kind and to None, extended pieces among
     # them; twins, plain and extended, fall back only among dropped ones
     assert {(True, "plain", True), (True, "plain", False), (True, "extended", True),
             (True, "twin", True), (False, "twin", "fallback"),
             (False, "extended twin", "fallback")} <= seen
     assert not any(steps and tag == "fallback" for steps, _, tag in seen)
+
+
+def test_states_read_what_the_built_graph_has(graphs_up_to_9):
+    """Every state the reverse search can reach, a state T = S minus a
+    candidate that passes `_steps_down`, reads off g's own blocks what
+    G[T] built by `induced_subgraph` has, mapped back through its id_map:
+    the blocks, the cut vertices, the clique levels and roots, and the
+    alpha table of G[T] - N[v] on T's vertices outside N[v]."""
+    states = 0
+    for g, v, am in _witnesses(graphs_up_to_9):
+        nv = g.closed_neighborhood(v)
+        todo, seen = [(_State(g, v), am)], set()
+        while todo:
+            S, am_s = todo.pop()
+            for c in _reverse_candidates(S):
+                if not _steps_down(S, am_s, c):
+                    continue
+                T = S.without(c.removed)
+                if T.out in seen:
+                    continue
+                seen.add(T.out)
+                tsub, tmap = g.induced_subgraph(set(range(g.n)) - T.out)
+                back = {new: old for old, new in tmap.items()}
+                want = decompose(tsub)
+                assert T.deco.blocks == tuple(frozenset(back[u] for u in b) for b in want.blocks)
+                assert T.deco.cut_vertices == {back[u] for u in want.cut_vertices}
+                lv, want_lv = T.levels(), clique_levels(tsub)
+                assert lv.levels == want_lv.levels and lv.rounds == want_lv.rounds
+                assert lv.roots == {qi: back.get(z) for qi, z in want_lv.roots.items()}
+                assert lv.unleveled_singleton == back.get(want_lv.unleveled_singleton)
+                res = T.residual()
+                want_res = inv._residual_alpha_table(tsub, tmap[v])
+                assert res.alpha == want_res.alpha
+                for u in set(tmap) - nv:
+                    assert res.alpha_with[u] == want_res.alpha_with[tmap[u]], (g.edges(), v, u)
+                    assert res.ais[u] == want_res.ais[tmap[u]], (g.edges(), v, u)
+                states += 1
+                todo.append((T, am_s - 1))
+    assert states > 1000
+
+
+def test_search_matches_the_subgraph_reference(graphs_up_to_9):
+    """The search on g's own blocks returns the records of the recursion
+    that builds every state with `induced_subgraph`
+    (`brutes.reverse_search_by_subgraphs`): on every graph with n <= 9
+    at every cut vertex that realizes alpha_min, on the graphs that need
+    a backtrack, and on `char gen` graphs with r up to 16."""
+    cases = list(_witnesses(graphs_up_to_9))
+    for blocks in BACKTRACKING_GRAPHS:
+        g = BlockGraph._from_blocks(max(map(max, blocks)) + 1, [frozenset(b) for b in blocks])
+        cases.append((g, 0, inv.alpha_min(g).value))
+    rng = random.Random(26)
+    for seed in range(30):
+        g, _ = generate_with_alphamin(rng.randint(2, 16), max_clique=rng.randint(2, 5), seed=seed)
+        cases += _witnesses([g])
+    found = 0
+    for g, v, am in cases:
+        got = _reverse_search(g, v, am)
+        assert got == brutes.reverse_search_by_subgraphs(g, v, am), (g.edges(), v)
+        found += got is not None
+    assert found > 1500
 
 
 def test_extension_anchor_is_never_v_locked(graphs_up_to_9):
@@ -472,7 +526,7 @@ def _growth_steps(g, n_max):
     """Every operation the candidate list offers on g that fits in n_max
     vertices: each candidate with every block size and extension."""
     room = n_max - g.n
-    for kind, anchors in _candidate_ops(g, 0):
+    for kind, anchors in _candidate_ops(_State(g, 0)):
         for sizes in product(range(2, room + 2), repeat=len(anchors)):
             used = sum(s - 1 for s in sizes)
             if used > room:
@@ -532,7 +586,7 @@ def test_candidate_ops_match_the_per_shape_reference(graphs_up_to_8):
     states = _forward_closure(9).values()
     listed = set()
     for g in states:
-        ops = _candidate_ops(g, 0)
+        ops = _candidate_ops(_State(g, 0))
         assert ops == brutes.candidate_ops_per_shape(g, 0), g.edges()
         listed.update((kind, len(anchors)) for kind, anchors in ops)
     assert len(states) > 500
@@ -542,6 +596,7 @@ def test_candidate_ops_match_the_per_shape_reference(graphs_up_to_8):
                  BlockGraph(4, [(0, 1), (1, 2)])]
     for g in graphs_up_to_8 + no_levels:
         for v in range(g.n):
-            assert _candidate_ops(g, v) == brutes.candidate_ops_per_shape(g, v), (g.edges(), v)
+            want = brutes.candidate_ops_per_shape(g, v)
+            assert _candidate_ops(_State(g, v)) == want, (g.edges(), v)
     # a cut vertex in a pendant block of a disconnected graph is still a kind-1 anchor
-    assert _candidate_ops(no_levels[1], 0) == [(OpKind.ATTACH_AT_PENDANT_CUT, (1,))]
+    assert _candidate_ops(_State(no_levels[1], 0)) == [(OpKind.ATTACH_AT_PENDANT_CUT, (1,))]

@@ -336,9 +336,9 @@ class TestCli:
         assert out == ""
         assert err == f"error: RecursionError: recursion too deep in `{' '.join(argv)}`\n"
 
-    def test_deep_reverse_search_exits_two_naming_the_command(self, tmp_path, capsys):
-        # the reverse search recurses once per growth step, about 150 on a
-        # 300-vertex path: 100 frames above this one do not hold them
+    def test_deep_reverse_search_exits_zero_with_a_verified_certificate(self, tmp_path, capsys):
+        # the reverse search takes about 150 steps on a 300-vertex path, on
+        # an explicit stack: 100 frames above this one are enough
         p = tmp_path / "path.json"
         p.write_text(json.dumps(formats.graph_to_json_dict(path_graph(300))))
         depth = len(inspect.stack(0))
@@ -348,10 +348,14 @@ class TestCli:
             code = cli.main(["char", "decompose", str(p)])
         finally:
             sys.setrecursionlimit(limit)
-        assert code == 2
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: RecursionError: recursion too deep in `char decompose`\n"
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["found"] and payload["certificate"]["r"] == 150
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(payload["certificate"]))
+        assert cli.main(["char", "verify", str(cert)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_empty_exception_message_prints_its_type(self, graph_file, monkeypatch, capsys):
         def broken(g):
@@ -632,10 +636,15 @@ class TestCli:
         ({"kind": DROP}, "step 0 lacks key 'kind'"),
         ({"extension": {"size": 2}}, "step 0 extension lacks key 'clique_index'"),
         ({"base_graph": {"n": 5}}, "base_graph lacks key 'edges'"),
+        ({"kind": 9}, "step 0 kind must be in 1..5, got 9"),
+        ({"kind": 0}, "step 0 kind must be in 1..5, got 0"),
+        ({"r": 99}, "certificate r is 99, but its step count 1 gives r = 2"),
+        ({"r": "2"}, "r must be an integer, got '2'"),
     ], ids=["string-anchor", "string-size", "float-size", "scalar-anchors", "string-kind",
             "bool-kind", "float-ext-index", "bool-ext-size", "scalar-ext", "float-base-vertex",
             "scalar-steps", "scalar-step", "string-certificate", "null-certificate",
-            "list-base-graph", "no-steps", "no-kind", "no-ext-index", "no-base-edges"])
+            "list-base-graph", "no-steps", "no-kind", "no-ext-index", "no-base-edges",
+            "kind-above-five", "kind-zero", "r-off-the-steps", "string-r"])
     def test_bad_certificate_input_exits_two(self, tmp_path, change, problem):
         # `change` updates the certificate, or its step when it names only
         # step keys; a DROP value removes the key; a non-object replaces
@@ -655,6 +664,24 @@ class TestCli:
         proc = run_cli("char", "verify", str(p))
         assert proc.returncode == 2, proc.stdout
         assert problem in proc.stderr
+
+    def test_certificate_r_must_count_its_steps(self, tmp_path):
+        # a generated certificate passes as it is, and fails once its r is edited
+        payload = json.loads(run_cli("char", "gen", "--r", "4", "--seed", "1").stdout)
+        cert = payload["certificate"]
+        p = tmp_path / "cert.json"
+        for r, code in ((4, 0), (99, 2), (3, 2)):
+            cert["r"] = r
+            p.write_text(json.dumps(cert))
+            proc = run_cli("char", "verify", str(p))
+            assert proc.returncode == code, (r, proc.stdout)
+            if code:
+                assert proc.stdout == ""
+                assert proc.stderr == (f"error: certificate r is {r}, "
+                                       "but its step count 3 gives r = 4\n")
+        del cert["r"]
+        p.write_text(json.dumps(cert))
+        assert json.loads(run_cli("char", "verify", str(p)).stdout)["ok"] is True
 
     def test_main_called_again_in_one_process_matches_fresh_runs(
         self, graph_file, tmp_path, capsys
