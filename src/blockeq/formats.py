@@ -98,7 +98,7 @@ def certificate_to_json_dict(cert: CharCertificate) -> dict:
 
 
 def certificate_from_json_dict(d: dict) -> CharCertificate:
-    require_object(d, "certificate", ("base_graph", "base_vertex", "steps"))
+    require_object(d, "certificate", ("base_graph", "base_vertex", "steps", "r"))
     if not isinstance(d["steps"], list):
         raise ValueError(f"steps must be a list, got {d['steps']!r}")
     steps = []
@@ -123,7 +123,7 @@ def certificate_from_json_dict(d: dict) -> CharCertificate:
                 ) if ext is not None else None,
             )
         )
-    if "r" in d and require_int(d["r"], "r") != len(steps) + 1:
+    if require_int(d["r"], "r") != len(steps) + 1:
         raise ValueError(f"certificate r is {d['r']}, but its step count {len(steps)} "
                          f"gives r = {len(steps) + 1}")
     base = graph_from_json_dict(d["base_graph"], "base_graph")

@@ -45,24 +45,25 @@ def check_vertex_count(n, what="vertex count n"):
 
 
 def _biconnected_components(adj):
-    """Blocks of the graph with adjacency sets `adj`, as vertex frozensets.
+    """Blocks of the graph with adjacency sets `adj`, as (vertex frozenset,
+    edge count) pairs in no particular order.
 
-    Iterative Hopcroft-Tarjan on an edge stack; an isolated vertex yields
-    a singleton block.
+    Iterative Hopcroft-Tarjan on an edge stack, which holds each edge
+    once, so a block's edges are the ones popped with it; an isolated
+    vertex yields a singleton block with no edge.
     """
-    disc = {}
-    low = {}
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
     blocks = []
     timer = 0
     for root in range(len(adj)):
-        if root in disc:
+        if disc[root] >= 0:
             continue
         disc[root] = low[root] = timer
         timer += 1
         estack = []
-        had_edge = False
         # frame: [vertex, parent, neighbor iterator]
-        frames = [[root, -1, iter(sorted(adj[root]))]]
+        frames = [[root, -1, iter(adj[root])]]
         while frames:
             frame = frames[-1]
             v = frame[0]
@@ -71,16 +72,14 @@ def _biconnected_components(adj):
             for w in frame[2]:
                 if w == parent:
                     continue
-                if w not in disc:
-                    had_edge = True
+                if disc[w] < 0:
                     estack.append((v, w))
                     disc[w] = low[w] = timer
                     timer += 1
-                    frames.append([w, v, iter(sorted(adj[w]))])
+                    frames.append([w, v, iter(adj[w])])
                     moved = True
                     break
                 if disc[w] < disc[v]:
-                    had_edge = True
                     estack.append((v, w))
                     if disc[w] < low[v]:
                         low[v] = disc[w]
@@ -93,17 +92,19 @@ def _biconnected_components(adj):
                 low[parent] = low[v]
             if low[v] >= disc[parent]:
                 comp = set()
+                edges = 0
                 while True:
                     e = estack.pop()
+                    edges += 1
                     comp.add(e[0])
                     comp.add(e[1])
                     if e == (parent, v):
                         break
-                blocks.append(frozenset(comp))
+                blocks.append((frozenset(comp), edges))
         if estack:
             raise AssertionError("edge stack not drained")
-        if not had_edge:
-            blocks.append(frozenset((root,)))
+        if not adj[root]:
+            blocks.append((frozenset((root,)), 0))
     return blocks
 
 
@@ -160,8 +161,14 @@ class BlockGraph:
         self._v_alpha = None
 
     def _validate(self):
+        found = _biconnected_components(self._adj)
         # the decomposition stays cached for the graph's later use
-        for b in decompose(self).blocks:
+        self._decomp = _decomposition([b for b, _ in found])
+        # a block is a clique exactly when it holds every pair of its members
+        if all(m == len(b) * (len(b) - 1) // 2 for b, m in found):
+            return
+        # the witness: the first missing pair, in sorted order, of the first block
+        for b in self._decomp.blocks:
             bs = sorted(b)
             for i, u in enumerate(bs):
                 for v in bs[i + 1:]:
@@ -345,7 +352,7 @@ def _indexed(blocks):
 def decompose(g: BlockGraph) -> BlockDecomposition:
     """Biconnected decomposition; cached on the graph instance."""
     if g._decomp is None:
-        g._decomp = _decomposition(_biconnected_components(g._adj))
+        g._decomp = _decomposition([b for b, _ in _biconnected_components(g._adj)])
     return g._decomp
 
 

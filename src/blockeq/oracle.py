@@ -82,16 +82,15 @@ def _degeneracy_order(g: BlockGraph):
 
 
 def _true_twin_predecessors(g: BlockGraph, order):
-    """For each vertex, its nearest earlier vertex in `order` with the
-    same closed neighborhood (adjacent interchangeable twins); used to
-    break color symmetry inside cliques."""
+    """For each position of `order`, the nearest earlier vertex with the
+    same closed neighborhood as the vertex there (adjacent interchangeable
+    twins), or -1 if none is; used to break color symmetry inside cliques."""
     adj = g._adj
     last = {}
-    prev = {}
+    prev = []
     for v in order:
         key = adj[v] | {v}
-        if key in last:
-            prev[v] = last[key]
+        prev.append(last.get(key, -1))
         last[key] = v
     return prev
 
@@ -109,8 +108,8 @@ def _clique_bound(g: BlockGraph) -> int:
 
 
 def _search_plan(g: BlockGraph):
-    """Vertex order and twin predecessors of the backtracking search; they
-    depend on g alone, so a scan over t computes them once."""
+    """Vertex order and twin predecessors by position of the backtracking
+    search; they depend on g alone, so a scan over t computes them once."""
     order = list(reversed(_degeneracy_order(g)))
     return order, _true_twin_predecessors(g, order)
 
@@ -125,6 +124,12 @@ def exact_equitable_colorable(
     Raises SearchBudgetExceededError when the node cap is hit, so a
     'gave up' is never conflated with a 'no'.  `_plan` is g's
     `_search_plan`, passed by callers that try several t.
+
+    The search is one loop over the positions of the order: entering a
+    position counts a node and scans its colors from the first allowed
+    one; a scan that finds none backs up to the previous position, which
+    undoes its color and resumes its scan at the next one.  Its depth is
+    not bounded by Python's recursion limit.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -135,50 +140,64 @@ def exact_equitable_colorable(
     cap_hi = floor + 1 if extra else floor
     order, twin_prev = _plan if _plan is not None else _search_plan(g)
     adj = g._adj
+    # color t marks an uncolored vertex, whose bit is 0; the extra last
+    # slot is 0, the lowest color, read through a twin predecessor of -1
+    color = [t] * n + [0]
+    bit = [1 << c for c in range(t)] + [0]
     counts = [0] * t
-    assign = {}
     deficit = floor * t  # sum over classes of max(0, floor - count)
+    passed_empty = [False] * n  # per position: its scan has passed an empty class
     nodes = 0
-
-    def rec(idx):
-        nonlocal nodes, deficit
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise SearchBudgetExceededError(f"budget {node_budget} exhausted")
-        if idx == n:
-            return True
-        v = order[idx]
-        forbidden = {assign[w] for w in adj[v] if w in assign}
-        lo = 0
-        tw = twin_prev.get(v)
-        if tw is not None and tw in assign:
-            lo = assign[tw]
+    idx = 0
+    entering = True
+    while True:
+        if entering:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise SearchBudgetExceededError(f"budget {node_budget} exhausted")
+            if idx == n:
+                return True, Coloring({u: color[u] + 1 for u in order}, t)
+            v = order[idx]
+            c = color[twin_prev[idx]]
+            seen_empty = False
+        else:
+            v = order[idx]
+            c = color[v]
+            counts[c] -= 1
+            if counts[c] < floor:
+                deficit += 1
+            color[v] = t
+            c += 1
+            seen_empty = passed_empty[idx]
+        forbidden = 0
+        for w in adj[v]:
+            forbidden |= bit[color[w]]
         remaining = n - idx - 1
-        seen_empty = False
-        for c in range(lo, t):
-            if counts[c] == 0:
+        entering = False
+        for c in range(c, t):
+            k = counts[c]
+            if k == 0:
                 if seen_empty:
                     break
                 seen_empty = True
-            if c in forbidden or counts[c] >= cap_hi:
+            if forbidden & bit[c] or k >= cap_hi:
                 continue
-            d_dec = 1 if counts[c] < floor else 0
+            d_dec = k < floor
             # also bars a class at floor once `extra` classes hold floor+1
             if deficit - d_dec > remaining:
                 continue
-            counts[c] += 1
+            counts[c] = k + 1
             deficit -= d_dec
-            assign[v] = c
-            if rec(idx + 1):
-                return True
-            del assign[v]
-            deficit += d_dec
-            counts[c] -= 1
-        return False
-
-    if rec(0):
-        return True, Coloring({v: c + 1 for v, c in assign.items()}, t)
-    return False, None
+            color[v] = c
+            passed_empty[idx] = seen_empty
+            entering = True
+            break
+        if entering:
+            idx += 1
+        else:
+            idx -= 1
+            if idx < 0:
+                return False, None
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,13 @@ from blockeq.characterization import (
     _State,
     apply_operation,
 )
-from blockeq.errors import ExhaustedRetriesError, PreconditionViolatedError
+from blockeq.errors import (
+    ExhaustedRetriesError,
+    PreconditionViolatedError,
+    SearchBudgetExceededError,
+)
 from blockeq.families import star_of_cliques
+from blockeq.gls import Coloring
 from blockeq.graph import BlockGraph, LevelAssignment, decompose
 from blockeq.invariants import is_v_ais
 
@@ -133,6 +138,68 @@ def equitable_colorable_by_backtracking(g, t):
         return False
 
     return rec(0)
+
+
+def recursive_equitable_search(g, t, node_budget=None):
+    """The exact oracle's search as it was written recursively, one call
+    per vertex, with its plan built by the definitions above: the
+    reference that the loop in `oracle.exact_equitable_colorable` must
+    match in answer, witness and node count.  Copied verbatim, save that
+    it returns its node count as well."""
+    if t < 1:
+        raise ValueError("t must be >= 1")
+    n = g.n
+    if n == 0:
+        return True, Coloring({}, t), 0
+    floor, extra = divmod(n, t)
+    cap_hi = floor + 1 if extra else floor
+    order = list(reversed(repeated_minimum_order(g)))
+    twin_prev = true_twin_predecessors(g, order)
+    adj = g._adj
+    counts = [0] * t
+    assign = {}
+    deficit = floor * t  # sum over classes of max(0, floor - count)
+    nodes = 0
+
+    def rec(idx):
+        nonlocal nodes, deficit
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise SearchBudgetExceededError(f"budget {node_budget} exhausted")
+        if idx == n:
+            return True
+        v = order[idx]
+        forbidden = {assign[w] for w in adj[v] if w in assign}
+        lo = 0
+        tw = twin_prev.get(v)
+        if tw is not None and tw in assign:
+            lo = assign[tw]
+        remaining = n - idx - 1
+        seen_empty = False
+        for c in range(lo, t):
+            if counts[c] == 0:
+                if seen_empty:
+                    break
+                seen_empty = True
+            if c in forbidden or counts[c] >= cap_hi:
+                continue
+            d_dec = 1 if counts[c] < floor else 0
+            # also bars a class at floor once `extra` classes hold floor+1
+            if deficit - d_dec > remaining:
+                continue
+            counts[c] += 1
+            deficit -= d_dec
+            assign[v] = c
+            if rec(idx + 1):
+                return True
+            del assign[v]
+            deficit += d_dec
+            counts[c] -= 1
+        return False
+
+    if rec(0):
+        return True, Coloring({v: c + 1 for v, c in assign.items()}, t), nodes
+    return False, None, nodes
 
 
 def brute_alpha_min_full(g, brute_alpha_with):

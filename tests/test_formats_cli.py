@@ -323,18 +323,39 @@ class TestCli:
     @pytest.mark.parametrize("argv, text", [
         (["validate"], "[" * 100_000 + "]" * 100_000),
         (["gls", "build"], '{"A": ' + "[" * 100_000 + "]" * 100_000 + ', "k": 1, "B": 1}'),
-        (["exact", "chi-eq"], json.dumps(formats.graph_to_json_dict(path_graph(1500)))),
-        (["exact", "spectrum"], json.dumps(formats.graph_to_json_dict(path_graph(1500)))),
-    ], ids=["nested-graph-file", "nested-instance-file", "chi-eq-long-path",
-            "spectrum-long-path"])
+    ], ids=["nested-graph-file", "nested-instance-file"])
     def test_deep_recursion_exits_two_naming_the_command(self, tmp_path, capsys, argv, text):
-        # the JSON decoder recurses once per bracket, the exact search once per vertex
+        # the JSON decoder recurses once per bracket
         p = tmp_path / "deep.json"
         p.write_text(text)
         assert cli.main([*argv, str(p)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: RecursionError: recursion too deep in `{' '.join(argv)}`\n"
+
+    @pytest.mark.parametrize("argv, want", [
+        (["exact", "chi-eq"], {"chi_eq": 2}),
+        # t = 3 takes exponentially many nodes on a long path, so the
+        # budget leaves it unknown; the cap skips every t above 4
+        (["exact", "spectrum", "--cap", "4", "--budget", "100000"],
+         {"feasible_ts": [2, 4], "unknown_ts": [3]}),
+    ], ids=["chi-eq", "spectrum"])
+    def test_deep_exact_search_exits_zero(self, tmp_path, capsys, argv, want):
+        # the exact search visits the 1,500 vertices of the path on an
+        # explicit stack: 100 frames above this one are enough
+        p = tmp_path / "path.json"
+        p.write_text(json.dumps(formats.graph_to_json_dict(path_graph(1500))))
+        depth = len(inspect.stack(0))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            code = cli.main([*argv, str(p)])
+        finally:
+            sys.setrecursionlimit(limit)
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        payload = json.loads(out)
+        assert {key: payload[key] for key in want} == want
 
     def test_deep_reverse_search_exits_zero_with_a_verified_certificate(self, tmp_path, capsys):
         # the reverse search takes about 150 steps on a 300-vertex path, on
@@ -525,7 +546,7 @@ class TestCli:
         # vertices per clique and extension, so it is rejected before it starts
         base = {"n": 5, "edges": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3], [0, 4]]}
         p = tmp_path / "cert.json"
-        p.write_text(json.dumps({"base_graph": base, "base_vertex": 0, "steps": [step]}))
+        p.write_text(json.dumps({"base_graph": base, "base_vertex": 0, "steps": [step], "r": 2}))
         start = time.perf_counter()
         assert cli.main(["char", "verify", str(p)]) == 2
         assert time.perf_counter() - start < 1
@@ -679,9 +700,12 @@ class TestCli:
                 assert proc.stdout == ""
                 assert proc.stderr == (f"error: certificate r is {r}, "
                                        "but its step count 3 gives r = 4\n")
+        # r is required, as in the certificate schema
         del cert["r"]
         p.write_text(json.dumps(cert))
-        assert json.loads(run_cli("char", "verify", str(p)).stdout)["ok"] is True
+        proc = run_cli("char", "verify", str(p))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: certificate lacks key 'r'\n"
 
     def test_main_called_again_in_one_process_matches_fresh_runs(
         self, graph_file, tmp_path, capsys

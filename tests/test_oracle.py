@@ -1,10 +1,11 @@
+import importlib.util
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from blockeq import oracle
+from blockeq import formats, oracle
 from blockeq.errors import (
     ColorOutOfRangeError,
     SearchBudgetExceededError,
@@ -24,6 +25,7 @@ from blockeq.graph import BlockGraph, decompose, from_edge_list, generate_block_
 import brutes
 
 FIXTURES = Path(__file__).parent / "data"
+BENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def k33():
@@ -102,7 +104,8 @@ class TestExactEquitable:
     def test_twin_predecessors_match_the_definition(self, graphs_up_to_10):
         for g in graphs_up_to_10:
             order, twin_prev = oracle._search_plan(g)
-            assert twin_prev == brutes.true_twin_predecessors(g, order), g.edges()
+            want = brutes.true_twin_predecessors(g, order)
+            assert twin_prev == [want.get(v, -1) for v in order], g.edges()
 
     def test_no_answers_match_plain_backtracking(self, graphs_up_to_8):
         # the search's prunes and symmetry breaking cut no equitable coloring
@@ -123,6 +126,42 @@ class TestExactEquitable:
         g = clique_with_pendant_cliques(2)
         assert not oracle.exact_equitable_colorable(g, 3)[0]
         assert oracle.exact_equitable_colorable(g, 4)[0]
+
+
+def _assert_matches_the_recursive_search(g, t):
+    ok, witness, nodes = brutes.recursive_equitable_search(g, t)
+    # same node count: the search passes at a budget of `nodes` and not below
+    assert oracle.exact_equitable_colorable(g, t, node_budget=nodes) == (ok, witness), \
+        (g.edges(), t)
+    with pytest.raises(SearchBudgetExceededError):
+        oracle.exact_equitable_colorable(g, t, node_budget=nodes - 1)
+
+
+def _sweep_suite_graphs(workdir):
+    """The graphs of the benchmark's `sweep` workload, written by its own
+    seeded input suite."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    plan = workloads.make_inputs("sweep", 0, "full", workdir)
+    return [formats.load_graph(workdir / name) for _, name in sorted(plan["graphs"])]
+
+
+class TestReferenceSearch:
+    """The search loop against the recursive search it replaced: same
+    answer, witness and node count."""
+
+    def test_every_graph_and_t_up_to_nine_vertices(self, graphs_up_to_9):
+        for g in graphs_up_to_9:
+            for t in range(1, g.n + 1):
+                _assert_matches_the_recursive_search(g, t)
+
+    def test_sweep_suite_graphs_from_the_clique_bound_to_chi_eq(self, tmp_path):
+        graphs = _sweep_suite_graphs(tmp_path)
+        assert len(graphs) == 40
+        for g in graphs:
+            for t in range(oracle._clique_bound(g), oracle.exact_chi_eq(g) + 1):
+                _assert_matches_the_recursive_search(g, t)
 
 
 class TestCliqueBound:

@@ -106,3 +106,50 @@ def test_imports_only_at_module_level(path):
         for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
     )
     assert not local, f"imports inside a function: {local}"
+
+
+# Every function in the package that calls itself by name, with what
+# bounds its depth; any other recursion could exceed Python's recursion
+# limit on a valid input well inside MAX_VERTICES.
+BOUNDED_RECURSION = {
+    # depth <= max_n: each call takes a piece of size >= 1 off `total`
+    "graph._multisets",
+    # depth <= BRUTE_CAP + 1: the vertex count is capped before the search
+    "oracle._brute_alpha_search.rec",
+    # depth <= 21: `bin_packing_decide` is capped at BRUTE_CAP = 20 items
+    "oracle.bin_packing_decide.rec",
+    # reached only from tests, `count_block_graphs_by_filter` (n <= 6 in the
+    # tests) and the benchmark's checks of the generator's keys
+    "oracle.canonical_form.encode",
+}
+
+
+def _self_calling(body, prefix):
+    """Qualified names of the functions in `body`, at any depth, that call
+    themselves by name (or as `self.name` / `cls.name`)."""
+    out = []
+    todo = [(node, prefix) for node in body]
+    while todo:
+        node, where = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{where}.{node.name}"
+            if not isinstance(node, ast.ClassDef) and any(
+                isinstance(call, ast.Call) and (
+                    isinstance(call.func, ast.Name) and call.func.id == node.name
+                    or isinstance(call.func, ast.Attribute) and call.func.attr == node.name
+                    and isinstance(call.func.value, ast.Name)
+                    and call.func.value.id in ("self", "cls"))
+                for call in ast.walk(node)
+            ):
+                out.append(name)
+            where = name
+        todo.extend((child, where) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def test_recursion_only_where_its_depth_is_bounded():
+    found = sorted(
+        name for path in SOURCES
+        for name in _self_calling(ast.parse(path.read_text()).body, path.stem)
+    )
+    assert found == sorted(BOUNDED_RECURSION)
