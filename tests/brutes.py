@@ -142,7 +142,7 @@ def equitable_colorable_by_backtracking(g, t):
 
 def recursive_equitable_search(g, t, node_budget=None):
     """The exact oracle's search as it was written recursively, one call
-    per vertex, with its plan built by the definitions above: the
+    per vertex, with its plan built by the definitions in this file: the
     reference that the loop in `oracle.exact_equitable_colorable` must
     match in answer, witness and node count.  Copied verbatim, save that
     it returns its node count as well."""
