@@ -5,8 +5,9 @@ sum(A) = k*B) turns into a block graph made of flowers: flower j >= 1
 is a_j + 1 disjoint K_k cliques joined to a hub y_j, flower 0 plays the
 same role for the capacity B, and y_0 is joined to every other hub.
 This module builds those graphs, colors the uniform ones equitably with
-any t >= k+2 colors via a count-matrix construction, and colors every
-instance equitably with n+2 colors via product-maximizing recoloring.
+any k+2 <= t <= |V| colors via a count-matrix construction, and colors
+every instance equitably with n+2 colors via product-maximizing
+recoloring.
 """
 
 from __future__ import annotations
@@ -187,9 +188,6 @@ class CountMatrix:
     t: int
     universal_colors: tuple  # color of the hub of each flower
 
-    def entry(self, color, flower):
-        return self.entries[color - 1][flower]
-
     def row_sums(self):
         return [sum(row) for row in self.entries]
 
@@ -323,7 +321,7 @@ def _transport_fill(sizes, caps, colsize, uc):
 
 
 def color_uniform(a: int, n: int, k: int, B: int, t: int):
-    """Equitable t-coloring of the uniform flower graph, t >= k+2.
+    """Equitable t-coloring of the uniform flower graph, k+2 <= t <= |V|.
 
     Spreads the hub colors evenly, fills the count matrix (rows are
     colors, columns flowers) with one transportation fill that meets the
@@ -335,9 +333,12 @@ def color_uniform(a: int, n: int, k: int, B: int, t: int):
     _check_uniform(a, n, k, B)
     if t < k + 2:
         raise TBelowThresholdError(f"t={t} < k+2={k + 2}")
+    total = (k + 1) * (k * B + n + 1)
+    if t > total:
+        # refused before any of the t rows exists
+        raise ValueError(f"t={t} exceeds the vertex count |V|={total}")
 
     gls = uniform_gls(a, n, k, B)
-    total = gls.graph.n
     sizes = _equitable_class_sizes(total, t)
 
     caps = [B + 1] + [a + 1] * n
@@ -395,7 +396,7 @@ def _realize(gls: GlsGraph, matrix: CountMatrix) -> Coloring:
     for j in range(matrix.n + 1):
         uc = matrix.universal_colors[j]
         color[gls.universal_vertices[j]] = uc
-        counts = {c: matrix.entry(c, j) for c in range(1, matrix.t + 1)}
+        counts = {c: row[j] for c, row in enumerate(matrix.entries, start=1) if row[j]}
         per_clique = realize_flower(
             counts, matrix.B if j == 0 else matrix.a, matrix.k, uc
         )
@@ -429,27 +430,44 @@ def color_nplus2(g: GlsGraph, stats: Optional[dict] = None) -> Coloring:
 
 def _greedy_start(g: GlsGraph) -> dict:
     """Proper (n+2)-coloring of the auxiliary graph: by decreasing degree,
-    each vertex into its least-loaded free class, which leaves no class
-    empty, so the class-size product starts positive.  No vertex runs out
-    of classes: the hubs, an (n+1)-clique, come first; others see k <= n."""
+    ties to the smaller id, each vertex into its least-loaded free class,
+    ties to the smaller color.  That leaves no class empty, so the
+    class-size product starts positive.
+
+    The order is read off the flowers.  In the auxiliary graph hub y_j
+    has degree n + c_j*k, where c_j is its flower's clique count (B+1
+    or a_j+1), and every other vertex has degree k (its k-1 clique mates
+    and its hub).  So the hubs come first, by (-c_j, id); as an
+    (n+1)-clique they take colors 1..n+1 in that order.  Then every
+    clique vertex follows in id order, and when its turn comes its only
+    colored neighbors are its hub and its earlier mates.  The members of
+    one clique therefore take, in order, the k least-loaded classes
+    other than the hub's.  No clique runs out of classes: sum(A) = kB
+    with every a_j <= B gives n >= k, so n+1 classes remain.
+    """
     t = g.n_items + 2
+    k = g.instance.parts
     hubs = g.universal_vertices
-    adj = [set(g.graph.neighbors(v)) for v in range(g.graph.n)]
-    for u in hubs:
-        adj[u].update(w for w in hubs if w != u)
-    col = {}
+    order = sorted(range(len(hubs)), key=lambda j: (-len(g.cliques[j]), hubs[j]))
+    col = {hubs[j]: c for c, j in enumerate(order, start=1)}
     # (size, color) per class; a sorted list is already a heap
-    heap = [(0, c) for c in range(1, t + 1)]
-    for v in sorted(range(g.graph.n), key=lambda u: (-len(adj[u]), u)):
-        used = {col[w] for w in adj[v] if w in col}
-        skipped = []
-        while heap[0][1] in used:
-            skipped.append(heapq.heappop(heap))
-        size, c = heap[0]
-        heapq.heapreplace(heap, (size + 1, c))
-        col[v] = c
-        for entry in skipped:
-            heapq.heappush(heap, entry)
+    heap = [(0, t)] + [(1, c) for c in range(1, t)]
+    for hub, flower in zip(hubs, g.cliques):
+        own = col[hub]
+        for members in flower:
+            taken = []
+            hub_entry = None
+            while len(taken) < k:
+                entry = heapq.heappop(heap)
+                if entry[1] == own:
+                    hub_entry = entry
+                else:
+                    taken.append(entry)
+            for v, (size, c) in zip(members, taken):
+                col[v] = c
+                heapq.heappush(heap, (size + 1, c))
+            if hub_entry is not None:
+                heapq.heappush(heap, hub_entry)
     return col
 
 

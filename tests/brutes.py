@@ -1,6 +1,7 @@
 """Test-side brute oracles and small exhaustive input grids, kept apart
 from the package so the library never accidentally leans on them."""
 
+import heapq
 import random
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -353,6 +354,32 @@ def flower_edges(inst):
             edges += [(j, v) for v in clique]
             edges += combinations(clique, 2)
     return edges
+
+
+def greedy_start_by_degree(g):
+    """Proper (n+2)-coloring of the auxiliary graph: by decreasing degree,
+    each vertex into its least-loaded free class, which leaves no class
+    empty, so the class-size product starts positive.  No vertex runs out
+    of classes: the hubs, an (n+1)-clique, come first; others see k <= n."""
+    t = g.n_items + 2
+    hubs = g.universal_vertices
+    adj = [set(g.graph.neighbors(v)) for v in range(g.graph.n)]
+    for u in hubs:
+        adj[u].update(w for w in hubs if w != u)
+    col = {}
+    # (size, color) per class; a sorted list is already a heap
+    heap = [(0, c) for c in range(1, t + 1)]
+    for v in sorted(range(g.graph.n), key=lambda u: (-len(adj[u]), u)):
+        used = {col[w] for w in adj[v] if w in col}
+        skipped = []
+        while heap[0][1] in used:
+            skipped.append(heapq.heappop(heap))
+        size, c = heap[0]
+        heapq.heapreplace(heap, (size + 1, c))
+        col[v] = c
+        for entry in skipped:
+            heapq.heappush(heap, entry)
+    return col
 
 
 def resolve_kind_by_replay(tsub, tmap, v, cand):

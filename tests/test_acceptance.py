@@ -10,6 +10,8 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from blockeq import invariants as inv
 from blockeq import oracle
 from blockeq.characterization import (
@@ -92,13 +94,18 @@ def test_criterion_04_flower_graph_closed_forms():
 def test_criterion_05_uniform_coloring_grid():
     failures = []
     runs = 0
-    # every color count t >= k+2 up to |V| (and at least up to k+6), on
-    # every uniform instance in the box a <= 8, n <= 6, k <= 4
+    # every color count t >= k+2 up to |V| (and at least up to k+6, where
+    # a t above |V| must be refused), on every uniform instance in the box
+    # a <= 8, n <= 6, k <= 4
     for a, n, k, B in brutes.uniform_grid(max_a=8, max_n=6, max_k=4):
         g = build_gls(BinPackingInstance((a,) * n, k, B))
         total = g.graph.n
         for t in range(k + 2, max(total, k + 6) + 1):
             runs += 1
+            if t > total:
+                with pytest.raises(ValueError, match=f"t={t} exceeds the vertex count"):
+                    color_uniform(a, n, k, B, t)
+                continue
             matrix, coloring = color_uniform(a, n, k, B, t)
             chk = oracle.check_coloring(g.graph, coloring)
             q, r = divmod(total, t)

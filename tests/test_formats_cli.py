@@ -574,6 +574,19 @@ class TestCli:
         assert err == (f"error: flower graph vertex count (k+1)(kB+n+1) = {count} "
                        "exceeds the maximum 100000\n")
 
+    def test_color_uniform_refuses_more_colors_than_vertices_at_once(self, capsys):
+        # (a, n, k, B) = (1, 2, 2, 1) has |V| = (k+1)(kB+n+1) = 15 vertices;
+        # t is refused before any of its t count-matrix rows exists
+        argv = ["gls", "color-uniform", "--a", "1", "--n", "2", "--k", "2", "--B", "1", "--t"]
+        start = time.perf_counter()
+        assert cli.main(argv + ["1000000000000"]) == 2
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: t=1000000000000 exceeds the vertex count |V|=15\n"
+        assert cli.main(argv + ["15"]) == 0
+        assert json.loads(capsys.readouterr().out)["check"] == {"proper": True, "equitable": True}
+
     def test_binpack_builds_no_flower_graph_and_stays_unbounded(self, tmp_path, capsys):
         p = tmp_path / "big.json"
         p.write_text('{"A": [100000000], "k": 1, "B": 100000000}')

@@ -1,7 +1,10 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from blockeq import formats, oracle
 from blockeq import invariants as inv
-from blockeq import oracle
 from blockeq.errors import (
     AlgorithmInvariantError,
     InstanceInvariantError,
@@ -11,6 +14,8 @@ from blockeq.errors import (
 )
 from blockeq.gls import (
     BinPackingInstance,
+    _greedy_start,
+    _recolor_to_equitable,
     _transport_fill,
     build_gls,
     color_nplus2,
@@ -21,6 +26,8 @@ from blockeq.gls import (
 from blockeq.graph import BlockGraph, decompose
 
 import brutes
+
+BENCH = Path(__file__).parent.parent / "perfbench"
 
 
 class TestBuild:
@@ -151,8 +158,13 @@ class TestColorUniform:
     def test_matrix_invariants_across_grid(self):
         for a, n, k, B in brutes.uniform_grid():
             for t in range(k + 2, k + 7):
-                matrix, coloring = color_uniform(a, n, k, B, t)
                 total = (k + 1) * (a * n + n + 1)
+                if t > total:
+                    # more colors than vertices is refused
+                    with pytest.raises(ValueError, match=f"t={t} exceeds the vertex count"):
+                        color_uniform(a, n, k, B, t)
+                    continue
+                matrix, coloring = color_uniform(a, n, k, B, t)
                 q, r = divmod(total, t)
                 sizes = [q + 1] * r + [q] * (t - r)
                 assert matrix.violations(sizes) == []
@@ -273,3 +285,40 @@ class TestColorNPlus2:
             chk = oracle.check_coloring(g.graph, coloring)
             assert chk.proper and chk.equitable, (sizes, k, B)
 
+
+
+def _flowers_suite_instances(workdir):
+    """The packing instances of the benchmark's `flowers` workload, written
+    by its own seeded input suite: the color-n2 instances and the big
+    builds."""
+    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    plan = workloads.make_inputs("flowers", 0, "full", workdir)
+    paths = plan["instances"] + plan["big_instances"]
+    return [formats.instance_from_json(workdir / name) for name in sorted(paths)]
+
+
+class TestReferenceGreedyStart:
+    """The greedy start read off the flowers against the degree-ordered
+    greedy over the auxiliary graph's adjacency that it replaced: the
+    same coloring, and the same (n+2)-coloring recolored from it."""
+
+    @staticmethod
+    def _assert_matches_the_degree_order(inst):
+        built = build_gls(inst, cross_check=False)
+        reference = brutes.greedy_start_by_degree(built)
+        assert _greedy_start(built) == reference, inst
+        assert color_nplus2(built) == _recolor_to_equitable(built, reference), inst
+
+    def test_every_box_instance(self):
+        instances = brutes.packing_box()
+        assert len(instances) == 911
+        for sizes, k, B in instances:
+            self._assert_matches_the_degree_order(BinPackingInstance(sizes, k, B))
+
+    def test_flowers_suite_instances(self, tmp_path):
+        instances = _flowers_suite_instances(tmp_path)
+        assert len(instances) == 42
+        for inst in instances:
+            self._assert_matches_the_degree_order(inst)

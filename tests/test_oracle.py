@@ -19,7 +19,7 @@ from blockeq.families import (
     path_graph,
     two_triangles_sharing_a_vertex,
 )
-from blockeq.gls import BinPackingInstance, Coloring
+from blockeq.gls import BinPackingInstance, Coloring, build_gls, color_nplus2
 from blockeq.graph import BlockGraph, decompose, from_edge_list, generate_block_graphs
 
 import brutes
@@ -58,6 +58,20 @@ class TestCheckColoring:
         # class sizes [2, 1] would count the extra vertex 7
         with pytest.raises(UnknownVertexError, match="vertex 7 "):
             oracle.check_coloring(path_graph(2), Coloring({0: 1, 1: 2, 7: 1}, 2))
+
+
+    def test_properness_matches_an_edge_list_scan(self):
+        # the (n+2)-coloring of every box instance, and the same coloring
+        # with one clique vertex moved onto its hub's color
+        for i, (sizes, k, B) in enumerate(brutes.packing_box()):
+            built = build_gls(BinPackingInstance(sizes, k, B), cross_check=False)
+            g, coloring = built.graph, color_nplus2(built)
+            j = i % (len(sizes) + 1)
+            hub, v = built.universal_vertices[j], built.cliques[j][0][i % k]
+            moved = Coloring({**coloring.color, v: coloring.color[hub]}, coloring.t)
+            for col, proper in [(coloring, True), (moved, False)]:
+                by_edges = all(col.color[u] != col.color[w] for u, w in g.edges())
+                assert oracle.check_coloring(g, col).proper == by_edges == proper, (sizes, k, B)
 
 
 class TestExactEquitable:
