@@ -2,9 +2,11 @@
 from the package so the library never accidentally leans on them."""
 
 import heapq
+import importlib.util
 import random
 from dataclasses import replace
 from itertools import combinations, permutations
+from pathlib import Path
 
 from blockeq import invariants
 from blockeq.characterization import (
@@ -354,6 +356,17 @@ def flower_edges(inst):
             edges += [(j, v) for v in clique]
             edges += combinations(clique, 2)
     return edges
+
+
+def bench_inputs(workload, workdir):
+    """The plan of the benchmark's `workload` at seed 0, full size, with its
+    input files written under `workdir` by the benchmark's own seeded
+    suite (`perfbench/workloads.py`, loaded from its file)."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads.make_inputs(workload, 0, "full", workdir)
 
 
 def greedy_start_by_degree(g):

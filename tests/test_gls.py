@@ -1,6 +1,3 @@
-import importlib.util
-from pathlib import Path
-
 import pytest
 
 from blockeq import formats, oracle
@@ -26,8 +23,6 @@ from blockeq.gls import (
 from blockeq.graph import BlockGraph, decompose
 
 import brutes
-
-BENCH = Path(__file__).parent.parent / "perfbench"
 
 
 class TestBuild:
@@ -286,15 +281,11 @@ class TestColorNPlus2:
             assert chk.proper and chk.equitable, (sizes, k, B)
 
 
-
 def _flowers_suite_instances(workdir):
     """The packing instances of the benchmark's `flowers` workload, written
     by its own seeded input suite: the color-n2 instances and the big
     builds."""
-    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    plan = workloads.make_inputs("flowers", 0, "full", workdir)
+    plan = brutes.bench_inputs("flowers", workdir)
     paths = plan["instances"] + plan["big_instances"]
     return [formats.instance_from_json(workdir / name) for name in sorted(paths)]
 

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 from collections import Counter
 from pathlib import Path
@@ -25,7 +24,6 @@ from blockeq.graph import BlockGraph, decompose, from_edge_list, generate_block_
 import brutes
 
 FIXTURES = Path(__file__).parent / "data"
-BENCH = Path(__file__).parent.parent / "perfbench"
 
 
 def k33():
@@ -58,7 +56,6 @@ class TestCheckColoring:
         # class sizes [2, 1] would count the extra vertex 7
         with pytest.raises(UnknownVertexError, match="vertex 7 "):
             oracle.check_coloring(path_graph(2), Coloring({0: 1, 1: 2, 7: 1}, 2))
-
 
     def test_properness_matches_an_edge_list_scan(self):
         # the (n+2)-coloring of every box instance, and the same coloring
@@ -154,10 +151,7 @@ def _assert_matches_the_recursive_search(g, t):
 def _sweep_suite_graphs(workdir):
     """The graphs of the benchmark's `sweep` workload, written by its own
     seeded input suite."""
-    spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    plan = workloads.make_inputs("sweep", 0, "full", workdir)
+    plan = brutes.bench_inputs("sweep", workdir)
     return [formats.load_graph(workdir / name) for _, name in sorted(plan["graphs"])]
 
 
