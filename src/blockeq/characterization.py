@@ -626,6 +626,12 @@ def _resolve_kind(T: _State, cand):
     extension clause `ext-anchor-v-ais` needs w1 = v, which would put
     the removed w2 in N[v], so it cannot fire.
 
+    A single anchor x is read off the clause predicates the guards raise
+    from, as `_candidate_ops` reads them, with nothing raised: a cut
+    vertex x can only take kind 1 or 2, a simplicial one only kinds 3-5,
+    which its block's level and simplicial count pick between.  With no
+    clique levels only kind 1 can pass.
+
     Why no twin falls back.  The kind-4 guard makes the twin anchors a
     and b simplicial in one block of G[T], so each root z of it is next
     to both, and a, b are both in N(v) or neither is.  Were both, v's
@@ -635,8 +641,32 @@ def _resolve_kind(T: _State, cand):
     set of X - {a, b} that avoids z.  Extended twin (2-block at a): b
     lies in every maximum set I of X, and I - b is a maximum set of
     X - {a, b} that avoids z."""
-    kinds = (OpKind.TWIN_ATTACH,) if len(cand.anchors) == 2 else OpKind
-    return next((kind for kind in kinds if _accepts(T, kind, cand.anchors)), None)
+    if len(cand.anchors) == 2:
+        return OpKind.TWIN_ATTACH if _accepts(T, OpKind.TWIN_ATTACH, cand.anchors) else None
+    (x,) = cand.anchors
+    deco = T.deco
+    cut = x in deco.cut_vertices
+    if cut and x != T.v and _in_pendant_block(deco, x):
+        return OpKind.ATTACH_AT_PENDANT_CUT
+    try:
+        lv = T.levels()
+    except PreconditionViolatedError:
+        return None
+    if cut:
+        if _in_level2_k2(deco, lv, x) and not T.locks(x):
+            return OpKind.ATTACH_AT_LEVEL2_K2_CUT
+        return None
+    qi = deco._vertex_blocks[x][0]
+    level = lv.levels[qi]
+    simps = len(deco.blocks[qi] - deco.cut_vertices)
+    if level in (1, 2):
+        if simps >= 3:
+            return OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
+        # x itself is simplicial, so one is left: kind 5, or a one-anchor twin
+        return OpKind.TWIN_ATTACH if simps == 2 else OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL
+    if level == 3 and _level3_misfit(deco, lv, qi) is None:
+        return OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
+    return None
 
 
 def _reverse_search(g: BlockGraph, v: int, target: int):

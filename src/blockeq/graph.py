@@ -10,11 +10,14 @@ There are two ways to build a graph.  `BlockGraph(n, edges)` (and
 Hopcroft-Tarjan on the edges, checks that every block is a clique, and
 caches the decomposition; only graphs read from files are built this
 way.  `BlockGraph._from_blocks(n, blocks)` trusts a block list that is
-already known, sets the adjacency and the cached decomposition from it,
-and runs no search; every graph the library builds itself outside the
-brute-force oracle is built this way: induced subgraphs, the growth
-operations' clique attachments, the generator's graphs, the flower
-graphs and the named families.
+already known, caches the decomposition read off it, and runs no
+search; every graph the library builds itself outside the brute-force
+oracle is built this way: induced subgraphs, the growth operations'
+clique attachments, the generator's graphs, the flower graphs and the
+named families.  Such a graph derives its adjacency from the blocks on
+the first read of `_adj` and keeps it; until then `neighbors(v)` and
+`closed_neighborhood(v)` read v's own blocks, and the kernels that read
+only the decomposition never build it.
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ def _biconnected_components(adj):
 class BlockGraph:
     """Immutable simple graph whose blocks are all cliques."""
 
-    __slots__ = ("n", "_adj", "labels", "_decomp", "_levels", "_alpha", "_v_alpha")
+    __slots__ = ("n", "_adjacency", "labels", "_decomp", "_levels", "_alpha", "_v_alpha")
 
     def __init__(self, n, edges, labels=None, _validated=False):
         adj = [set() for _ in range(n)]
@@ -131,29 +134,43 @@ class BlockGraph:
         """The graph on 0..n-1 whose blocks are `blocks`, trusted as given.
 
         Every vertex lies in some block (an isolated one in a singleton
-        block), and two blocks share at most one vertex.  The adjacency
-        and the decomposition are both read off the block list, so the
-        graph is neither validated nor decomposed again.  Blocks that
+        block), and two blocks share at most one vertex.  The
+        decomposition is read off the block list, so the graph is neither
+        validated nor decomposed again, and no adjacency is built: it is
+        derived from the blocks on its first read (`_adj`).  Blocks that
         miss a vertex or name one outside 0..n-1 raise AssertionError.
         """
         deco = _decomposition(blocks)
-        blocks, vertex_blocks = deco.blocks, deco._vertex_blocks
+        vertex_blocks = deco._vertex_blocks
         if len(vertex_blocks) != n or n and not 0 <= min(vertex_blocks) <= max(vertex_blocks) < n:
             odd = sorted(vertex_blocks.keys() ^ range(n))
             raise AssertionError(f"blocks do not cover exactly 0..{n - 1}: ids {odd}")
-        adj = [None] * n
-        for u, ix in vertex_blocks.items():
-            if len(ix) == 1:
-                adj[u] = blocks[ix[0]] - {u}
-            else:
-                adj[u] = frozenset().union(*[blocks[i] for i in ix]) - {u}
         g = cls.__new__(cls)
-        g._fill(n, tuple(adj), labels, deco)
+        g._fill(n, None, labels, deco)
         return g
+
+    @property
+    def _adj(self):
+        """The neighbor frozensets by vertex id.  A graph built from its
+        blocks derives them on this first read, and keeps them: a
+        vertex's neighbors are its one block without it, or the union of
+        its blocks without it."""
+        adj = self._adjacency
+        if adj is None:
+            # `_blocks_through` inline: a call per vertex is a third slower
+            blocks = self._decomp.blocks
+            adj = [None] * self.n
+            for u, ix in self._decomp._vertex_blocks.items():
+                if len(ix) == 1:
+                    adj[u] = blocks[ix[0]] - {u}
+                else:
+                    adj[u] = frozenset().union(*[blocks[i] for i in ix]) - {u}
+            adj = self._adjacency = tuple(adj)
+        return adj
 
     def _fill(self, n, adj, labels, decomp):
         self.n = n
-        self._adj = adj
+        self._adjacency = adj
         self.labels = tuple(labels) if labels is not None else None
         self._decomp = decomp
         self._levels = None
@@ -168,22 +185,34 @@ class BlockGraph:
         if all(m == len(b) * (len(b) - 1) // 2 for b, m in found):
             return
         # the witness: the first missing pair, in sorted order, of the first block
+        adj = self._adj
         for b in self._decomp.blocks:
             bs = sorted(b)
             for i, u in enumerate(bs):
                 for v in bs[i + 1:]:
-                    if v not in self._adj[u]:
+                    if v not in adj[u]:
                         raise NotABlockGraphError((u, v))
 
     # -- basic accessors ------------------------------------------------
 
     def neighbors(self, v):
         self._check_vertex(v)
-        return self._adj[v]
+        if self._adjacency is not None:
+            return self._adjacency[v]
+        return self._blocks_through(v) - {v}
 
     def closed_neighborhood(self, v):
         self._check_vertex(v)
-        return self._adj[v] | {v}
+        if self._adjacency is not None:
+            return self._adjacency[v] | {v}
+        return self._blocks_through(v)
+
+    def _blocks_through(self, v):
+        """The union of v's blocks, N[v], while the adjacency is unbuilt:
+        `_adj` takes v out of the same union, written inline there."""
+        blocks = self._decomp.blocks
+        ix = self._decomp._vertex_blocks[v]
+        return blocks[ix[0]] if len(ix) == 1 else frozenset().union(*[blocks[i] for i in ix])
 
     def degree(self, v):
         self._check_vertex(v)
@@ -194,7 +223,8 @@ class BlockGraph:
 
     def edges(self):
         """Sorted list of edges as (u, v) with u < v."""
-        return [(u, v) for u in range(self.n) for v in sorted(self._adj[u]) if u < v]
+        adj = self._adj
+        return [(u, v) for u in range(self.n) for v in sorted(adj[u]) if u < v]
 
     def edge_count(self):
         return sum(len(s) for s in self._adj) // 2
@@ -211,6 +241,7 @@ class BlockGraph:
     # -- connectivity ---------------------------------------------------
 
     def connected_components(self):
+        adj = self._adj
         seen = set()
         comps = []
         for s in range(self.n):
@@ -220,7 +251,7 @@ class BlockGraph:
             stack = [s]
             while stack:
                 u = stack.pop()
-                for w in self._adj[u]:
+                for w in adj[u]:
                     if w not in comp:
                         comp.add(w)
                         stack.append(w)

@@ -48,7 +48,8 @@ def check_coloring(g: BlockGraph, coloring: Coloring) -> CheckResult:
     if len(col) != g.n:
         extra = min(set(col) - set(range(g.n)))
         raise UnknownVertexError(f"colored vertex {extra} outside 0..{g.n - 1}")
-    proper = all(col[u] != col[w] for u in range(g.n) for w in g._adj[u])
+    adj = g._adj
+    proper = all(col[u] != col[w] for u in range(g.n) for w in adj[u])
     sizes = [0] * t
     for v in range(g.n):
         sizes[col[v] - 1] += 1

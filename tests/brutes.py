@@ -412,6 +412,13 @@ def resolve_kind_by_replay(tsub, tmap, v, cand):
     return None
 
 
+def resolve_kind_by_guards(T, cand):
+    """First kind whose guards `_accepts` on the state T, trying each in
+    turn; two anchors can only be a twin."""
+    kinds = (OpKind.TWIN_ATTACH,) if len(cand.anchors) == 2 else OpKind
+    return next((kind for kind in kinds if _accepts(T, kind, cand.anchors)), None)
+
+
 def candidate_ops_per_shape(g, v):
     """Every (kind, anchors) pair that `_guards_ok` accepts, trying each
     shape on its own: each cut vertex for kinds 1 and 2; then per block,

@@ -412,6 +412,23 @@ def test_kind_is_read_off_the_guards(graphs_up_to_10):
     assert not any(steps and tag == "fallback" for steps, _, tag in seen)
 
 
+def test_kind_rule_matches_the_first_accepted_kind(graphs_up_to_9):
+    """`_resolve_kind` reads a single piece's kind off the clause
+    predicates; it names the first kind whose guards `_accepts` on T, for
+    every reverse candidate at every cut vertex v, whether or not the
+    candidate passes `_steps_down`."""
+    seen = set()
+    for g in graphs_up_to_9:
+        for v in sorted(decompose(g).cut_vertices):
+            S = _State(g, v)
+            for c in _reverse_candidates(S):
+                T = S.without(c.removed)
+                want = brutes.resolve_kind_by_guards(T, c)
+                assert _resolve_kind(T, c) is want, (g.edges(), v, c)
+                seen.add(want)
+    assert seen == set(OpKind) | {None}
+
+
 def test_states_read_what_the_built_graph_has(graphs_up_to_9):
     """Every state the reverse search can reach, a state T = S minus a
     candidate that passes `_steps_down`, reads off g's own blocks what

@@ -1,9 +1,14 @@
+import json
+import pickle
 import random
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
 
-from blockeq.characterization import _attach_cliques
+from blockeq import invariants
+from blockeq.characterization import _attach_cliques, apply_operation, generate_with_alphamin
 from blockeq.errors import (
     DisconnectedError,
     EdgelessError,
@@ -19,12 +24,14 @@ from blockeq.families import (
     triangle_with_pendant_edge,
     two_triangles_sharing_a_vertex,
 )
+from blockeq.gls import BinPackingInstance, build_gls
 from blockeq.graph import (
     BlockGraph,
     clique_levels,
     clique_star_center,
     decompose,
     from_edge_list,
+    generate_block_graphs,
 )
 
 import brutes
@@ -342,3 +349,101 @@ class TestDerivedDecomposition:
             validated = BlockGraph(n, edges)
             assert validated == g, (g, edges)
             assert decompose(validated) == decompose(g), (g, edges)
+
+
+def assert_adjacency_on_demand(g):
+    """g, built from its blocks, has no adjacency yet; reading neighbors
+    and closed neighborhoods builds none, and gives what the built
+    adjacency gives, which is the validated build's."""
+    assert g._adjacency is None, g
+    before = [(g.neighbors(v), g.closed_neighborhood(v)) for v in range(g.n)]
+    assert g._adjacency is None, g
+    adj = g._adj
+    assert g._adjacency is adj
+    assert [(g.neighbors(v), g.closed_neighborhood(v)) for v in range(g.n)] == before, g
+    assert adj == BlockGraph(g.n, g.edges())._adj, g
+
+
+def _suite_certificates(tmp_path):
+    """The 40 certificates `char gen` writes for the benchmark's `certify` suite."""
+    plan = brutes.bench_inputs("certify", tmp_path)
+    return [generate_with_alphamin(r, seed=seed)[1] for _, r, seed in plan["certs"]]
+
+
+class TestAdjacencyOnDemand:
+    """A graph built from its blocks derives its adjacency on the first
+    read of `_adj`, and not before; `neighbors` and
+    `closed_neighborhood` read a vertex's own blocks until then."""
+
+    def test_generated_graphs_and_their_closed_neighborhoods(self):
+        count = 0
+        for g, _ in generate_block_graphs(9):
+            subs = [g.induced_subgraph(g.closed_neighborhood(v))[0] for v in range(g.n)]
+            for h in [g] + subs:
+                assert_adjacency_on_demand(h)
+            count += 1
+        assert count == 759
+
+    def test_replayed_growth_steps(self, tmp_path):
+        certs = _suite_certificates(tmp_path)
+        assert len(certs) == 40
+        for cert in certs:
+            graphs = [cert.base_graph]
+            for op in cert.steps:
+                graphs.append(apply_operation(graphs[-1], cert.base_vertex, op))
+            # each step read only N[v] and the blocks of the graph it grew
+            for g in graphs:
+                assert_adjacency_on_demand(g)
+
+    def test_flower_graphs(self):
+        instances = brutes.packing_box()
+        assert len(instances) == 911
+        for sizes, k, B in instances:
+            assert_adjacency_on_demand(build_gls(BinPackingInstance(sizes, k, B)).graph)
+
+    def test_named_families(self):
+        graphs = [complete_graph(n) for n in range(6)] + [path_graph(n) for n in range(6)]
+        graphs += [clique_with_pendant_cliques(k) for k in (2, 3)]
+        graphs += [star_of_cliques([]), star_of_cliques([2]), star_of_cliques([3, 2, 4]),
+                   two_triangles_sharing_a_vertex(), triangle_with_pendant_edge()]
+        for g in graphs:
+            assert_adjacency_on_demand(g)
+
+    def test_gls_build_reads_no_adjacency(self):
+        # what `gls build` reports: |V|, omega and alpha_min
+        for sizes, k, B in brutes.packing_box():
+            g = build_gls(BinPackingInstance(sizes, k, B)).graph
+            invariants.alpha_min(g)
+            decompose(g).max_block_size()
+            assert g._adjacency is None, (sizes, k, B)
+
+    def test_graphs_from_files_build_their_adjacency(self, graphs_up_to_7):
+        for g in graphs_up_to_7:
+            assert g._adjacency is not None
+
+    def test_pickle_before_and_after_the_build(self):
+        for g, _ in generate_block_graphs(8):
+            clone = pickle.loads(pickle.dumps(g))
+            assert clone._adjacency is None
+            assert decompose(clone) == decompose(g)
+            assert clone._adj == g._adj
+            again = pickle.loads(pickle.dumps(g))
+            assert again._adjacency == g._adjacency
+            assert decompose(again) == decompose(g)
+
+    def test_parallel_sweep_matches_the_serial_one(self):
+        def report(jobs):
+            proc = subprocess.run(
+                [sys.executable, "-m", "blockeq.cli", "verify", "dc-le-alphamin",
+                 "--max-n", "9", "--jobs", str(jobs)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 0, proc.stderr
+            out = json.loads(proc.stdout)
+            for key in ("runtime_seconds", "jobs"):
+                out.pop(key)
+            return out
+
+        serial = report(1)
+        assert serial["scope"]["graph_count"] == 759
+        assert report(2) == serial

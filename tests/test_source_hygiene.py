@@ -153,3 +153,22 @@ def test_recursion_only_where_its_depth_is_bounded():
         for name in _self_calling(ast.parse(path.read_text()).body, path.stem)
     )
     assert found == sorted(BOUNDED_RECURSION)
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_adjacency_bound_once_outside_loops(path):
+    # `_adj` is a property that may build the adjacency on its first read;
+    # a loop reads it through a local bound before the loop
+    tree = ast.parse(path.read_text())
+    inside = sorted({
+        f"line {node.lineno}"
+        for loop in ast.walk(tree) if isinstance(loop, _LOOPS)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "_adj"
+    })
+    assert not inside, f"`._adj[...]` read inside a loop: {inside}"
