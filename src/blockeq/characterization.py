@@ -212,6 +212,22 @@ def _level3_misfit(deco, lv, qi):
     return None
 
 
+def _simplicial_kind(deco, lv, qi, simps):
+    """The one kind among 3-5 whose guards pass at a simplicial anchor of
+    block qi, which has `simps` >= 1 simplicial vertices, or None: at
+    level 1 or 2, kind 3 with three or more, a one-anchor twin with two
+    and kind 5 with one; at level 3, kind 3 unless `_level3_misfit`
+    finds a misfit."""
+    level = lv.levels[qi]
+    if level in (1, 2):
+        if simps >= 3:
+            return OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
+        return OpKind.TWIN_ATTACH if simps == 2 else OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL
+    if level == 3 and _level3_misfit(deco, lv, qi) is None:
+        return OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
+    return None
+
+
 def _guards_ok(at: _State, kind: OpKind, anchors):
     """Check every structural guard of a `kind` step at `anchors` against
     `at` (the graph being grown, at base vertex at.v).  Reads its
@@ -454,15 +470,11 @@ def _candidate_ops(at: _State):
         return out
     for qi, b in enumerate(deco.blocks):
         simps = sorted(b - cuts)
-        level = lv.levels[qi]
-        shallow = level in (1, 2)
-        if shallow and len(simps) >= 3 or level == 3 and simps and _level3_misfit(deco, lv, qi) is None:
-            out += [(OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE, (s,)) for s in simps]
-        elif shallow and len(simps) == 2:
-            out += [(OpKind.TWIN_ATTACH, pair) for pair in permutations(simps, 2)]
-            out += [(OpKind.TWIN_ATTACH, (s,)) for s in simps]
-        elif shallow and len(simps) == 1:
-            out.append((OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (simps[0],)))
+        kind = _simplicial_kind(deco, lv, qi, len(simps)) if simps else None
+        if kind is OpKind.TWIN_ATTACH:
+            out += [(kind, pair) for pair in permutations(simps, 2)]
+        if kind is not None:
+            out += [(kind, (s,)) for s in simps]
     return out
 
 
@@ -629,8 +641,8 @@ def _resolve_kind(T: _State, cand):
     A single anchor x is read off the clause predicates the guards raise
     from, as `_candidate_ops` reads them, with nothing raised: a cut
     vertex x can only take kind 1 or 2, a simplicial one only kinds 3-5,
-    which its block's level and simplicial count pick between.  With no
-    clique levels only kind 1 can pass.
+    which its block's level and simplicial count pick between
+    (`_simplicial_kind`).  With no clique levels only kind 1 can pass.
 
     Why no twin falls back.  The kind-4 guard makes the twin anchors a
     and b simplicial in one block of G[T], so each root z of it is next
@@ -657,16 +669,7 @@ def _resolve_kind(T: _State, cand):
             return OpKind.ATTACH_AT_LEVEL2_K2_CUT
         return None
     qi = deco._vertex_blocks[x][0]
-    level = lv.levels[qi]
-    simps = len(deco.blocks[qi] - deco.cut_vertices)
-    if level in (1, 2):
-        if simps >= 3:
-            return OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
-        # x itself is simplicial, so one is left: kind 5, or a one-anchor twin
-        return OpKind.TWIN_ATTACH if simps == 2 else OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL
-    if level == 3 and _level3_misfit(deco, lv, qi) is None:
-        return OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
-    return None
+    return _simplicial_kind(deco, lv, qi, len(deco.blocks[qi] - deco.cut_vertices))
 
 
 def _reverse_search(g: BlockGraph, v: int, target: int):
