@@ -14,11 +14,12 @@ vertex it hangs from, or such a block E at w2 together with w2 when
 w2's only other block is a 2-block {w1, w2} (an attached edge at w1
 extended by E).  A candidate last step is one piece, or a twin attach
 of two pieces; which operation kind rebuilt it is then read off the
-guards, so the search lists no operation shapes of its own.  Whether a
-candidate lowers alpha_min by exactly one while v keeps realizing it is
-decided on the current state: a piece passes when every maximum
-independent set of G[S] - N[v] meets it, and a twin gets one alpha pass
-with both pieces left out.
+anchor rule that the candidate list reads too (`_anchor_kinds`), so
+the search lists no operation shapes of its own.  Whether a candidate
+lowers alpha_min by exactly one while v keeps realizing it is decided
+on the current state: a piece passes when every maximum independent
+set of G[S] - N[v] meets it, and a twin gets one alpha pass with both
+pieces left out.
 
 The search runs on g's own blocks and builds no subgraph.  Every state
 S is a union of whole blocks of g (a piece is a pendant block minus its
@@ -145,19 +146,21 @@ def _block_roots(deco, lv, qi):
 class _State:
     """A graph G[S] made of whole blocks of g, in g's vertex ids, as the
     guards of a step at base vertex v read it: g itself while it grows
-    or replays, or a reverse-search state.  `deco` is its decomposition
-    and `out` is V - S.  G[S] is never built: its clique levels are
-    peeled from `deco`, N(v) lies in S, so it is g's, and the residual
-    alpha table is one alpha pass over g's forest with `out` and N[v]
-    left out, each made when first read."""
+    or replays, or a reverse-search state.  `deco` is its decomposition,
+    `out` is V - S and `nv` is N[v], which lies in S, so it is g's and
+    every state of one search shares it.  G[S] is never built: its
+    clique levels are peeled from `deco`, and the residual alpha table
+    is one alpha pass over g's forest with `out` and N[v] left out, each
+    made when first read."""
 
-    __slots__ = ("g", "v", "deco", "out", "_levels", "_residual")
+    __slots__ = ("g", "v", "deco", "out", "nv", "_levels", "_residual")
 
-    def __init__(self, g: BlockGraph, v: int, deco=None, out=frozenset()):
+    def __init__(self, g: BlockGraph, v: int, deco=None, out=frozenset(), nv=None):
         self.g = g
         self.v = v
         self.deco = decompose(g) if deco is None else deco
         self.out = out
+        self.nv = g.closed_neighborhood(v) if nv is None else nv
         self._levels = None
         self._residual = None
 
@@ -167,7 +170,7 @@ class _State:
         vertex it hangs from, so the blocks that meet it lie inside it,
         but for that vertex."""
         blocks = tuple(b for b in self.deco.blocks if b.isdisjoint(removed))
-        return _State(self.g, self.v, _indexed(blocks), self.out | removed)
+        return _State(self.g, self.v, _indexed(blocks), self.out | removed, self.nv)
 
     def levels(self):
         """The clique levels; a graph that has none fails the step's guards."""
@@ -181,14 +184,13 @@ class _State:
     def residual(self):
         """The alpha table of G[S] - N[v], indexed by g's vertex ids."""
         if self._residual is None:
-            self._residual = invariants._alpha_pass(
-                self.g, chain(self.out, self.g.closed_neighborhood(self.v)))
+            self._residual = invariants._alpha_pass(self.g, chain(self.out, self.nv))
         return self._residual
 
     def locks(self, x):
-        """Whether x is v, or is outside N(v) and in every maximum
+        """Whether x is v, or is outside N[v] and in every maximum
         independent set of G[S] - N[v]."""
-        return x == self.v or (x not in self.g.neighbors(self.v) and self.residual().ais[x])
+        return x == self.v or (x not in self.nv and self.residual().ais[x])
 
 
 def _in_pendant_block(deco, x):
@@ -212,20 +214,35 @@ def _level3_misfit(deco, lv, qi):
     return None
 
 
-def _simplicial_kind(deco, lv, qi, simps):
-    """The one kind among 3-5 whose guards pass at a simplicial anchor of
-    block qi, which has `simps` >= 1 simplicial vertices, or None: at
-    level 1 or 2, kind 3 with three or more, a one-anchor twin with two
-    and kind 5 with one; at level 3, kind 3 unless `_level3_misfit`
-    finds a misfit."""
+def _anchor_kinds(at: _State, x):
+    """The kinds whose guards pass at the single anchor x on `at`, in
+    kind order, read off the clause predicates `_guards_ok` raises from.
+    A cut vertex can take kinds 1 and 2; a simplicial one at most one of
+    kinds 3-5, which its block's level and simplicial count pick.  The
+    clique levels and the v-lock are read only when a kind after kind 1
+    is asked for; with no clique levels only kind 1 can pass."""
+    deco = at.deco
+    cut = x in deco.cut_vertices
+    if cut and x != at.v and _in_pendant_block(deco, x):
+        yield OpKind.ATTACH_AT_PENDANT_CUT
+    try:
+        lv = at.levels()
+    except PreconditionViolatedError:
+        return
+    if cut:
+        if _in_level2_k2(deco, lv, x) and not at.locks(x):
+            yield OpKind.ATTACH_AT_LEVEL2_K2_CUT
+        return
+    qi = deco._vertex_blocks[x][0]
     level = lv.levels[qi]
     if level in (1, 2):
+        simps = len(deco.blocks[qi] - deco.cut_vertices)
         if simps >= 3:
-            return OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
-        return OpKind.TWIN_ATTACH if simps == 2 else OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL
-    if level == 3 and _level3_misfit(deco, lv, qi) is None:
-        return OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
-    return None
+            yield OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
+        else:
+            yield OpKind.TWIN_ATTACH if simps == 2 else OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL
+    elif level == 3 and _level3_misfit(deco, lv, qi) is None:
+        yield OpKind.ATTACH_AT_SIMPLICIAL_OF_RICH_CLIQUE
 
 
 def _guards_ok(at: _State, kind: OpKind, anchors):
@@ -304,15 +321,6 @@ def _guards_ok(at: _State, kind: OpKind, anchors):
     return _block_roots(deco, lv, qi)
 
 
-def _accepts(at: _State, kind: OpKind, anchors) -> bool:
-    """Whether every structural guard of a `kind` step at `anchors` passes on `at`."""
-    try:
-        _guards_ok(at, kind, anchors)
-    except PreconditionViolatedError:
-        return False
-    return True
-
-
 def _attach_cliques(g: BlockGraph, anchors, sizes):
     """g plus one fresh clique per (anchor, size) pair, its fresh vertices
     numbered on from g.n in pair order; an anchor may be a fresh vertex
@@ -355,7 +363,6 @@ def _plan(at: _State, op: OpDescriptor):
     """
     op.check_shape()
     g, v = at.g, at.v
-    g._check_vertex(v)
     for a in op.anchors:
         if not 0 <= a < g.n:
             raise PreconditionViolatedError("anchor-unknown", f"anchor {a} outside 0..{g.n - 1}")
@@ -363,9 +370,8 @@ def _plan(at: _State, op: OpDescriptor):
     anchors, sizes = op.anchors, op.sizes
 
     if op.kind is OpKind.TWIN_ATTACH and len(anchors) == 2:
-        nv = g.closed_neighborhood(v)
-        locked = invariants._alpha_pass(g, nv | set(anchors)).ais
-        if all(z == v or (z not in nv and locked[z]) for z in roots):
+        locked = invariants._alpha_pass(g, at.nv | set(anchors)).ais
+        if all(z == v or (z not in at.nv and locked[z]) for z in roots):
             # the double attach would lock every root into every maximum
             # independent set through v; fall back to a single clique
             anchors, sizes = anchors[:1], sizes[:1]
@@ -449,28 +455,16 @@ def _candidate_ops(at: _State):
     each simplicial vertex for kind 3, each ordered pair and each single
     one for the twin attach, and each one for kind 5.
 
-    Read in one pass over g's blocks through the predicates the guards
-    raise from, with nothing raised.  The guards of kinds 3-5 read only
-    the anchors' block (and that twin anchors differ): its level and
-    simplicial count pick at most one of them.  With no clique levels
-    (one vertex, or disconnected) kinds 2-5 all fail."""
+    Read in one pass over g's cut vertices and blocks through the anchor
+    rule (`_anchor_kinds`), with nothing raised.  The guards of kinds
+    3-5 read only the anchors' block (and that twin anchors differ), so
+    a block's first simplicial vertex gives the kind of all of them."""
     deco = at.deco
     cuts = deco.cut_vertices
-    try:
-        lv = at.levels()
-    except PreconditionViolatedError:
-        lv = None
-    out = []
-    for x in sorted(cuts):
-        if x != at.v and _in_pendant_block(deco, x):
-            out.append((OpKind.ATTACH_AT_PENDANT_CUT, (x,)))
-        if lv is not None and _in_level2_k2(deco, lv, x) and not at.locks(x):
-            out.append((OpKind.ATTACH_AT_LEVEL2_K2_CUT, (x,)))
-    if lv is None:
-        return out
-    for qi, b in enumerate(deco.blocks):
+    out = [(kind, (x,)) for x in sorted(cuts) for kind in _anchor_kinds(at, x)]
+    for b in deco.blocks:
         simps = sorted(b - cuts)
-        kind = _simplicial_kind(deco, lv, qi, len(simps)) if simps else None
+        kind = next(_anchor_kinds(at, simps[0]), None) if simps else None
         if kind is OpKind.TWIN_ATTACH:
             out += [(kind, pair) for pair in permutations(simps, 2)]
         if kind is not None:
@@ -570,7 +564,6 @@ def _reverse_candidates(S: _State):
     listed once, smaller anchor first: the guards are symmetric in the
     two anchors."""
     g, deco = S.g, S.deco
-    nv = g.closed_neighborhood(S.v)
     pieces = []
     for qi in deco.pendant_block_indices():
         block = deco.blocks[qi]
@@ -581,13 +574,14 @@ def _reverse_candidates(S: _State):
         if len(other) == 1 and len(other[0]) == 2:
             (w1,) = other[0] - {x}
             pieces.append(_Reverse(None, (w1,), (2,), StarExtension(0, len(block)), (x,) + fresh))
-    pieces = [p for p in pieces if p.removed.isdisjoint(nv)]
+    pieces = [p for p in pieces if p.removed.isdisjoint(S.nv)]
 
     cands = list(pieces)
+    nbrs = {a: g.neighbors(a) for (a,) in {p.anchors for p in pieces}} if len(pieces) > 1 else {}
     for p, q in permutations(pieces, 2):
         (a,), (b,) = p.anchors, q.anchors
         # an extended piece goes first; a plain pair, smaller anchor first
-        if q.ext or (p.ext is None and a > b) or b not in g.neighbors(a):
+        if q.ext or (p.ext is None and a > b) or b not in nbrs[a]:
             continue
         if p.removed & q.removed or a in q.removed or b in p.removed:
             continue
@@ -622,7 +616,7 @@ def _steps_down(S: _State, am, cand):
     if cand.ext is not None:
         return True
     x = cand.anchors[0]
-    if x in g.neighbors(v):
+    if x in S.nv:  # never v: a plain piece hanging from v would lie in N[v]
         return True
     table = S.residual()
     return table.alpha_with[x] < table.alpha
@@ -634,15 +628,14 @@ def _resolve_kind(T: _State, cand):
     no kind does.  Nothing is replayed: the candidate's sizes and
     extension add exactly its removed vertices, and a twin that passes
     the step rule never falls back to one clique, so the kind is the
-    first whose guards pass on T; two anchors can only be a twin.  The
-    extension clause `ext-anchor-v-ais` needs w1 = v, which would put
-    the removed w2 in N[v], so it cannot fire.
+    first whose guards pass on T, read off the anchor rule
+    (`_anchor_kinds`) at the first anchor.  The extension clause
+    `ext-anchor-v-ais` needs w1 = v, which would put the removed w2 in
+    N[v], so it cannot fire.
 
-    A single anchor x is read off the clause predicates the guards raise
-    from, as `_candidate_ops` reads them, with nothing raised: a cut
-    vertex x can only take kind 1 or 2, a simplicial one only kinds 3-5,
-    which its block's level and simplicial count pick between
-    (`_simplicial_kind`).  With no clique levels only kind 1 can pass.
+    Two anchors can only be a twin.  They differ and are adjacent in T,
+    so they lie in one block once both are simplicial: the twin passes
+    when a takes the twin attach and b is simplicial.
 
     Why no twin falls back.  The kind-4 guard makes the twin anchors a
     and b simplicial in one block of G[T], so each root z of it is next
@@ -653,23 +646,11 @@ def _resolve_kind(T: _State, cand):
     set of X - {a, b} that avoids z.  Extended twin (2-block at a): b
     lies in every maximum set I of X, and I - b is a maximum set of
     X - {a, b} that avoids z."""
-    if len(cand.anchors) == 2:
-        return OpKind.TWIN_ATTACH if _accepts(T, OpKind.TWIN_ATTACH, cand.anchors) else None
-    (x,) = cand.anchors
-    deco = T.deco
-    cut = x in deco.cut_vertices
-    if cut and x != T.v and _in_pendant_block(deco, x):
-        return OpKind.ATTACH_AT_PENDANT_CUT
-    try:
-        lv = T.levels()
-    except PreconditionViolatedError:
+    anchors = cand.anchors
+    kind = next(_anchor_kinds(T, anchors[0]), None)
+    if len(anchors) == 2 and (kind is not OpKind.TWIN_ATTACH or anchors[1] in T.deco.cut_vertices):
         return None
-    if cut:
-        if _in_level2_k2(deco, lv, x) and not T.locks(x):
-            return OpKind.ATTACH_AT_LEVEL2_K2_CUT
-        return None
-    qi = deco._vertex_blocks[x][0]
-    return _simplicial_kind(deco, lv, qi, len(deco.blocks[qi] - deco.cut_vertices))
+    return kind
 
 
 def _reverse_search(g: BlockGraph, v: int, target: int):
@@ -682,11 +663,11 @@ def _reverse_search(g: BlockGraph, v: int, target: int):
     explicit stack: each frame is a state, its alpha_min and what is
     left of its candidates; a state whose candidates all fail joins
     `failed` and is never entered again."""
-    base_size = len(g.closed_neighborhood(v))
+    root = _State(g, v)
+    base_size = len(root.nv)
     if g.n == base_size:
         return []
     failed = set()
-    root = _State(g, v)
     frames = [(root, target, iter(_reverse_candidates(root)))]
     records = []  # records[i] leads from frames[i] to frames[i + 1]
     while frames:

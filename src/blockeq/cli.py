@@ -30,6 +30,19 @@ def _positive_int(text):
     return int(text)
 
 
+# the most worker processes `verify --jobs` starts: the pool starts them
+# all at once, each a whole interpreter, and the sweep is CPU-bound, so
+# workers beyond the machine's cores add memory and no speed
+_MAX_JOBS = 64
+
+
+def _jobs(text):
+    """argparse type for `verify --jobs`: an integer from 1 to _MAX_JOBS."""
+    if _positive_int(text) > _MAX_JOBS:
+        raise argparse.ArgumentTypeError(f"expected an integer <= {_MAX_JOBS}, got {text!r}")
+    return int(text)
+
+
 # -- sweep machinery ------------------------------------------------------
 
 # graphs handed to a worker process at a time by `verify --jobs N`
@@ -381,7 +394,7 @@ def build_parser():
         choices=["conjecture", "dc-le-alphamin", "characterization", "eq1"],
     )
     q.add_argument("--max-n", type=_positive_int, required=True)
-    q.add_argument("--jobs", type=_positive_int, default=1)
+    q.add_argument("--jobs", type=_jobs, default=1)
     q.set_defaults(fn=_cmd_verify)
 
     return p

@@ -17,7 +17,8 @@ clique attachments, the generator's graphs, the flower graphs and the
 named families.  Such a graph derives its adjacency from the blocks on
 the first read of `_adj` and keeps it; until then `neighbors(v)` and
 `closed_neighborhood(v)` read v's own blocks, and the kernels that read
-only the decomposition never build it.
+only the decomposition never build it.  Besides these a graph caches
+only its alpha table (`invariants`), not its clique levels.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _biconnected_components(adj):
 class BlockGraph:
     """Immutable simple graph whose blocks are all cliques."""
 
-    __slots__ = ("n", "_adjacency", "labels", "_decomp", "_levels", "_alpha", "_v_alpha")
+    __slots__ = ("n", "_adjacency", "labels", "_decomp", "_alpha")
 
     def __init__(self, n, edges, labels=None, _validated=False):
         adj = [set() for _ in range(n)]
@@ -173,9 +174,7 @@ class BlockGraph:
         self._adjacency = adj
         self.labels = tuple(labels) if labels is not None else None
         self._decomp = decomp
-        self._levels = None
         self._alpha = None
-        self._v_alpha = None
 
     def _validate(self):
         found = _biconnected_components(self._adj)
@@ -410,11 +409,10 @@ def clique_levels(g: BlockGraph) -> LevelAssignment:
     Pendant cliques of the current residual get the current level, then
     their simplicial vertices are deleted and the process repeats.  The
     residual is always a union of whole blocks, so one pass over the
-    block-cut tree does the peeling (`_peel`), cached on the graph.
+    block-cut tree does the peeling (`_peel`), made on each call: the
+    growth guards and the reverse search peel their own states.
     """
-    if g._levels is None:
-        g._levels = _peel(decompose(g))
-    return g._levels
+    return _peel(decompose(g))
 
 
 def _peel(deco: BlockDecomposition) -> LevelAssignment:

@@ -5,8 +5,8 @@ Every parameter comes from linear passes over the block-cut forest of
 table (cached on the graph), from which `alpha`, `alpha_with`,
 `alpha_min` and the AIS test are read off, and one more post-order
 pass gives the distance to cluster.  The v-AIS test is the same alpha
-pass over the host graph's forest with N[v] left out, cached per base
-vertex v; no residual graph G - N[v] is built.  The deliberately naive
+pass over the host graph's forest with N[v] left out, made per query;
+no residual graph G - N[v] is built.  The deliberately naive
 counterparts live in `oracle` so the two code paths stay independent.
 """
 
@@ -223,27 +223,13 @@ def is_ais(g: BlockGraph, w: int) -> bool:
 
 def is_v_ais(g: BlockGraph, v: int, w: int) -> bool:
     """Whether w lies in every maximum independent set containing v,
-    that is, in every maximum independent set of G - N[v].
-
-    The v-AIS flags of all w come from one alpha pass over g's own
-    forest with N[v] left out, cached on the graph per base vertex v
-    (`_residual_alpha_table`).
-    """
+    that is, in every maximum independent set of G - N[v]: one alpha
+    pass over g's own forest with N[v] left out."""
     g._check_vertex(w)
-    if w in g.closed_neighborhood(v):
+    nv = g.closed_neighborhood(v)
+    if w in nv:
         raise WIsInClosedNeighborhoodError(f"w={w} lies in N[{v}]")
-    return _residual_alpha_table(g, v).ais[w]
-
-
-def _residual_alpha_table(g: BlockGraph, v: int) -> _AlphaTable:
-    """The alpha table of G - N[v], indexed by g's vertex ids, computed
-    once per base vertex v and cached on the graph."""
-    if g._v_alpha is None:
-        g._v_alpha = {}
-    table = g._v_alpha.get(v)
-    if table is None:
-        table = g._v_alpha[v] = _alpha_pass(g, g.closed_neighborhood(v))
-    return table
+    return _alpha_pass(g, nv).ais[w]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from blockeq.characterization import (
     OpDescriptor,
     OpKind,
     StarExtension,
-    _accepts,
     _attach_cliques,
     _candidate_ops,
     _guards_ok,
@@ -412,6 +411,15 @@ def resolve_kind_by_replay(tsub, tmap, v, cand):
     return None
 
 
+def _accepts(at, kind, anchors):
+    """Whether every structural guard of a `kind` step at `anchors` passes on `at`."""
+    try:
+        _guards_ok(at, kind, anchors)
+    except PreconditionViolatedError:
+        return False
+    return True
+
+
 def resolve_kind_by_guards(T, cand):
     """First kind whose guards `_accepts` on the state T, trying each in
     turn; two anchors can only be a twin."""
@@ -564,7 +572,7 @@ def _steps_down_on_subgraph(sub, smap, v, am, cand):
     x = smap[cand.anchors[0]]
     if x in sub.neighbors(sv):
         return True
-    table = invariants._residual_alpha_table(sub, sv)
+    table = invariants._alpha_pass(sub, sub.closed_neighborhood(sv))
     return table.alpha_with[x] < table.alpha
 
 

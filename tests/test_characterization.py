@@ -413,10 +413,10 @@ def test_kind_is_read_off_the_guards(graphs_up_to_10):
 
 
 def test_kind_rule_matches_the_first_accepted_kind(graphs_up_to_9):
-    """`_resolve_kind` reads a single piece's kind off the clause
-    predicates; it names the first kind whose guards `_accepts` on T, for
-    every reverse candidate at every cut vertex v, whether or not the
-    candidate passes `_steps_down`."""
+    """`_resolve_kind` reads a piece's kind, or a twin's, off the anchor
+    rule; it names the first kind whose guards `brutes._accepts` on T,
+    for every reverse candidate at every cut vertex v, whether or not
+    the candidate passes `_steps_down`."""
     seen = set()
     for g in graphs_up_to_9:
         for v in sorted(decompose(g).cut_vertices):
@@ -458,7 +458,7 @@ def test_states_read_what_the_built_graph_has(graphs_up_to_9):
                 assert lv.roots == {qi: back.get(z) for qi, z in want_lv.roots.items()}
                 assert lv.unleveled_singleton == back.get(want_lv.unleveled_singleton)
                 res = T.residual()
-                want_res = inv._residual_alpha_table(tsub, tmap[v])
+                want_res = inv._alpha_pass(tsub, tsub.closed_neighborhood(tmap[v]))
                 assert res.alpha == want_res.alpha
                 for u in set(tmap) - nv:
                     assert res.alpha_with[u] == want_res.alpha_with[tmap[u]], (g.edges(), v, u)

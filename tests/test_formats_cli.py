@@ -488,6 +488,13 @@ class TestCli:
         assert proc.returncode == 2, proc.stdout
         assert f"argument {option}: expected an integer >= 1" in proc.stderr
 
+    def test_too_many_jobs_exits_two(self, capsys):
+        # parser only, never `cli.main`: without the bound it would start that many processes
+        with pytest.raises(SystemExit) as exit_info:
+            cli.build_parser().parse_args(["verify", "conjecture", "--max-n", "4", "--jobs", "100000"])
+        assert exit_info.value.code == 2
+        assert f"argument --jobs: expected an integer <= {cli._MAX_JOBS}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("graph, problem", [
         ({"n": -2, "edges": []}, "vertex count must be a nonnegative integer"),
         ({"n": 2.5, "edges": [[0, 1]]}, "vertex count must be a nonnegative integer"),

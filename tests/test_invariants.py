@@ -225,7 +225,7 @@ class TestVAis:
                         continue
                     assert inv.is_v_ais(g, v, w) == (id_map[w] in core)
 
-    def test_cache_is_kept_per_base_vertex(self, graphs_up_to_7):
+    def test_repeated_queries_agree_with_a_fresh_graph(self, graphs_up_to_7):
         # one graph object answers every query, base vertices taken in
         # descending order; a fresh equal graph answers each one cold
         for g in graphs_up_to_7:
