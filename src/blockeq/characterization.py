@@ -160,7 +160,9 @@ class _State:
         self.v = v
         self.deco = decompose(g) if deco is None else deco
         self.out = out
-        self.nv = g.closed_neighborhood(v) if nv is None else nv
+        if nv is None:
+            g._check_vertex(v)
+        self.nv = self.deco.closed_neighborhood(v) if nv is None else nv
         self._levels = None
         self._residual = None
 
@@ -562,8 +564,9 @@ def _reverse_candidates(S: _State):
     disjoint removals and neither anchor in the other's removal, of
     which at most one is extended and goes first.  A plain pair is
     listed once, smaller anchor first: the guards are symmetric in the
-    two anchors."""
-    g, deco = S.g, S.deco
+    two anchors.  Anchors a != b are adjacent exactly when they share a
+    block of S, since a removed piece's block keeps only its anchor."""
+    deco = S.deco
     pieces = []
     for qi in deco.pendant_block_indices():
         block = deco.blocks[qi]
@@ -577,18 +580,21 @@ def _reverse_candidates(S: _State):
     pieces = [p for p in pieces if p.removed.isdisjoint(S.nv)]
 
     cands = list(pieces)
-    nbrs = {a: g.neighbors(a) for (a,) in {p.anchors for p in pieces}} if len(pieces) > 1 else {}
-    for p, q in permutations(pieces, 2):
-        (a,), (b,) = p.anchors, q.anchors
-        # an extended piece goes first; a plain pair, smaller anchor first
-        if q.ext or (p.ext is None and a > b) or b not in nbrs[a]:
-            continue
-        if p.removed & q.removed or a in q.removed or b in p.removed:
-            continue
-        # replay adds p's clique, then q's, then p's extension
-        n_p = 1 if p.ext else len(p.fresh)
-        cands.append(_Reverse(OpKind.TWIN_ATTACH, (a, b), p.sizes + q.sizes, p.ext,
-                              p.fresh[:n_p] + q.fresh + p.fresh[n_p:]))
+    for p in pieces:
+        (a,) = p.anchors
+        homes = set(deco._vertex_blocks[a])
+        for q in pieces:
+            (b,) = q.anchors
+            # an extended piece goes first; a plain pair, smaller anchor first
+            if (q.ext or (p.ext is None and a > b) or a == b
+                    or homes.isdisjoint(deco._vertex_blocks[b])):
+                continue
+            if p.removed & q.removed or a in q.removed or b in p.removed:
+                continue
+            # replay adds p's clique, then q's, then p's extension
+            n_p = 1 if p.ext else len(p.fresh)
+            cands.append(_Reverse(OpKind.TWIN_ATTACH, (a, b), p.sizes + q.sizes, p.ext,
+                                  p.fresh[:n_p] + q.fresh + p.fresh[n_p:]))
     cands.sort(key=lambda c: (len(c.removed), sorted(c.removed), c.anchors, c.sizes))
     return cands
 
@@ -718,7 +724,7 @@ def find_decomposition(g: BlockGraph) -> Optional[CharCertificate]:
         log.warning("reverse search exhausted on %r; potential counterexample", g)
         return None
 
-    base_sub, base_map = g.induced_subgraph(sorted(g.closed_neighborhood(v)))
+    base_sub, base_map = g.induced_subgraph(sorted(deco.closed_neighborhood(v)))
     id_map = dict(base_map)
     nxt = base_sub.n
     steps = []

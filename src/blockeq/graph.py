@@ -15,10 +15,10 @@ search; every graph the library builds itself outside the brute-force
 oracle is built this way: induced subgraphs, the growth operations'
 clique attachments, the generator's graphs, the flower graphs and the
 named families.  Such a graph derives its adjacency from the blocks on
-the first read of `_adj` and keeps it; until then `neighbors(v)` and
-`closed_neighborhood(v)` read v's own blocks, and the kernels that read
-only the decomposition never build it.  Besides these a graph caches
-only its alpha table (`invariants`), not its clique levels.
+the first read of `_adj` and keeps it.  `neighbors(v)` and
+`closed_neighborhood(v)` read that adjacency; the kernels take N[v] off
+the decomposition instead, so they never build it.  Besides these a
+graph caches only its alpha table (`invariants`), not its clique levels.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ class BlockGraph:
         its blocks without it."""
         adj = self._adjacency
         if adj is None:
-            # `_blocks_through` inline: a call per vertex is a third slower
+            # `BlockDecomposition.closed_neighborhood` inline, a third faster
             blocks = self._decomp.blocks
             adj = [None] * self.n
             for u, ix in self._decomp._vertex_blocks.items():
@@ -196,22 +196,11 @@ class BlockGraph:
 
     def neighbors(self, v):
         self._check_vertex(v)
-        if self._adjacency is not None:
-            return self._adjacency[v]
-        return self._blocks_through(v) - {v}
+        return self._adj[v]
 
     def closed_neighborhood(self, v):
         self._check_vertex(v)
-        if self._adjacency is not None:
-            return self._adjacency[v] | {v}
-        return self._blocks_through(v)
-
-    def _blocks_through(self, v):
-        """The union of v's blocks, N[v], while the adjacency is unbuilt:
-        `_adj` takes v out of the same union, written inline there."""
-        blocks = self._decomp.blocks
-        ix = self._decomp._vertex_blocks[v]
-        return blocks[ix[0]] if len(ix) == 1 else frozenset().union(*[blocks[i] for i in ix])
+        return self._adj[v] | {v}
 
     def degree(self, v):
         self._check_vertex(v)
@@ -236,27 +225,6 @@ class BlockGraph:
     def _check_vertex(self, v):
         if not (0 <= v < self.n):
             raise UnknownVertexError(f"vertex {v} outside 0..{self.n - 1}")
-
-    # -- connectivity ---------------------------------------------------
-
-    def connected_components(self):
-        adj = self._adj
-        seen = set()
-        comps = []
-        for s in range(self.n):
-            if s in seen:
-                continue
-            comp = {s}
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
 
     def is_connected(self):
         return decompose(self).is_connected()
@@ -339,6 +307,12 @@ class BlockDecomposition:
 
     def block_indices_of(self, v):
         return self._vertex_blocks.get(v, ())
+
+    def closed_neighborhood(self, v):
+        """N[v], for a vertex v of these blocks: the union of v's blocks."""
+        blocks = self.blocks
+        ix = self._vertex_blocks[v]
+        return blocks[ix[0]] if len(ix) == 1 else frozenset().union(*[blocks[i] for i in ix])
 
     def pendant_block_indices(self):
         """Blocks containing exactly one cut vertex."""

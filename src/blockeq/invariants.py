@@ -226,7 +226,8 @@ def is_v_ais(g: BlockGraph, v: int, w: int) -> bool:
     that is, in every maximum independent set of G - N[v]: one alpha
     pass over g's own forest with N[v] left out."""
     g._check_vertex(w)
-    nv = g.closed_neighborhood(v)
+    g._check_vertex(v)
+    nv = decompose(g).closed_neighborhood(v)
     if w in nv:
         raise WIsInClosedNeighborhoodError(f"w={w} lies in N[{v}]")
     return _alpha_pass(g, nv).ais[w]

@@ -330,10 +330,11 @@ def brute_dc(g: BlockGraph, cap: int = BRUTE_CAP) -> int:
 
 
 def _no_induced_p3(g, keep):
+    adj = g._adj
     for v in keep:
-        nbrs = [w for w in g.neighbors(v) if w in keep]
+        nbrs = [w for w in adj[v] if w in keep]
         for i, a in enumerate(nbrs):
-            row = g.neighbors(a)
+            row = adj[a]
             for b in nbrs[i + 1:]:
                 if b not in row:
                     return False
@@ -395,7 +396,7 @@ def canonical_form(g: BlockGraph) -> bytes:
         return label + "(" + ",".join(kids) + ")"
 
     comps = []
-    for comp in sorted(g.connected_components(), key=sorted):
+    for comp in sorted(connected_components(g), key=sorted):
         bidx = sorted({i for v in comp for i in deco.block_indices_of(v)})
         nodes = [("B", i) for i in bidx] + [
             ("C", v) for v in sorted(comp & deco.cut_vertices)
@@ -479,7 +480,7 @@ def is_block_graph_by_filter(g: BlockGraph) -> bool:
     Uses the forbidden-subgraph characterization: no induced cycle of
     length >= 4 and no induced diamond.
     """
-    n = g.n
+    n, adj = g.n, g._adj
     for quad in combinations(range(n), 4):
         sub = [(u, v) for u, v in combinations(quad, 2) if g.adjacent(u, v)]
         if len(sub) == 5:
@@ -487,23 +488,31 @@ def is_block_graph_by_filter(g: BlockGraph) -> bool:
     for size in range(4, n + 1):
         for sub in combinations(range(n), size):
             degs = {v: sum(1 for w in sub if g.adjacent(v, w)) for v in sub}
-            if all(d == 2 for d in degs.values()) and _is_single_cycle(g, sub):
+            if all(d == 2 for d in degs.values()) and len(_components(adj, set(sub))) == 1:
                 return False
     return True
 
 
-def _is_single_cycle(g, sub):
-    sub = set(sub)
-    start = next(iter(sub))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w in sub and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == sub
+def _components(adj, within):
+    """The vertex sets of the components of the graph that `adj` induces
+    on `within`: the oracle's one graph walk, a depth-first search."""
+    seen, comps = set(), []
+    for s in within:
+        if s not in seen:
+            comp, stack = {s}, [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if w in within and w not in comp:
+                        comp.add(w)
+                        stack.append(w)
+            seen |= comp
+            comps.append(frozenset(comp))
+    return comps
+
+
+def connected_components(g: BlockGraph):
+    """The vertex sets of g's connected components, read off its adjacency."""
+    return _components(g._adj, range(g.n))
 
 
 def count_block_graphs_by_filter(n: int) -> int:
@@ -515,7 +524,7 @@ def count_block_graphs_by_filter(n: int) -> int:
     for mask in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1]
         g = BlockGraph(n, edges, _validated=True)
-        if len(g.connected_components()) > 1:
+        if len(connected_components(g)) > 1:
             continue
         if not is_block_graph_by_filter(g):
             continue

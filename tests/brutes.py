@@ -504,6 +504,40 @@ def generate_with_alphamin_by_building(r, max_clique=4, seed=None):
     return g, CharCertificate(base, 0, tuple(steps))
 
 
+def reverse_candidates_by_neighbors(S):
+    """`characterization._reverse_candidates` with the twin-pair rule
+    read off g's neighbor sets: anchors a and b pair when b is in N(a),
+    a set asked of g once per distinct anchor at each state."""
+    g, deco = S.g, S.deco
+    pieces = []
+    for qi in deco.pendant_block_indices():
+        block = deco.blocks[qi]
+        x = next(iter(block & deco.cut_vertices))
+        fresh = tuple(sorted(block - {x}))
+        pieces.append(_Reverse(None, (x,), (len(block),), None, fresh))
+        other = [deco.blocks[qj] for qj in deco._vertex_blocks[x] if qj != qi]
+        if len(other) == 1 and len(other[0]) == 2:
+            (w1,) = other[0] - {x}
+            pieces.append(_Reverse(None, (w1,), (2,), StarExtension(0, len(block)), (x,) + fresh))
+    pieces = [p for p in pieces if p.removed.isdisjoint(S.nv)]
+
+    cands = list(pieces)
+    nbrs = {a: g.neighbors(a) for (a,) in {p.anchors for p in pieces}} if len(pieces) > 1 else {}
+    for p, q in permutations(pieces, 2):
+        (a,), (b,) = p.anchors, q.anchors
+        # an extended piece goes first; a plain pair, smaller anchor first
+        if q.ext or (p.ext is None and a > b) or b not in nbrs[a]:
+            continue
+        if p.removed & q.removed or a in q.removed or b in p.removed:
+            continue
+        # replay adds p's clique, then q's, then p's extension
+        n_p = 1 if p.ext else len(p.fresh)
+        cands.append(_Reverse(OpKind.TWIN_ATTACH, (a, b), p.sizes + q.sizes, p.ext,
+                              p.fresh[:n_p] + q.fresh + p.fresh[n_p:]))
+    cands.sort(key=lambda c: (len(c.removed), sorted(c.removed), c.anchors, c.sizes))
+    return cands
+
+
 def _reverse_candidates_of_subgraph(g, v, sub, hosts):
     """Last-step removal candidates at a state S, read off G[S] (`sub`,
     whose vertex i is g's vertex hosts[i]).

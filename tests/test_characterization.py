@@ -28,6 +28,7 @@ from blockeq.errors import (
     ExhaustedRetriesError,
     NoCutVertexError,
     PreconditionViolatedError,
+    UnknownVertexError,
 )
 from blockeq.families import (
     clique_with_pendant_cliques,
@@ -82,6 +83,13 @@ class TestApplyOperation:
         # the double attach survives only if the block root stays free;
         # either way the result is a valid block graph
         assert grown.n in (g.n + 1, g.n + 2)
+
+    @pytest.mark.parametrize("v", [99, -1])
+    def test_unknown_base_vertex_is_named(self, v):
+        g = star_of_cliques([3, 2])
+        op = OpDescriptor(OpKind.ATTACH_AT_UNIQUE_SIMPLICIAL, (3,), (3,))
+        with pytest.raises(UnknownVertexError, match=rf"^vertex {v} outside 0\.\.3$"):
+            apply_operation(g, v, op)
 
     def test_sizes_below_two_rejected(self):
         g = star_of_cliques([3, 3])
@@ -357,6 +365,35 @@ def test_reverse_candidates_are_distinct(graphs_up_to_8):
         assert len(keys) == len(set(keys)), (g.edges(), v)
         checked += len(keys)
     assert checked > 0
+
+
+def test_reverse_candidates_match_the_neighbor_reference(graphs_up_to_9):
+    """Twin anchors paired by sharing a block of the state, a != b, give
+    the candidate list that pairing by g's neighbor sets gives
+    (`brutes.reverse_candidates_by_neighbors`): at every vertex v that
+    realizes alpha_min, at the whole graph and at every state the search
+    can reach from it."""
+    states = twins = 0
+    for g in graphs_up_to_9:
+        if g.n < 2:
+            continue
+        am = inv.alpha_min(g).value
+        for v in range(g.n):
+            if inv.alpha_with(g, v) != am:
+                continue
+            todo, seen = [(_State(g, v), am)], set()
+            while todo:
+                S, am_s = todo.pop()
+                cands = _reverse_candidates(S)
+                assert cands == brutes.reverse_candidates_by_neighbors(S), (g.edges(), v, S.out)
+                states += 1
+                twins += bool(S.out) and any(c.kind for c in cands)
+                for c in cands:
+                    T = S.without(c.removed)
+                    if T.out not in seen and _steps_down(S, am_s, c):
+                        seen.add(T.out)
+                        todo.append((T, am_s - 1))
+    assert states > 7000 and twins > 600
 
 
 def test_step_down_rule_matches_the_built_graph(graphs_up_to_9):

@@ -173,6 +173,12 @@ class TestCli:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ais"] is True
 
+    @pytest.mark.parametrize("base", ["99", "-1"])
+    def test_ais_unknown_base_exits_two(self, graph_file, base):
+        proc = run_cli("ais", str(graph_file), "--w", "3", "--base", base)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: vertex {base} outside 0..3\n"
+
     def test_char_gen_decompose_verify_pipeline(self, tmp_path):
         proc = run_cli("char", "gen", "--r", "3", "--seed", "5")
         assert proc.returncode == 0

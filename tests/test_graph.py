@@ -7,8 +7,14 @@ from itertools import combinations
 
 import pytest
 
-from blockeq import invariants
-from blockeq.characterization import _attach_cliques, apply_operation, generate_with_alphamin
+from blockeq import invariants, oracle
+from blockeq.characterization import (
+    _attach_cliques,
+    apply_operation,
+    find_decomposition,
+    generate_with_alphamin,
+    verify_certificate,
+)
 from blockeq.errors import (
     DisconnectedError,
     EdgelessError,
@@ -127,7 +133,7 @@ class TestDecompose:
         for g in graphs_up_to_7:
             deco = decompose(g)
             nodes = len(deco.blocks) + len(deco.cut_vertices)
-            comps = len(g.connected_components())
+            comps = len(oracle.connected_components(g))
             assert sum(len(b & deco.cut_vertices) for b in deco.blocks) == nodes - comps
 
 
@@ -280,7 +286,7 @@ class TestDerivedDecomposition:
                     (id_map[u], id_map[v]) for u, v in g.edges() if u in id_map and v in id_map
                 ]
                 assert_same_decomposition(sub)
-                assert sub.is_connected() == (len(sub.connected_components()) <= 1)
+                assert sub.is_connected() == (len(oracle.connected_components(sub)) <= 1)
                 disconnected += not sub.is_connected()
         assert disconnected > 100
 
@@ -352,15 +358,17 @@ class TestDerivedDecomposition:
 
 
 def assert_adjacency_on_demand(g):
-    """g, built from its blocks, has no adjacency yet; reading neighbors
-    and closed neighborhoods builds none, and gives what the built
-    adjacency gives, which is the validated build's."""
+    """g, built from its blocks, has no adjacency yet; reading each N[v]
+    off its decomposition builds none, and the built adjacency gives the
+    same neighborhoods, which are the validated build's."""
     assert g._adjacency is None, g
-    before = [(g.neighbors(v), g.closed_neighborhood(v)) for v in range(g.n)]
+    deco = decompose(g)
+    before = [deco.closed_neighborhood(v) for v in range(g.n)]
     assert g._adjacency is None, g
     adj = g._adj
     assert g._adjacency is adj
-    assert [(g.neighbors(v), g.closed_neighborhood(v)) for v in range(g.n)] == before, g
+    assert [g.closed_neighborhood(v) for v in range(g.n)] == before, g
+    assert [g.neighbors(v) for v in range(g.n)] == [nv - {v} for v, nv in enumerate(before)], g
     assert adj == BlockGraph(g.n, g.edges())._adj, g
 
 
@@ -372,13 +380,14 @@ def _suite_certificates(tmp_path):
 
 class TestAdjacencyOnDemand:
     """A graph built from its blocks derives its adjacency on the first
-    read of `_adj`, and not before; `neighbors` and
-    `closed_neighborhood` read a vertex's own blocks until then."""
+    read of `_adj`, and not before; until then N[v] is read off its
+    decomposition."""
 
     def test_generated_graphs_and_their_closed_neighborhoods(self):
         count = 0
         for g, _ in generate_block_graphs(9):
-            subs = [g.induced_subgraph(g.closed_neighborhood(v))[0] for v in range(g.n)]
+            deco = decompose(g)
+            subs = [g.induced_subgraph(deco.closed_neighborhood(v))[0] for v in range(g.n)]
             for h in [g] + subs:
                 assert_adjacency_on_demand(h)
             count += 1
@@ -394,6 +403,19 @@ class TestAdjacencyOnDemand:
             # each step read only N[v] and the blocks of the graph it grew
             for g in graphs:
                 assert_adjacency_on_demand(g)
+
+    def test_certificate_recovery_and_replay(self):
+        # the reverse search, its base clique-star and the replay of the
+        # certificate read only blocks
+        found = 0
+        for g, _ in generate_block_graphs(9):
+            if not decompose(g).cut_vertices:
+                continue
+            cert = find_decomposition(g)
+            assert verify_certificate(cert).ok
+            assert g._adjacency is None and cert.base_graph._adjacency is None, g
+            found += 1
+        assert found == 759 - 9  # the nine cliques have no cut vertex
 
     def test_flower_graphs(self):
         instances = brutes.packing_box()

@@ -196,6 +196,12 @@ class TestVAis:
     def test_path5_leaf_to_leaf(self):
         assert inv.is_v_ais(path_graph(5), 0, 4)
 
+    @pytest.mark.parametrize("v", [99, -1])
+    def test_unknown_base_vertex_is_named(self, v):
+        # a graph built from its blocks, whose adjacency is never built here
+        with pytest.raises(UnknownVertexError, match=rf"^vertex {v} outside 0\.\.4$"):
+            inv.is_v_ais(path_graph(5), v, 4)
+
     def test_path3_leaves(self):
         assert inv.is_v_ais(path_graph(3), 0, 2)
 

@@ -172,3 +172,34 @@ def test_adjacency_bound_once_outside_loops(path):
         and node.value.attr == "_adj"
     })
     assert not inside, f"`._adj[...]` read inside a loop: {inside}"
+
+
+# The fast side reads N[v] off the block index, never through the
+# adjacency accessors of `BlockGraph`, so a graph built from its blocks
+# builds no adjacency there; component walks belong to the oracle.
+BLOCK_INDEX_READERS = ["characterization.py", "invariants.py", "gls.py", "cli.py"]
+
+
+def _is_a_decomposition(node):
+    """Whether an expression is a `BlockDecomposition` by its spelling: a
+    `decompose(...)` call, or a name or attribute called `deco`."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "decompose"
+    return getattr(node, "id", getattr(node, "attr", None)) == "deco"
+
+
+@pytest.mark.parametrize("name", BLOCK_INDEX_READERS)
+def test_fast_side_reads_neighborhoods_off_the_block_index(name):
+    tree = ast.parse(next(p for p in SOURCES if p.name == name).read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            attr = node.func.attr
+            if attr == "neighbors" or (
+                attr == "closed_neighborhood" and not _is_a_decomposition(node.func.value)
+            ):
+                found.append(f"line {node.lineno}: .{attr}(")
+        named = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+        if named == "connected_components":
+            found.append(f"line {getattr(node, 'lineno', '?')}: connected_components")
+    assert not found, f"neighborhoods read past the block index: {found}"
