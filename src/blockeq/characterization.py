@@ -404,7 +404,8 @@ def _grown_alpha_with(g: BlockGraph, anchors, sizes):
     """alpha_with of the graph `_attach_cliques(g, anchors, sizes)` would
     build from a plan, over g's vertices and then its fresh ones, from
     one alpha pass over g's own forest.  Needs g connected, so that the
-    largest set avoiding w1 is exc[w1]."""
+    largest set avoiding w1 is exc[w1]; w1 carries a bonus, so it is a
+    hub of the walk, where `exc` is kept."""
     w2 = anchors[-1] if anchors[-1] >= g.n else None  # an extension's anchor comes last
     bonus, w1, nxt = [], None, g.n
     for a, s in zip(anchors, sizes):
@@ -430,16 +431,22 @@ class CertCheck:
 
 
 def verify_certificate(cert: CharCertificate) -> CertCheck:
-    """Replay a certificate and check base shape plus conditions (B), (C)."""
+    """Replay a certificate and check base shape plus conditions (B), (C).
+
+    N[v] is read once, off the base: no step attaches at v.  Kind 1
+    refuses v, kind 2's v-lock refuses it, kinds 3-5 and the twin attach
+    anchor at simplicial vertices while v stays a cut vertex, and an
+    extension refuses w1 = v.  So every step's state shares it."""
     g = cert.base_graph
     v = cert.base_vertex
     if not g.is_connected() or clique_star_center(g) != v:
         return CertCheck(False, "base graph is not a clique-star centered at the base vertex", None)
+    nv = decompose(g).closed_neighborhood(v)
     # v is adjacent to every vertex, so alpha_min = alpha(., v) = 1
     trace = [1]
     for i, op in enumerate(cert.steps):
         try:
-            g = apply_operation(g, v, op)
+            g = _attach_cliques(g, *_plan(_State(g, v, nv=nv), op))
         except PreconditionViolatedError as e:
             return CertCheck(False, f"replay failure: {e}", i, tuple(trace))
         am = invariants.alpha_min(g).value
@@ -503,10 +510,11 @@ def generate_with_alphamin(r: int, max_clique: int = 4, seed: Optional[int] = No
     base = star_of_cliques([size() for _ in range(rng.randint(2, 3))])
     g = base
     aw = invariants._alpha_table(base).alpha_with  # alpha_with of g, whose alpha_min is i
+    nv = decompose(base).closed_neighborhood(0)  # no step attaches at 0 (`verify_certificate`)
     steps = []
     for i in range(1, r):
         target = i + 1
-        at = _State(g, 0)
+        at = _State(g, 0, nv=nv)
         cands = _candidate_ops(at)
         if not cands:
             raise ExhaustedRetriesError(f"no candidate operations at step {i}")

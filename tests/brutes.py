@@ -652,3 +652,155 @@ def reverse_search_by_subgraphs(g, v, target):
 
     ids = range(g.n)
     return search(frozenset(ids), g, ids, {u: u for u in ids}, target)
+
+
+# -- the vertex-by-vertex forest passes ----------------------------------
+#
+# `invariants` walks the block-cut forest over its hubs and blocks and
+# counts simplicial vertices per block; these are the passes that visit
+# every kept vertex, kept as the reference it is checked against.
+
+
+def rooted_forest_by_vertices(g, left_out=()):
+    """The block-cut forest of G - left_out rooted at the smallest vertex
+    of each component: (order, up, top) lists the kept vertices breadth
+    first, the block up[v] through which v hangs from its parent vertex
+    (-1 at a root, -2 if left out; v's other blocks are its child
+    blocks) and the vertex top[b] from which block b hangs.  A block cut
+    down to the kept vertices is still a clique, so this is g's own
+    forest restricted: a left-out vertex is never a root and never
+    hangs from a block."""
+    deco = decompose(g)
+    blocks, vertex_blocks = deco.blocks, deco._vertex_blocks
+    up = [-1] * g.n
+    for u in left_out:
+        up[u] = -2
+    top = [-1] * len(blocks)
+    order = []
+    for r in range(g.n):
+        if up[r] != -1:
+            continue
+        # the loop visits what it appends: one component, breadth first
+        comp = [r]
+        for v in comp:
+            for b in vertex_blocks[v]:
+                if b == up[v]:
+                    continue
+                top[b] = v
+                for u in blocks[b]:
+                    if u != v and up[u] != -2:
+                        up[u] = b
+                        comp.append(u)
+        order += comp
+    return order, up, top
+
+
+def alpha_pass_by_vertices(g, left_out=(), bonus=()):
+    """The alpha table of G - left_out, indexed by g's vertex ids; the
+    entries of left-out vertices mean nothing.
+
+    `bonus` lists (x, d_inc, d_exc) triples, each a structure hung from
+    the kept vertex x by one vertex and met by no other: it adds d_inc
+    to the largest set within x's subtree through x and d_exc to the
+    largest avoiding x.  A plain clique adds (0, 1): through x it gives
+    nothing, avoiding x one fresh vertex.  A 2-block {x, w2} with a
+    clique hung at w2 adds (1, 1): w2 through x, w2 or a clique vertex
+    avoiding x.  The table is then the grown graph's on g's vertices,
+    from one pass over g's own forest.
+
+    An independent set takes at most one vertex per block.  inc[v] and
+    exc[v] are the largest sets through and avoiding v, first within
+    v's subtree; per block the post-order pass keeps the sum of its
+    children's exc and the two largest gains inc - exc among them.  The
+    rerooting pass adds to each child u what lies above its block: the
+    parent vertex with the block cut off and u's siblings, where
+    avoiding u frees the best gain left in the block.
+    """
+    order, up, top = rooted_forest_by_vertices(g, left_out)
+    vertex_blocks = decompose(g)._vertex_blocks
+    nb = len(top)
+    inc = [1] * g.n
+    exc = [0] * g.n
+    for x, d_inc, d_exc in bonus:
+        inc[x] += d_inc
+        exc[x] += d_exc
+    bsum = [0] * nb
+    best = [0] * nb
+    second = [0] * nb
+    holder = [-1] * nb
+    for v in reversed(order):
+        b = up[v]
+        for c in vertex_blocks[v]:
+            if c != b:
+                inc[v] += bsum[c]
+                exc[v] += bsum[c] + best[c]
+        if b >= 0:
+            bsum[b] += exc[v]
+            gain = inc[v] - exc[v]
+            if gain > best[b]:
+                best[b], second[b], holder[b] = gain, best[b], v
+            elif gain > second[b]:
+                second[b] = gain
+    for u in order:
+        b = up[u]
+        if b < 0:
+            continue
+        p = top[b]
+        rest_exc = exc[p] - bsum[b] - best[b]
+        rest_gain = inc[p] - bsum[b] - rest_exc
+        rest = rest_exc + bsum[b] - exc[u]
+        inc[u] += rest
+        freed = second[b] if holder[b] == u else best[b]
+        exc[u] += rest + (rest_gain if rest_gain > freed else freed)
+    # max(inc, exc) is the alpha of the vertex's component
+    total = sum(max(inc[v], exc[v]) for v in order if up[v] < 0)
+    return invariants._AlphaTable(
+        total,
+        [total if e <= i else total - e + i for i, e in zip(inc, exc)],
+        [e < i for i, e in zip(inc, exc)],
+        exc,
+    )
+
+
+def dc_by_vertices(g):
+    """Smallest vertex set whose removal leaves disjoint cliques.
+
+    The rest is a cluster graph exactly when every survivor keeps
+    surviving neighbors in at most one of its blocks.  Per vertex v the
+    post-order pass keeps the cheapest subtree with v deleted (drop),
+    surviving with no survivor in its child blocks (alone), and
+    surviving with survivors in at most one child block (joined); a
+    survivor that shares its parent block with another survivor must be
+    alone.  Deleting v costs 2^n - 2^(n-1-v), so distinct sets cost
+    differently, the cheapest set is a smallest one and, among those,
+    the lexicographically first, and its low n bits spell it out.
+    """
+    order, up, top = rooted_forest_by_vertices(g)
+    vertex_blocks = decompose(g)._vertex_blocks
+    n, nb = g.n, len(top)
+    drop = [(1 << n) - (1 << (n - 1 - v)) for v in range(n)]
+    alone = [0] * n
+    # per block, over its children: all deleted; survivors all alone;
+    # change when one child survives joined and the others are deleted
+    closed = [0] * nb
+    opened = [0] * nb
+    lone = [0] * nb
+    total = 0
+    for v in reversed(order):
+        joined = 0
+        b = up[v]
+        for c in vertex_blocks[v]:
+            if c != b:
+                drop[v] += min(opened[c], closed[c] + lone[c])
+                alone[v] += closed[c]
+                joined = min(joined, opened[c] - closed[c])
+        joined += alone[v]
+        if b < 0:
+            total += min(drop[v], joined)
+        else:
+            closed[b] += drop[v]
+            opened[b] += min(drop[v], alone[v])
+            lone[b] = min(lone[b], joined - drop[v])
+    size = -(-total >> n)
+    spelled = (size << n) - total
+    return invariants.DcResult(size, frozenset(v for v in range(n) if spelled >> (n - 1 - v) & 1))

@@ -146,6 +146,25 @@ class TestVerifyCertificate:
             assert chk.ok, chk.reason
             assert chk.alpha_min_trace == (1, 2, 3)
 
+    def test_every_step_keeps_the_base_closed_neighborhood(self, graphs_up_to_9, tmp_path):
+        # the replay reads N[v] once, off the base, for every step's state
+        # (both certificates of each `certify` suite graph, and those of
+        # `verify characterization --max-n 9`)
+        plan = brutes.bench_inputs("certify", tmp_path)
+        grown = [generate_with_alphamin(r, seed=seed) for _, r, seed in plan["certs"]]
+        certs = [cert for _, cert in grown] + [find_decomposition(g) for g, _ in grown]
+        certs += [find_decomposition(g) for g in graphs_up_to_9 if decompose(g).cut_vertices]
+        assert len(certs) == 80 + 750
+        steps = 0
+        for cert in certs:
+            g, v = cert.base_graph, cert.base_vertex
+            nv = decompose(g).closed_neighborhood(v)
+            for op in cert.steps:
+                g = apply_operation(g, v, op)
+                assert decompose(g).closed_neighborhood(v) == nv, (cert.base_graph.edges(), op)
+                steps += 1
+        assert steps > 1000
+
     def test_prefix_is_still_a_certificate(self):
         g, cert = generate_with_alphamin(3, max_clique=3, seed=5)
         shorter = CharCertificate(cert.base_graph, cert.base_vertex, cert.steps[:1])

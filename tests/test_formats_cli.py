@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import json
 import shlex
 import subprocess
@@ -804,3 +806,125 @@ class TestCli:
             assert proc.returncode == 0, (args, proc.stderr)
             validator(schema).validate(json.loads(proc.stdout))
             assert proc.stdout == json.dumps(json.loads(proc.stdout), sort_keys=True) + "\n", args
+
+
+# -- any JSON value, given to every command that reads one ----------------
+
+_SMALL = st.integers(min_value=-2, max_value=9)
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | _SMALL | st.integers(-2**70, 2**70)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=3), kids, max_size=4),
+    max_leaves=10,
+)
+
+
+def _or_any(strategy):
+    """Mostly `strategy`, sometimes any JSON value in its place."""
+    return st.one_of(strategy, strategy, strategy, _ANY_JSON)
+
+
+@st.composite
+def _grown_graph(draw):
+    """A block graph dict grown by gluing cliques onto earlier vertices."""
+    n, edges = 1, []
+    for anchor, extra in draw(st.lists(st.tuples(st.integers(0, 99), st.integers(1, 3)),
+                                       max_size=6)):
+        clique = [anchor % n] + list(range(n, n + extra))
+        edges += [[u, v] for i, u in enumerate(clique) for v in clique[i + 1:]]
+        n += extra
+    return {"n": n, "edges": edges}
+
+
+_GRAPH = st.one_of(
+    _grown_graph(),
+    st.fixed_dictionaries(
+        {"n": _or_any(_SMALL), "edges": _or_any(st.lists(_or_any(st.lists(_SMALL, min_size=2,
+                                                                            max_size=2)),
+                                                         max_size=8))},
+        optional={"labels": _ANY_JSON},
+    ),
+)
+_STEP = st.fixed_dictionaries({
+    "kind": _or_any(st.integers(0, 6)),
+    "anchors": _or_any(st.lists(_SMALL, min_size=1, max_size=2)),
+    "sizes": _or_any(st.lists(st.integers(1, 4), min_size=1, max_size=2)),
+    "extension": _or_any(st.none() | st.fixed_dictionaries(
+        {"clique_index": _SMALL, "size": st.integers(1, 4)})),
+})
+_CERTIFICATE = st.one_of(
+    st.builds(lambda r, seed: formats.certificate_to_json_dict(
+        generate_with_alphamin(r, max_clique=3, seed=seed)[1]),
+        st.integers(1, 4), st.integers(0, 9)),
+    st.fixed_dictionaries({"base_graph": _or_any(_GRAPH), "base_vertex": _or_any(_SMALL),
+                           "steps": _or_any(st.lists(_STEP, max_size=3)),
+                           "r": _or_any(st.integers(1, 4))}),
+)
+
+
+@st.composite
+def _packing(draw):
+    """An instance whose k bins of capacity B are each cut into items."""
+    k, capacity = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    items = []
+    for _ in range(k):
+        cuts = draw(st.sets(st.integers(1, capacity - 1), max_size=2)) if capacity > 1 else set()
+        ends = [0, *sorted(cuts), capacity]
+        items += [b - a for a, b in zip(ends, ends[1:])]
+    return {"A": items, "k": k, "B": capacity}
+
+
+_INSTANCE = st.one_of(_packing(), st.fixed_dictionaries({
+    "A": _or_any(st.lists(st.integers(0, 5), max_size=5)),
+    "k": _or_any(st.integers(0, 4)), "B": _or_any(st.integers(0, 6)),
+}))
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("any-json") / "input.json"
+
+
+def _exit_code(argv):
+    """`blockeq argv` run in-process: its exit code and stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    return code, out.getvalue()
+
+
+class TestAnyJsonInput:
+    """No JSON value makes a command report an internal error (exit 3),
+    and a graph that validates gets the brute-force oracle's parameters."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(value=st.one_of(_GRAPH, _GRAPH, _ANY_JSON), w=_SMALL, base=_SMALL)
+    def test_graph_commands(self, input_file, value, w, base):
+        input_file.write_text(json.dumps(value))
+        path = str(input_file)
+        for argv in (["ais", path, f"--w={w}"], ["ais", path, f"--w={w}", f"--base={base}"],
+                     ["exact", "dc", path], ["levels", path], ["char", "decompose", path]):
+            _exit_code(argv)
+        code, out = _exit_code(["validate", path])
+        report = json.loads(out) if code == 0 else {}
+        code, out = _exit_code(["params", path])
+        if report.get("valid") and report["n"]:  # the empty graph has no parameters
+            assert code == 0, value
+            rep = json.loads(out)
+            g = formats.load_graph(path)
+            assert rep["alpha"] == oracle.brute_alpha(g), value
+            assert rep["alpha_min"] == min(oracle.brute_alpha_with(g, v) for v in range(g.n)), value
+            assert rep["dc"] == oracle.brute_dc(g), value
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=st.one_of(_CERTIFICATE, _ANY_JSON))
+    def test_char_verify(self, input_file, value):
+        input_file.write_text(json.dumps(value))
+        _exit_code(["char", "verify", str(input_file)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=st.one_of(_INSTANCE, _ANY_JSON))
+    def test_gls_build(self, input_file, value):
+        input_file.write_text(json.dumps(value))
+        _exit_code(["gls", "build", str(input_file)])

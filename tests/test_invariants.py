@@ -1,10 +1,16 @@
+import json
 import random
 
 import pytest
 
 from blockeq import invariants as inv
 from blockeq import oracle
-from blockeq.characterization import _attach_cliques, _grown_alpha_with, generate_with_alphamin
+from blockeq.characterization import (
+    _attach_cliques,
+    _grown_alpha_with,
+    find_decomposition,
+    generate_with_alphamin,
+)
 from blockeq.errors import (
     EmptyGraphError,
     UnknownVertexError,
@@ -17,7 +23,9 @@ from blockeq.families import (
     triangle_with_pendant_edge,
     two_triangles_sharing_a_vertex,
 )
-from blockeq.graph import BlockGraph, decompose, from_edge_list
+from blockeq.formats import load_graph
+from blockeq.gls import BinPackingInstance, build_gls
+from blockeq.graph import BlockGraph, decompose, from_edge_list, generate_block_graphs
 
 import brutes
 
@@ -304,6 +312,107 @@ class TestAlphaPassBonus:
                     assert want == [oracle.brute_alpha_with(grown, u) for u in range(grown.n)], case
                     brute_checked += 1
         assert brute_checked > 100
+
+
+def assert_walk_matches_vertex_reference(g, left_out=(), bonus=()):
+    """The hub-and-block walk gives the vertex-by-vertex pass's alpha, its
+    alpha_with and ais at every kept vertex, and its exc at every hub."""
+    table = inv._alpha_pass(g, left_out, bonus)
+    want = brutes.alpha_pass_by_vertices(g, left_out, bonus)
+    case = (g.edges(), sorted(left_out), bonus)
+    assert table.alpha == want.alpha, case
+    kept = [u for u in range(g.n) if u not in left_out]
+    assert [table.alpha_with[u] for u in kept] == [want.alpha_with[u] for u in kept], case
+    assert [table.ais[u] for u in kept] == [want.ais[u] for u in kept], case
+    hubs = (decompose(g).cut_vertices | {x for x, _, _ in bonus}).difference(left_out)
+    assert {h: table.exc[h] for h in hubs} == {h: want.exc[h] for h in hubs}, case
+
+
+def random_bonus(rng, g):
+    """Up to three (x, d_inc, d_exc) structures at random vertices, cut or
+    simplicial, plain cliques (0, 1) or extended 2-blocks (1, 1); one
+    anchor may carry two."""
+    bonus = [(rng.randrange(g.n), rng.randint(0, 1), 1) for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        bonus.append((bonus[0][0], 0, 1))
+    return bonus
+
+
+class TestHubWalkMatchesVertexReference:
+    """`_alpha_pass` and `dc_exact` walk the forest over hubs and blocks and
+    count each block's simplicial vertices; `brutes` keeps the passes
+    that visit every vertex."""
+
+    def test_left_out_sets(self, graphs_up_to_10):
+        rng = random.Random(32)
+        for g in graphs_up_to_10:
+            assert_walk_matches_vertex_reference(g)
+            for _ in range(2):
+                p = rng.random()
+                assert_walk_matches_vertex_reference(
+                    g, {v for v in range(g.n) if rng.random() < p})
+
+    def test_bonus_lists(self, graphs_up_to_8):
+        rng = random.Random(33)
+        for g in graphs_up_to_8:
+            assert_walk_matches_vertex_reference(g, bonus=random_bonus(rng, g))
+            # one bonus at a simplicial vertex, one at a cut vertex
+            simp = sorted(set(range(g.n)) - decompose(g).cut_vertices)
+            bonus = [(rng.choice(simp), 1, 1)]
+            if decompose(g).cut_vertices:
+                bonus.append((min(decompose(g).cut_vertices), 0, 1))
+            assert_walk_matches_vertex_reference(g, bonus=bonus)
+
+    def test_disconnected_graphs_read_from_files(self, graphs_up_to_7, tmp_path):
+        rng = random.Random(34)
+        path = tmp_path / "graph.json"
+        for _ in range(300):
+            parts = rng.sample(graphs_up_to_7, rng.randint(2, 4))
+            n, edges = rng.randint(0, 2), []  # isolated vertices first
+            for h in parts:
+                edges += [[u + n, v + n] for u, v in h.edges()]
+                n += h.n
+            path.write_text(json.dumps({"n": n, "edges": edges}))
+            g = load_graph(path)
+            assert_walk_matches_vertex_reference(g)
+            assert_walk_matches_vertex_reference(g, {v for v in range(n) if rng.random() < 0.3})
+            assert_walk_matches_vertex_reference(g, bonus=random_bonus(rng, g))
+            assert inv.dc_exact(g) == brutes.dc_by_vertices(g), edges
+
+    def test_box_flower_graphs(self):
+        instances = brutes.packing_box()
+        assert len(instances) == 911
+        for sizes, k, B in instances:
+            g = build_gls(BinPackingInstance(sizes, k, B)).graph
+            assert_walk_matches_vertex_reference(g)
+
+    def test_passes_of_the_certify_suite(self, tmp_path, monkeypatch):
+        # every alpha pass made while the benchmark's 40 `certify` suite
+        # graphs are generated and decomposed, replayed on both sides
+        calls = []
+        walk = inv._alpha_pass
+
+        def recorded(g, left_out=(), bonus=()):
+            left_out = frozenset(left_out)
+            calls.append((g, left_out, tuple(bonus)))
+            return walk(g, left_out, bonus)
+
+        monkeypatch.setattr(inv, "_alpha_pass", recorded)
+        plan = brutes.bench_inputs("certify", tmp_path)
+        for _, r, seed in plan["certs"]:
+            g, _ = generate_with_alphamin(r, seed=seed)
+            assert find_decomposition(g) is not None
+        monkeypatch.undo()
+        assert len(calls) > 1000
+        for g, left_out, bonus in calls:
+            assert_walk_matches_vertex_reference(g, left_out, bonus)
+
+    def test_dc_up_to_11(self):
+        count = 0
+        for g, _ in generate_block_graphs(11):
+            assert inv.dc_exact(g) == brutes.dc_by_vertices(g), g.edges()
+            count += 1
+        assert count == 7259
 
 
 class TestBoundsReport:

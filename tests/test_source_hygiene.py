@@ -203,3 +203,45 @@ def test_fast_side_reads_neighborhoods_off_the_block_index(name):
         if named == "connected_components":
             found.append(f"line {getattr(node, 'lineno', '?')}: connected_components")
     assert not found, f"neighborhoods read past the block index: {found}"
+
+
+_FOREST_LISTS = {"up", "order"}
+
+
+def _builds_forest_lists(fn):
+    """Lines where a function fills an `up` or `order` list itself: binds
+    one to anything but the unpacked result of `_rooted_forest(...)`,
+    extends it, stores into it or appends to it."""
+    def named(node):
+        return isinstance(node, ast.Name) and node.id in _FOREST_LISTS
+
+    lines = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            targets = [t for tgt in node.targets for t in ast.walk(tgt) if named(t)]
+            from_walk = (isinstance(node.value, ast.Call) and isinstance(node.value.func, ast.Name)
+                         and node.value.func.id == "_rooted_forest")
+            stored = any(isinstance(t, ast.Subscript) and named(t.value) for t in node.targets)
+            if targets and not from_walk or stored:
+                lines.append(node.lineno)
+        elif isinstance(node, ast.AugAssign) and named(node.target):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and named(node.func.value) and node.func.attr in ("append", "extend")):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_one_forest_walk_in_invariants():
+    # the alpha and dc passes read one BFS of the block-cut forest, which
+    # only `_rooted_forest` builds
+    tree = ast.parse(next(p for p in SOURCES if p.name == "invariants.py").read_text())
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    builders = sorted(f"{name}: line {line}" for name, fn in functions.items()
+                      if name != "_rooted_forest" for line in _builds_forest_lists(fn))
+    assert not builders, f"forest lists built outside `_rooted_forest`: {builders}"
+    assert _builds_forest_lists(functions["_rooted_forest"])
+    for name in ("_alpha_pass", "dc_exact"):
+        calls = {node.func.id for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "_rooted_forest" in calls, name
