@@ -84,9 +84,10 @@ class Coloring:
         return sizes
 
     def to_json_dict(self):
+        # in insertion order: `cli` dumps every output with sorted keys
         return {
             "t": self.t,
-            "colors": {str(v): c for v, c in sorted(self.color.items())},
+            "colors": {str(v): c for v, c in self.color.items()},
             "class_sizes": self.class_sizes(),
         }
 
@@ -178,9 +179,13 @@ def uniform_gls(a, n, k, B) -> GlsGraph:
 
 @dataclass(frozen=True)
 class CountMatrix:
-    """Per-(color, flower) vertex counts; rows are colors, columns flowers."""
+    """Per-(color, flower) vertex counts; rows are colors, columns flowers.
 
-    entries: tuple  # t rows x (n+1) columns
+    Each column holds only its nonzero cells, so the matrix has at most
+    |V| cells whatever t is.
+    """
+
+    columns: tuple  # per flower, a dict color -> count of its nonzero cells, hub included
     a: int
     n: int
     k: int
@@ -189,10 +194,14 @@ class CountMatrix:
     universal_colors: tuple  # color of the hub of each flower
 
     def row_sums(self):
-        return [sum(row) for row in self.entries]
+        sums = [0] * self.t
+        for col in self.columns:
+            for c, count in col.items():
+                sums[c - 1] += count
+        return sums
 
     def col_sums(self):
-        return [sum(row[j] for row in self.entries) for j in range(self.n + 1)]
+        return [sum(col.values()) for col in self.columns]
 
     def caps(self):
         return [self.B + 1] + [self.a + 1] * self.n
@@ -207,7 +216,8 @@ class CountMatrix:
         color appears exactly once (the hub itself), every other color
         at most cap times, and the column sums to the flower size.
         Together with the row sums these are exactly the conditions the
-        flower realization needs.
+        flower realization needs.  A column over its cap is spelled out
+        in full, over all t colors.
         """
         bad = []
         caps = self.caps()
@@ -215,13 +225,12 @@ class CountMatrix:
             bad.append(f"row sums {self.row_sums()} != class sizes {list(class_sizes)}")
         if self.col_sums() != self.flower_sizes():
             bad.append(f"column sums {self.col_sums()} != flower sizes {self.flower_sizes()}")
-        for j in range(self.n + 1):
-            col = [row[j] for row in self.entries]
-            if any(x > caps[j] for x in col):
-                bad.append(f"column {j} exceeds cap {caps[j]}: {col}")
-            uc = self.universal_colors[j]
-            if col[uc - 1] != 1:
-                bad.append(f"column {j} hub color {uc} has count {col[uc - 1]} != 1")
+        for j, (col, uc) in enumerate(zip(self.columns, self.universal_colors)):
+            if any(x > caps[j] for x in col.values()):
+                dense = [col.get(c, 0) for c in range(1, self.t + 1)]
+                bad.append(f"column {j} exceeds cap {caps[j]}: {dense}")
+            if col.get(uc, 0) != 1:
+                bad.append(f"column {j} hub color {uc} has count {col.get(uc, 0)} != 1")
         return bad
 
     def to_json_dict(self):
@@ -231,7 +240,7 @@ class CountMatrix:
             "n": self.n,
             "k": self.k,
             "B": self.B,
-            "entries": [list(r) for r in self.entries],
+            "columns": [[[c, col[c]] for c in sorted(col)] for col in self.columns],
             "universal_colors": list(self.universal_colors),
         }
 
@@ -244,79 +253,96 @@ def _equitable_class_sizes(total, t):
 def _transport_fill(sizes, caps, colsize, uc):
     """Deterministic transportation fill of the count matrix.
 
-    Rows are colors with totals `sizes`, columns are flowers with totals
-    `colsize`.  The hub cell of column x (row uc[x]-1) is pinned to 1;
-    every other cell holds at most caps[x].  A greedy prefill then goes
-    column by column and gives the rows with the largest remaining need
-    as many units as the cap and the column total allow.  Augmenting
-    paths repair whatever the prefill leaves unmet; they run on the
-    matrix itself: a forward step from row i to column x has room while
-    C[i][x] < caps[x], a backward step from column x to row j takes back
-    units while C[j][x] > 0.  They reach a full matrix from any partial
-    fill that keeps the caps and the hub pins, so the prefill only saves
-    search.  Any matrix that meets all totals realizes to a proper
-    equitable coloring.
+    Rows are colors 1..t with totals `sizes`, columns are flowers with
+    totals `colsize`; each column comes back as a dict color -> count of
+    its nonzero cells.  The hub cell of column x (color uc[x]) is pinned
+    to 1; every other cell holds at most caps[x].  A greedy prefill then
+    goes column by column and gives the colors with the largest
+    remaining need as many units as the cap and the column total allow:
+    they come off a heap keyed (-need, color), and go back on it once the
+    column is done, so a column costs about its nonzero cells.
+    Augmenting paths repair whatever the prefill leaves unmet; they run
+    on the matrix itself: a forward step from color i to column x has
+    room while C[x][i] < caps[x], a backward step from column x to color
+    j takes back units from a nonzero cell, visited in ascending color.
+    They reach a full matrix from any partial fill that keeps the caps
+    and the hub pins, so the prefill only saves search.  Any matrix that
+    meets all totals realizes to a proper equitable coloring.
     """
     t, cols = len(sizes), len(caps)
-    hub = [c - 1 for c in uc]
-    C = [[0] * cols for _ in range(t)]
-    need_row = list(sizes)
-    need_col = list(colsize)
-    for x in range(cols):
-        C[hub[x]][x] = 1
-        need_row[hub[x]] -= 1
-        need_col[x] -= 1
+    C = [{c: 1} for c in uc]
+    need_row = [0, *sizes]  # by color; color 0 does not exist
+    need_col = [size - 1 for size in colsize]
+    for c in uc:
+        need_row[c] -= 1
     if min(need_row) < 0:
         raise AlgorithmInvariantError("hub placements alone overfill a class")
 
+    heap = [(-need, c) for c, need in enumerate(need_row) if need > 0]
+    heapq.heapify(heap)
     for x in range(cols):
-        for i in sorted(range(t), key=lambda i: (-need_row[i], i)):
-            if need_col[x] == 0:
-                break
-            if i != hub[x]:
-                units = min(need_row[i], caps[x], need_col[x])
-                C[i][x] = units
-                need_row[i] -= units
-                need_col[x] -= units
+        col, cap, hub, left = C[x], caps[x], uc[x], need_col[x]
+        popped = []
+        while left and heap:
+            neg_need, c = heapq.heappop(heap)
+            popped.append(c)
+            if c != hub:
+                units = min(-neg_need, cap, left)
+                col[c] = units
+                need_row[c] -= units
+                left -= units
+        need_col[x] = left
+        for c in popped:
+            if need_row[c]:
+                heapq.heappush(heap, (-need_row[c], c))
 
-    while any(need_row):
-        row_from = {i: None for i in range(t) if need_row[i] > 0}
+    short = sorted(c for _, c in heap)  # the colors the prefill leaves short
+    while short:
+        row_from = dict.fromkeys(short)
         col_from = {}
-        queue = deque(row_from)
+        queue = deque(short)
         end = None
         while queue and end is None:
             i = queue.popleft()
             for x in range(cols):
-                if x in col_from or hub[x] == i or C[i][x] >= caps[x]:
+                if x in col_from or uc[x] == i or C[x].get(i, 0) >= caps[x]:
                     continue
                 col_from[x] = i
                 if need_col[x] > 0:
                     end = x
                     break
-                for j in range(t):
-                    if j not in row_from and j != hub[x] and C[j][x] > 0:
+                if len(row_from) == t:
+                    continue  # every color is reached already
+                for j in sorted(C[x]):
+                    if j not in row_from and j != uc[x]:
                         row_from[j] = x
                         queue.append(j)
         if end is None:
             raise AlgorithmInvariantError("no feasible count matrix exists")
 
-        steps = []  # (row, column, +1 forward / -1 backward)
+        steps = []  # (color, column, +1 forward / -1 backward)
         push = need_col[end]
         x = end
         while True:
             i = col_from[x]
             steps.append((i, x, 1))
-            push = min(push, caps[x] - C[i][x])
+            push = min(push, caps[x] - C[x].get(i, 0))
             x = row_from[i]
             if x is None:
                 push = min(push, need_row[i])
                 break
             steps.append((i, x, -1))
-            push = min(push, C[i][x])
+            push = min(push, C[x][i])
         for r, x, sign in steps:
-            C[r][x] += sign * push
-        need_row[i] -= push  # i is the source row the walk ended at
+            cell = C[x].get(r, 0) + sign * push
+            if cell:
+                C[x][r] = cell
+            else:
+                del C[x][r]
+        need_row[i] -= push  # i is the source color the walk ended at
         need_col[end] -= push
+        if not need_row[i]:
+            short.remove(i)
     return C
 
 
@@ -349,9 +375,9 @@ def color_uniform(a: int, n: int, k: int, B: int, t: int):
     for color, count in enumerate(_equitable_class_sizes(n, t - 1), start=2):
         uc += [color] * count
 
-    C = _transport_fill(sizes, caps, colsize, uc)
+    columns = _transport_fill(sizes, caps, colsize, uc)
 
-    matrix = CountMatrix(tuple(tuple(row) for row in C), a, n, k, B, t, tuple(uc))
+    matrix = CountMatrix(tuple(columns), a, n, k, B, t, tuple(uc))
     bad = matrix.violations(sizes)
     if bad:
         raise AlgorithmInvariantError("; ".join(bad))
@@ -367,6 +393,14 @@ def realize_flower(counts, a: int, k: int, universal_color: int):
     included; the flower has a+1 cliques whose non-hub part has k
     vertices.  Greedy largest-remaining-first, ties to the smaller
     color, which never runs short once the four input checks pass.
+
+    The live colors sit in buckets by remaining count: one min-heap of
+    colors per count that some color has, the buckets in ascending
+    count.  A clique takes whole buckets from the top and the smallest
+    colors of the next; a whole bucket steps down one count as it is,
+    and a bucket joins its neighbor when their counts meet, which moves
+    at most k colors.  So a flower costs about its vertex count, and
+    only each clique's own k colors are put in order.
     """
     rem = {c: int(v) for c, v in dict(counts).items() if v > 0}
     if rem.get(universal_color, 0) < 1:
@@ -381,28 +415,56 @@ def realize_flower(counts, a: int, k: int, universal_color: int):
         )
     if any(v > a + 1 for v in rem.values()):
         raise UnrealizableError("some color exceeds the per-flower cap a+1")
+    by_count = {}
+    for c in sorted(rem):
+        by_count.setdefault(rem[c], []).append(c)  # ascending, so already a heap
+    buckets = [[v, by_count[v]] for v in sorted(by_count)]
     out = []
     for _ in range(a + 1):
-        live = sorted((c for c, v in rem.items() if v > 0), key=lambda c: (-rem[c], c))
-        chosen = sorted(live[:k])
-        for c in chosen:
-            rem[c] -= 1
+        chosen = []
+        i = len(buckets)
+        while len(chosen) < k:
+            i -= 1
+            bucket = buckets[i]
+            count, colors = bucket
+            want = k - len(chosen)
+            if len(colors) > want:
+                # its `want` smallest colors step down; the rest meets the
+                # bucket taken whole above it
+                moved = [heapq.heappop(colors) for _ in range(want)]
+                chosen += moved
+                buckets.insert(i, [count - 1, moved])
+                _join_buckets(buckets, i + 1)
+            else:
+                chosen += colors
+                bucket[0] = count - 1
+        _join_buckets(buckets, i - 1)
+        if count == 1:  # the lowest bucket ran out
+            del buckets[0]
+        chosen.sort()
         out.append(tuple(chosen))
     return out
 
 
+def _join_buckets(buckets, j):
+    """Merge buckets[j + 1] into buckets[j] when both hold the same count,
+    pushing the colors of the smaller heap into the larger."""
+    if 0 <= j < len(buckets) - 1 and buckets[j][0] == buckets[j + 1][0]:
+        big, small = buckets[j][1], buckets.pop(j + 1)[1]
+        if len(big) < len(small):
+            big, small = small, big
+            buckets[j][1] = big
+        for c in small:
+            heapq.heappush(big, c)
+
+
 def _realize(gls: GlsGraph, matrix: CountMatrix) -> Coloring:
     color = {}
-    for j in range(matrix.n + 1):
-        uc = matrix.universal_colors[j]
+    for j, (col, uc) in enumerate(zip(matrix.columns, matrix.universal_colors)):
         color[gls.universal_vertices[j]] = uc
-        counts = {c: row[j] for c, row in enumerate(matrix.entries, start=1) if row[j]}
-        per_clique = realize_flower(
-            counts, matrix.B if j == 0 else matrix.a, matrix.k, uc
-        )
+        per_clique = realize_flower(col, matrix.B if j == 0 else matrix.a, matrix.k, uc)
         for members, chosen in zip(gls.cliques[j], per_clique):
-            for v, c in zip(members, chosen):
-                color[v] = c
+            color.update(zip(members, chosen))
     return Coloring(color, matrix.t)
 
 

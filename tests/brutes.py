@@ -4,7 +4,8 @@ from the package so the library never accidentally leans on them."""
 import heapq
 import importlib.util
 import random
-from dataclasses import replace
+from collections import deque
+from dataclasses import dataclass, replace
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -23,12 +24,14 @@ from blockeq.characterization import (
     apply_operation,
 )
 from blockeq.errors import (
+    AlgorithmInvariantError,
     ExhaustedRetriesError,
     PreconditionViolatedError,
     SearchBudgetExceededError,
+    UnrealizableError,
 )
 from blockeq.families import star_of_cliques
-from blockeq.gls import Coloring
+from blockeq.gls import Coloring, _equitable_class_sizes, uniform_gls
 from blockeq.graph import BlockGraph, LevelAssignment, decompose
 from blockeq.invariants import is_v_ais
 
@@ -804,3 +807,202 @@ def dc_by_vertices(g):
     size = -(-total >> n)
     spelled = (size << n) - total
     return invariants.DcResult(size, frozenset(v for v in range(n) if spelled >> (n - 1 - v) & 1))
+
+
+# -- the dense count matrix ------------------------------------------------
+
+# `gls` holds each flower's nonzero cells and fills, checks and realizes
+# them off heaps and count buckets; these are the dense t x (n+1) table,
+# its fill and checks, and the per-clique sorting realization it replaced,
+# kept as the reference it is checked against.
+
+
+@dataclass(frozen=True)
+class DenseCountMatrix:
+    """Per-(color, flower) vertex counts; rows are colors, columns flowers."""
+
+    entries: tuple  # t rows x (n+1) columns
+    a: int
+    n: int
+    k: int
+    B: int
+    t: int
+    universal_colors: tuple  # color of the hub of each flower
+
+    def row_sums(self):
+        return [sum(row) for row in self.entries]
+
+    def col_sums(self):
+        return [sum(row[j] for row in self.entries) for j in range(self.n + 1)]
+
+    def caps(self):
+        return [self.B + 1] + [self.a + 1] * self.n
+
+    def flower_sizes(self):
+        return [(self.B + 1) * self.k + 1] + [(self.a + 1) * self.k + 1] * self.n
+
+    def violations(self, class_sizes):
+        """All broken matrix invariants, as human-readable strings.
+
+        Every column must be realizable inside its flower: the hub
+        color appears exactly once (the hub itself), every other color
+        at most cap times, and the column sums to the flower size.
+        Together with the row sums these are exactly the conditions the
+        flower realization needs.
+        """
+        bad = []
+        caps = self.caps()
+        if self.row_sums() != list(class_sizes):
+            bad.append(f"row sums {self.row_sums()} != class sizes {list(class_sizes)}")
+        if self.col_sums() != self.flower_sizes():
+            bad.append(f"column sums {self.col_sums()} != flower sizes {self.flower_sizes()}")
+        for j in range(self.n + 1):
+            col = [row[j] for row in self.entries]
+            if any(x > caps[j] for x in col):
+                bad.append(f"column {j} exceeds cap {caps[j]}: {col}")
+            uc = self.universal_colors[j]
+            if col[uc - 1] != 1:
+                bad.append(f"column {j} hub color {uc} has count {col[uc - 1]} != 1")
+        return bad
+
+
+def transport_fill_dense(sizes, caps, colsize, uc):
+    """Deterministic transportation fill of the count matrix.
+
+    Rows are colors with totals `sizes`, columns are flowers with totals
+    `colsize`.  The hub cell of column x (row uc[x]-1) is pinned to 1;
+    every other cell holds at most caps[x].  A greedy prefill then goes
+    column by column and gives the rows with the largest remaining need
+    as many units as the cap and the column total allow.  Augmenting
+    paths repair whatever the prefill leaves unmet; they run on the
+    matrix itself: a forward step from row i to column x has room while
+    C[i][x] < caps[x], a backward step from column x to row j takes back
+    units while C[j][x] > 0.  They reach a full matrix from any partial
+    fill that keeps the caps and the hub pins, so the prefill only saves
+    search.  Any matrix that meets all totals realizes to a proper
+    equitable coloring.
+    """
+    t, cols = len(sizes), len(caps)
+    hub = [c - 1 for c in uc]
+    C = [[0] * cols for _ in range(t)]
+    need_row = list(sizes)
+    need_col = list(colsize)
+    for x in range(cols):
+        C[hub[x]][x] = 1
+        need_row[hub[x]] -= 1
+        need_col[x] -= 1
+    if min(need_row) < 0:
+        raise AlgorithmInvariantError("hub placements alone overfill a class")
+
+    for x in range(cols):
+        for i in sorted(range(t), key=lambda i: (-need_row[i], i)):
+            if need_col[x] == 0:
+                break
+            if i != hub[x]:
+                units = min(need_row[i], caps[x], need_col[x])
+                C[i][x] = units
+                need_row[i] -= units
+                need_col[x] -= units
+
+    while any(need_row):
+        row_from = {i: None for i in range(t) if need_row[i] > 0}
+        col_from = {}
+        queue = deque(row_from)
+        end = None
+        while queue and end is None:
+            i = queue.popleft()
+            for x in range(cols):
+                if x in col_from or hub[x] == i or C[i][x] >= caps[x]:
+                    continue
+                col_from[x] = i
+                if need_col[x] > 0:
+                    end = x
+                    break
+                for j in range(t):
+                    if j not in row_from and j != hub[x] and C[j][x] > 0:
+                        row_from[j] = x
+                        queue.append(j)
+        if end is None:
+            raise AlgorithmInvariantError("no feasible count matrix exists")
+
+        steps = []  # (row, column, +1 forward / -1 backward)
+        push = need_col[end]
+        x = end
+        while True:
+            i = col_from[x]
+            steps.append((i, x, 1))
+            push = min(push, caps[x] - C[i][x])
+            x = row_from[i]
+            if x is None:
+                push = min(push, need_row[i])
+                break
+            steps.append((i, x, -1))
+            push = min(push, C[i][x])
+        for r, x, sign in steps:
+            C[r][x] += sign * push
+        need_row[i] -= push  # i is the source row the walk ended at
+        need_col[end] -= push
+    return C
+
+
+def realize_flower_by_sorting(counts, a: int, k: int, universal_color: int):
+    """Turn one flower's per-color counts into per-clique color sets.
+
+    `counts` maps color -> vertex count inside the flower, hub unit
+    included; the flower has a+1 cliques whose non-hub part has k
+    vertices.  Greedy largest-remaining-first, ties to the smaller
+    color, which never runs short once the four input checks pass.
+    """
+    rem = {c: int(v) for c, v in dict(counts).items() if v > 0}
+    if rem.get(universal_color, 0) < 1:
+        raise UnrealizableError("hub color absent from its own flower")
+    rem[universal_color] -= 1
+    if rem[universal_color] != 0:
+        raise UnrealizableError("hub color reused inside its own flower")
+    del rem[universal_color]
+    if sum(rem.values()) != k * (a + 1):
+        raise UnrealizableError(
+            f"non-hub counts sum {sum(rem.values())} != k(a+1)={k * (a + 1)}"
+        )
+    if any(v > a + 1 for v in rem.values()):
+        raise UnrealizableError("some color exceeds the per-flower cap a+1")
+    out = []
+    for _ in range(a + 1):
+        live = sorted((c for c, v in rem.items() if v > 0), key=lambda c: (-rem[c], c))
+        chosen = sorted(live[:k])
+        for c in chosen:
+            rem[c] -= 1
+        out.append(tuple(chosen))
+    return out
+
+
+def realize_dense(gls, matrix):
+    color = {}
+    for j in range(matrix.n + 1):
+        uc = matrix.universal_colors[j]
+        color[gls.universal_vertices[j]] = uc
+        counts = {c: row[j] for c, row in enumerate(matrix.entries, start=1) if row[j]}
+        per_clique = realize_flower_by_sorting(
+            counts, matrix.B if j == 0 else matrix.a, matrix.k, uc
+        )
+        for members, chosen in zip(gls.cliques[j], per_clique):
+            for v, c in zip(members, chosen):
+                color[v] = c
+    return Coloring(color, matrix.t)
+
+
+def color_uniform_dense(a, n, k, B, t):
+    """`gls.color_uniform` on the dense table: (DenseCountMatrix, Coloring)."""
+    total = (k + 1) * (k * B + n + 1)
+    sizes = _equitable_class_sizes(total, t)
+    caps = [B + 1] + [a + 1] * n
+    colsize = [(B + 1) * k + 1] + [(a + 1) * k + 1] * n
+    uc = [1]
+    for color, count in enumerate(_equitable_class_sizes(n, t - 1), start=2):
+        uc += [color] * count
+    C = transport_fill_dense(sizes, caps, colsize, uc)
+    matrix = DenseCountMatrix(tuple(tuple(row) for row in C), a, n, k, B, t, tuple(uc))
+    bad = matrix.violations(sizes)
+    if bad:
+        raise AlgorithmInvariantError("; ".join(bad))
+    return matrix, realize_dense(uniform_gls(a, n, k, B), matrix)

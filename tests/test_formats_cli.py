@@ -307,7 +307,7 @@ class TestCli:
     def test_matrix_invariant_failure_exits_three(self, monkeypatch, capsys):
         # an all-zero count matrix breaks every row and column sum
         def empty_fill(sizes, caps, colsize, uc):
-            return [[0] * len(caps) for _ in sizes]
+            return [{} for _ in caps]
 
         monkeypatch.setattr(gls, "_transport_fill", empty_fill)
         argv = ["gls", "color-uniform", "--a", "3", "--n", "4", "--k", "3", "--B", "4", "--t", "5"]
@@ -903,14 +903,20 @@ class TestAnyJsonInput:
     def test_graph_commands(self, input_file, value, w, base):
         input_file.write_text(json.dumps(value))
         path = str(input_file)
-        for argv in (["ais", path, f"--w={w}"], ["ais", path, f"--w={w}", f"--base={base}"],
-                     ["exact", "dc", path], ["levels", path], ["char", "decompose", path]):
-            _exit_code(argv)
         code, out = _exit_code(["validate", path])
         report = json.loads(out) if code == 0 else {}
+        n = report["n"] if report.get("valid") else 0
+        # a bare JSON number reads as that many isolated vertices, and the
+        # spectrum tries every t up to n unless capped
+        spectrum = ["exact", "spectrum", path, *(["--cap=8"] if n > 8 else [])]
+        for argv in (["ais", path, f"--w={w}"], ["ais", path, f"--w={w}", f"--base={base}"],
+                     ["exact", "dc", path], ["levels", path], ["char", "decompose", path],
+                     ["dot", path], ["exact", "chi-eq", path], spectrum):
+            _exit_code(argv)
         code, out = _exit_code(["params", path])
-        if report.get("valid") and report["n"]:  # the empty graph has no parameters
+        if n:  # the empty graph has no parameters
             assert code == 0, value
+        if 0 < n <= oracle.BRUTE_CAP:  # the brute-force oracles refuse larger graphs
             rep = json.loads(out)
             g = formats.load_graph(path)
             assert rep["alpha"] == oracle.brute_alpha(g), value
@@ -925,6 +931,7 @@ class TestAnyJsonInput:
 
     @settings(max_examples=60, deadline=None)
     @given(value=st.one_of(_INSTANCE, _ANY_JSON))
-    def test_gls_build(self, input_file, value):
+    def test_instance_commands(self, input_file, value):
         input_file.write_text(json.dumps(value))
-        _exit_code(["gls", "build", str(input_file)])
+        for argv in (["gls", "build"], ["gls", "color-n2"], ["exact", "binpack"]):
+            _exit_code([*argv, str(input_file)])

@@ -1,6 +1,9 @@
+import json
+import random
+
 import pytest
 
-from blockeq import formats, oracle
+from blockeq import cli, formats, oracle
 from blockeq import invariants as inv
 from blockeq.errors import (
     AlgorithmInvariantError,
@@ -143,12 +146,12 @@ class TestColorUniform:
         colsize = [(B + 1) * k + 1] + [(a + 1) * k + 1] * n
         matrix, _ = color_uniform(a, n, k, B, t)
         uc = list(matrix.universal_colors)
-        C = _transport_fill(sizes, caps, colsize, uc)
-        assert [sum(row) for row in C] == sizes
-        assert [sum(row[x] for row in C) for x in range(n + 1)] == colsize
-        for x in range(n + 1):
-            assert C[uc[x] - 1][x] == 1
-            assert all(row[x] <= caps[x] for row in C)
+        columns = _transport_fill(sizes, caps, colsize, uc)
+        assert [sum(col.get(c, 0) for col in columns) for c in range(1, t + 1)] == sizes
+        assert [sum(col.values()) for col in columns] == colsize
+        for x, col in enumerate(columns):
+            assert col[uc[x]] == 1
+            assert all(count <= caps[x] for count in col.values())
 
     def test_matrix_invariants_across_grid(self):
         for a, n, k, B in brutes.uniform_grid():
@@ -185,6 +188,70 @@ def test_high_t_pair_matrix_and_coloring(a, n, k, B, t):
     g = build_gls(BinPackingInstance((a,) * n, k, B))
     chk = oracle.check_coloring(g.graph, coloring)
     assert chk.proper and chk.equitable
+
+
+def _grid_pairs():
+    """Acceptance 05's pairs: every uniform instance with a <= 8, n <= 6,
+    k <= 4 and every k+2 <= t <= |V|."""
+    for a, n, k, B in brutes.uniform_grid(max_a=8, max_n=6, max_k=4):
+        for t in range(k + 2, (k + 1) * (k * B + n + 1) + 1):
+            yield a, n, k, B, t
+
+
+class TestSparseMatchesDenseReference:
+    """The count matrix held, filled and realized by its nonzero cells
+    against the dense t x (n+1) table, its fill and the per-clique
+    sorting realization it replaced (`brutes`)."""
+
+    def test_grid_pairs(self):
+        # the columns densify to the reference matrix, hold only nonzero
+        # cells, so no more than their flower's vertices, and realize to
+        # the reference coloring
+        pairs = 0
+        for a, n, k, B, t in _grid_pairs():
+            matrix, coloring = color_uniform(a, n, k, B, t)
+            reference, expected = brutes.color_uniform_dense(a, n, k, B, t)
+            dense = tuple(
+                tuple(col.get(c, 0) for col in matrix.columns) for c in range(1, t + 1))
+            assert dense == reference.entries, (a, n, k, B, t)
+            assert coloring == expected, (a, n, k, B, t)
+            bounds = [(B + 1) * k + 1] + [(a + 1) * k + 1] * n
+            for col, bound in zip(matrix.columns, bounds):
+                assert len(col) <= bound and min(col.values()) >= 1, (a, n, k, B, t)
+            pairs += 1
+        assert pairs == 7938
+
+    def test_realize_flower_on_random_feasible_columns(self):
+        rng = random.Random(33)
+        for _ in range(1000):
+            cliques, k = rng.randint(1, 60), rng.randint(1, 4)
+            colors = rng.sample(range(1, 400), rng.randint(k, min(k * cliques, 300)))
+            counts = {}
+            for _ in range(k * cliques):
+                # a color at the cap of one per clique gives its unit to the next
+                c = rng.choice(colors)
+                while counts.get(c, 0) == cliques:
+                    c = colors[(colors.index(c) + 1) % len(colors)]
+                counts[c] = counts.get(c, 0) + 1
+            hub = rng.choice([c for c in range(1, 401) if c not in counts])
+            counts[hub] = 1
+            args = (counts, cliques - 1, k, hub)
+            assert realize_flower(*args) == brutes.realize_flower_by_sorting(*args), args
+
+
+class TestLinearSize:
+    """Sizes that grow with |V| alone, whatever t is; nothing is timed.
+    The bound on each column's cells is checked over the grid, with the
+    reference, in `TestSparseMatchesDenseReference.test_grid_pairs`."""
+
+    def test_color_uniform_output_at_t_equal_to_the_vertex_count(self, capsys):
+        # the dense table alone printed 4,002 x 1,001 cells
+        argv = ["gls", "color-uniform", "--a", "1", "--k", "1", "--n", "1000", "--B", "1000",
+                "--t", "4002"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert len(out.encode()) < 200_000
+        assert len(json.loads(out)["coloring"]["colors"]) == 4002
 
 
 class TestRealizeFlower:
