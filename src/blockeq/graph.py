@@ -340,16 +340,23 @@ def _decomposition(blocks):
 def _indexed(blocks):
     """The BlockDecomposition of a block tuple that is already in
     `_decomposition`'s order, such as part of one; the cut vertices are
-    the vertices that lie in two or more blocks."""
+    the vertices that lie in two or more blocks.  A cut vertex gathers
+    its blocks in a list that becomes a tuple once, so a vertex in d
+    blocks costs d steps, not d^2/2 (a flower graph's root hub lies in
+    n + B + 1 blocks)."""
     vertex_blocks = {}
     cuts = set()
     for i, b in enumerate(blocks):
         for v in b:
-            if v in vertex_blocks:
-                vertex_blocks[v] += (i,)
-                cuts.add(v)
-            else:
+            if v not in vertex_blocks:
                 vertex_blocks[v] = (i,)
+            elif v in cuts:
+                vertex_blocks[v].append(i)
+            else:
+                vertex_blocks[v] = [*vertex_blocks[v], i]
+                cuts.add(v)
+    for v in cuts:
+        vertex_blocks[v] = tuple(vertex_blocks[v])
     return BlockDecomposition(blocks, frozenset(cuts), vertex_blocks)
 
 
