@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     except (errors.AlgorithmInvariantError, errors.NotEquitableAtFixpointError) as e:
         print(f"internal error: {_describe(e)}", file=sys.stderr)  # a bug, not bad input
         return 3
-    except (OSError, ValueError, KeyError, json.JSONDecodeError, BlockeqError) as e:
+    except (OSError, ValueError, json.JSONDecodeError, BlockeqError) as e:
         print(f"error: {_describe(e)}", file=sys.stderr)
         return 2
     except (MemoryError, RecursionError) as e:

@@ -391,16 +391,12 @@ def realize_flower(counts, a: int, k: int, universal_color: int):
 
     `counts` maps color -> vertex count inside the flower, hub unit
     included; the flower has a+1 cliques whose non-hub part has k
-    vertices.  Greedy largest-remaining-first, ties to the smaller
-    color, which never runs short once the four input checks pass.
-
-    The live colors sit in buckets by remaining count: one min-heap of
-    colors per count that some color has, the buckets in ascending
-    count.  A clique takes whole buckets from the top and the smallest
-    colors of the next; a whole bucket steps down one count as it is,
-    and a bucket joins its neighbor when their counts meet, which moves
-    at most k colors.  So a flower costs about its vertex count, and
-    only each clique's own k colors are put in order.
+    vertices.  Once the four input checks pass, the non-hub units are
+    laid out in ascending color, each color's units side by side, and
+    dealt round-robin: clique j takes every (a+1)-th unit from unit j.
+    There are k(a+1) units, so each clique gets exactly k.  A color
+    has at most a+1 units and they sit side by side, so they fall in
+    distinct cliques, and each clique's colors come out ascending.
     """
     rem = {c: int(v) for c, v in dict(counts).items() if v > 0}
     if rem.get(universal_color, 0) < 1:
@@ -415,47 +411,8 @@ def realize_flower(counts, a: int, k: int, universal_color: int):
         )
     if any(v > a + 1 for v in rem.values()):
         raise UnrealizableError("some color exceeds the per-flower cap a+1")
-    by_count = {}
-    for c in sorted(rem):
-        by_count.setdefault(rem[c], []).append(c)  # ascending, so already a heap
-    buckets = [[v, by_count[v]] for v in sorted(by_count)]
-    out = []
-    for _ in range(a + 1):
-        chosen = []
-        i = len(buckets)
-        while len(chosen) < k:
-            i -= 1
-            bucket = buckets[i]
-            count, colors = bucket
-            want = k - len(chosen)
-            if len(colors) > want:
-                # its `want` smallest colors step down; the rest meets the
-                # bucket taken whole above it
-                moved = [heapq.heappop(colors) for _ in range(want)]
-                chosen += moved
-                buckets.insert(i, [count - 1, moved])
-                _join_buckets(buckets, i + 1)
-            else:
-                chosen += colors
-                bucket[0] = count - 1
-        _join_buckets(buckets, i - 1)
-        if count == 1:  # the lowest bucket ran out
-            del buckets[0]
-        chosen.sort()
-        out.append(tuple(chosen))
-    return out
-
-
-def _join_buckets(buckets, j):
-    """Merge buckets[j + 1] into buckets[j] when both hold the same count,
-    pushing the colors of the smaller heap into the larger."""
-    if 0 <= j < len(buckets) - 1 and buckets[j][0] == buckets[j + 1][0]:
-        big, small = buckets[j][1], buckets.pop(j + 1)[1]
-        if len(big) < len(small):
-            big, small = small, big
-            buckets[j][1] = big
-        for c in small:
-            heapq.heappush(big, c)
+    units = [c for c in sorted(rem) for _ in range(rem[c])]
+    return [tuple(units[j::a + 1]) for j in range(a + 1)]
 
 
 def _realize(gls: GlsGraph, matrix: CountMatrix) -> Coloring:

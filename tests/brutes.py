@@ -28,10 +28,9 @@ from blockeq.errors import (
     ExhaustedRetriesError,
     PreconditionViolatedError,
     SearchBudgetExceededError,
-    UnrealizableError,
 )
 from blockeq.families import star_of_cliques
-from blockeq.gls import Coloring, _equitable_class_sizes, uniform_gls
+from blockeq.gls import Coloring, _equitable_class_sizes
 from blockeq.graph import BlockGraph, LevelAssignment, decompose
 from blockeq.invariants import is_v_ais
 
@@ -811,10 +810,9 @@ def dc_by_vertices(g):
 
 # -- the dense count matrix ------------------------------------------------
 
-# `gls` holds each flower's nonzero cells and fills, checks and realizes
-# them off heaps and count buckets; these are the dense t x (n+1) table,
-# its fill and checks, and the per-clique sorting realization it replaced,
-# kept as the reference it is checked against.
+# `gls` holds each flower's nonzero cells and fills them off a heap of
+# needs; these are the dense t x (n+1) table, its fill and its checks that
+# it replaced, kept as the reference the sparse matrix is checked against.
 
 
 @dataclass(frozen=True)
@@ -945,54 +943,8 @@ def transport_fill_dense(sizes, caps, colsize, uc):
     return C
 
 
-def realize_flower_by_sorting(counts, a: int, k: int, universal_color: int):
-    """Turn one flower's per-color counts into per-clique color sets.
-
-    `counts` maps color -> vertex count inside the flower, hub unit
-    included; the flower has a+1 cliques whose non-hub part has k
-    vertices.  Greedy largest-remaining-first, ties to the smaller
-    color, which never runs short once the four input checks pass.
-    """
-    rem = {c: int(v) for c, v in dict(counts).items() if v > 0}
-    if rem.get(universal_color, 0) < 1:
-        raise UnrealizableError("hub color absent from its own flower")
-    rem[universal_color] -= 1
-    if rem[universal_color] != 0:
-        raise UnrealizableError("hub color reused inside its own flower")
-    del rem[universal_color]
-    if sum(rem.values()) != k * (a + 1):
-        raise UnrealizableError(
-            f"non-hub counts sum {sum(rem.values())} != k(a+1)={k * (a + 1)}"
-        )
-    if any(v > a + 1 for v in rem.values()):
-        raise UnrealizableError("some color exceeds the per-flower cap a+1")
-    out = []
-    for _ in range(a + 1):
-        live = sorted((c for c, v in rem.items() if v > 0), key=lambda c: (-rem[c], c))
-        chosen = sorted(live[:k])
-        for c in chosen:
-            rem[c] -= 1
-        out.append(tuple(chosen))
-    return out
-
-
-def realize_dense(gls, matrix):
-    color = {}
-    for j in range(matrix.n + 1):
-        uc = matrix.universal_colors[j]
-        color[gls.universal_vertices[j]] = uc
-        counts = {c: row[j] for c, row in enumerate(matrix.entries, start=1) if row[j]}
-        per_clique = realize_flower_by_sorting(
-            counts, matrix.B if j == 0 else matrix.a, matrix.k, uc
-        )
-        for members, chosen in zip(gls.cliques[j], per_clique):
-            for v, c in zip(members, chosen):
-                color[v] = c
-    return Coloring(color, matrix.t)
-
-
 def color_uniform_dense(a, n, k, B, t):
-    """`gls.color_uniform` on the dense table: (DenseCountMatrix, Coloring)."""
+    """`gls.color_uniform`'s count matrix, on the dense table."""
     total = (k + 1) * (k * B + n + 1)
     sizes = _equitable_class_sizes(total, t)
     caps = [B + 1] + [a + 1] * n
@@ -1005,4 +957,20 @@ def color_uniform_dense(a, n, k, B, t):
     bad = matrix.violations(sizes)
     if bad:
         raise AlgorithmInvariantError("; ".join(bad))
-    return matrix, realize_dense(uniform_gls(a, n, k, B), matrix)
+    return matrix
+
+
+def flower_assignment_exists(counts, cliques, k):
+    """Whether the units in `counts` (color -> count, hub excluded) split
+    into `cliques` cliques of k distinct colors each, by trying every k
+    live colors for each clique in turn."""
+    if not cliques:
+        return all(v == 0 for v in counts.values())
+    live = [c for c, v in counts.items() if v > 0]
+    for pick in combinations(live, k):
+        nxt = dict(counts)
+        for c in pick:
+            nxt[c] -= 1
+        if flower_assignment_exists(nxt, cliques - 1, k):
+            return True
+    return False

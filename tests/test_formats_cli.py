@@ -394,6 +394,16 @@ class TestCli:
         assert cli.main(["params", str(graph_file)]) == 3
         assert capsys.readouterr().err == "internal error: RuntimeError\n"
 
+    def test_internal_lookup_fault_exits_three(self, graph_file, monkeypatch, capsys):
+        # every missing input key is reported as a ValueError naming it,
+        # so a KeyError is a fault in the program, not bad input
+        def broken(g):
+            raise KeyError(5)
+
+        monkeypatch.setattr(invariants, "bounds_report", broken)
+        assert cli.main(["params", str(graph_file)]) == 3
+        assert capsys.readouterr().err == "internal error: 5\n"
+
     @pytest.mark.parametrize("edges, problem", [
         ([[0, 1], [1, 2], [3, 4]], "decomposition needs a connected graph"),
         ([[0, 1], [2, 3]], "decomposition needs a cut vertex"),

@@ -1,5 +1,7 @@
 import json
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -22,6 +24,7 @@ from blockeq.gls import (
     color_uniform,
     equitably_k1_colorable_uniform,
     realize_flower,
+    uniform_gls,
 )
 from blockeq.graph import BlockGraph, decompose
 
@@ -198,23 +201,38 @@ def _grid_pairs():
             yield a, n, k, B, t
 
 
+def _assert_deal(out, counts, a, k, hub):
+    """`realize_flower`'s contract: a+1 cliques of k distinct ascending
+    colors, none of them the hub's, tallying to the counts less the hub
+    unit."""
+    assert len(out) == a + 1
+    for chosen in out:
+        assert len(chosen) == k and list(chosen) == sorted(set(chosen)) and hub not in chosen
+    assert Counter(c for chosen in out for c in chosen) + Counter({hub: 1}) == Counter(counts)
+
+
 class TestSparseMatchesDenseReference:
-    """The count matrix held, filled and realized by its nonzero cells
-    against the dense t x (n+1) table, its fill and the per-clique
-    sorting realization it replaced (`brutes`)."""
+    """The count matrix held and filled by its nonzero cells against the
+    dense t x (n+1) table and fill it replaced (`brutes`), and its
+    realization against the contract any realization must meet."""
 
     def test_grid_pairs(self):
         # the columns densify to the reference matrix, hold only nonzero
-        # cells, so no more than their flower's vertices, and realize to
-        # the reference coloring
+        # cells, so no more than their flower's vertices, and realize to a
+        # proper equitable coloring whose per-flower tallies are the columns
         pairs = 0
         for a, n, k, B, t in _grid_pairs():
             matrix, coloring = color_uniform(a, n, k, B, t)
-            reference, expected = brutes.color_uniform_dense(a, n, k, B, t)
+            reference = brutes.color_uniform_dense(a, n, k, B, t)
             dense = tuple(
                 tuple(col.get(c, 0) for col in matrix.columns) for c in range(1, t + 1))
             assert dense == reference.entries, (a, n, k, B, t)
-            assert coloring == expected, (a, n, k, B, t)
+            g = uniform_gls(a, n, k, B)
+            chk = oracle.check_coloring(g.graph, coloring)
+            assert chk.proper and chk.equitable, (a, n, k, B, t)
+            for hub, cliques, col in zip(g.universal_vertices, g.cliques, matrix.columns):
+                flower = [hub, *(v for members in cliques for v in members)]
+                assert Counter(coloring.color[v] for v in flower) == col, (a, n, k, B, t)
             bounds = [(B + 1) * k + 1] + [(a + 1) * k + 1] * n
             for col, bound in zip(matrix.columns, bounds):
                 assert len(col) <= bound and min(col.values()) >= 1, (a, n, k, B, t)
@@ -235,8 +253,7 @@ class TestSparseMatchesDenseReference:
                 counts[c] = counts.get(c, 0) + 1
             hub = rng.choice([c for c in range(1, 401) if c not in counts])
             counts[hub] = 1
-            args = (counts, cliques - 1, k, hub)
-            assert realize_flower(*args) == brutes.realize_flower_by_sorting(*args), args
+            _assert_deal(realize_flower(counts, cliques - 1, k, hub), counts, cliques - 1, k, hub)
 
 
 class TestLinearSize:
@@ -263,26 +280,33 @@ class TestRealizeFlower:
         out = realize_flower({7: 1, 1: 2, 2: 1}, 2, 1, 7)
         assert out == [(1,), (1,), (2,)]
 
-    def test_greedy_spreads_counts(self):
+    def test_deal_spreads_counts(self):
         out = realize_flower({9: 1, 1: 3, 2: 2, 3: 1}, 2, 2, 9)
         assert out == [(1, 2), (1, 2), (1, 3)]
-        # exhaustive check: the greedy output is one of the feasible
-        # assignments (each color at most once per clique, counts exact)
-        from itertools import combinations
 
-        def feasible(counts, cliques, k):
-            if not cliques:
-                return all(v == 0 for v in counts.values())
-            live = [c for c, v in counts.items() if v > 0]
-            for pick in combinations(live, k):
-                nxt = dict(counts)
-                for c in pick:
-                    nxt[c] -= 1
-                if feasible(nxt, cliques - 1, k):
-                    return True
-            return False
-
-        assert feasible({1: 3, 2: 2, 3: 1}, 3, 2)
+    def test_realizes_exactly_the_columns_an_assignment_search_splits(self):
+        # every column of up to 5 colors, each at most one over the cap,
+        # on up to 4 cliques of up to 3 vertices
+        vectors = feasible = 0
+        for cliques, k in product(range(1, 5), range(1, 4)):
+            a = cliques - 1
+            for m in range(1, 6):
+                for units in product(range(a + 3), repeat=m):
+                    if sum(units) != k * cliques:
+                        continue
+                    vectors += 1
+                    counts = dict(enumerate(units, start=1))
+                    hub = m + 1
+                    exists = brutes.flower_assignment_exists(counts, cliques, k)
+                    try:
+                        out = realize_flower({**counts, hub: 1}, a, k, hub)
+                    except UnrealizableError:
+                        assert not exists, (counts, cliques, k)
+                        continue
+                    assert exists, (counts, cliques, k)
+                    _assert_deal(out, {**counts, hub: 1}, a, k, hub)
+                    feasible += 1
+        assert (vectors, feasible) == (2857, 1531)
 
     def test_hub_color_reuse_rejected(self):
         with pytest.raises(UnrealizableError):

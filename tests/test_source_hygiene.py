@@ -1,6 +1,7 @@
 """Static checks on the package source: no function-local that is
 assigned and never read, no import that nothing uses, no import inside
-a function, and no private helper that nothing references."""
+a function, and no private helper that nothing references; and on the
+test-side references, none that no test uses."""
 
 import ast
 from pathlib import Path
@@ -84,6 +85,27 @@ def test_no_unreferenced_private_helpers():
         if refs.count(d.name) == _references(d).count(d.name)
     )
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+def test_every_brute_reference_is_used():
+    # a reference whose tests are gone must go with them: each module-level
+    # function or class in `brutes.py` is named by a test module, or by a
+    # brutes definition that is itself in use
+    tests = Path(__file__).parent
+    defs = {
+        node.name: node for node in ast.parse((tests / "brutes.py").read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    todo = [name for path in sorted(tests.glob("test_*.py"))
+            for name in _references(ast.parse(path.read_text())) if name in defs]
+    used = set()
+    while todo:
+        name = todo.pop()
+        if name not in used:
+            used.add(name)
+            todo += [ref for ref in _references(defs[name]) if ref in defs]
+    dead = sorted(set(defs) - used)
+    assert not dead, f"brutes definitions nothing uses: {dead}"
 
 
 def test_oracle_imports_nothing_from_the_fast_side():
