@@ -42,7 +42,6 @@ from .gls import (
     color_nplus2,
     color_uniform,
     equitably_k1_colorable_uniform,
-    realize_flower,
 )
 from .oracle import (
     SpectrumReport,

@@ -75,10 +75,6 @@ class TBelowThresholdError(BlockeqError):
     """Requested color count below k+2 for the uniform coloring routine."""
 
 
-class UnrealizableError(BlockeqError):
-    """A per-flower count vector cannot be turned into a proper coloring."""
-
-
 class NotEquitableAtFixpointError(BlockeqError):
     """Product-maximizing recoloring stopped on a non-equitable coloring.
 

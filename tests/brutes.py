@@ -5,7 +5,7 @@ import heapq
 import importlib.util
 import random
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import combinations, permutations
 from pathlib import Path
 
@@ -30,7 +30,7 @@ from blockeq.errors import (
     SearchBudgetExceededError,
 )
 from blockeq.families import star_of_cliques
-from blockeq.gls import Coloring, _equitable_class_sizes
+from blockeq.gls import Coloring
 from blockeq.graph import BlockGraph, LevelAssignment, decompose
 from blockeq.invariants import is_v_ais
 
@@ -808,60 +808,12 @@ def dc_by_vertices(g):
     return invariants.DcResult(size, frozenset(v for v in range(n) if spelled >> (n - 1 - v) & 1))
 
 
-# -- the dense count matrix ------------------------------------------------
+# -- the dense count matrix fill ------------------------------------------
 
-# `gls` holds each flower's nonzero cells and fills them off a heap of
-# needs; these are the dense t x (n+1) table, its fill and its checks that
-# it replaced, kept as the reference the sparse matrix is checked against.
-
-
-@dataclass(frozen=True)
-class DenseCountMatrix:
-    """Per-(color, flower) vertex counts; rows are colors, columns flowers."""
-
-    entries: tuple  # t rows x (n+1) columns
-    a: int
-    n: int
-    k: int
-    B: int
-    t: int
-    universal_colors: tuple  # color of the hub of each flower
-
-    def row_sums(self):
-        return [sum(row) for row in self.entries]
-
-    def col_sums(self):
-        return [sum(row[j] for row in self.entries) for j in range(self.n + 1)]
-
-    def caps(self):
-        return [self.B + 1] + [self.a + 1] * self.n
-
-    def flower_sizes(self):
-        return [(self.B + 1) * self.k + 1] + [(self.a + 1) * self.k + 1] * self.n
-
-    def violations(self, class_sizes):
-        """All broken matrix invariants, as human-readable strings.
-
-        Every column must be realizable inside its flower: the hub
-        color appears exactly once (the hub itself), every other color
-        at most cap times, and the column sums to the flower size.
-        Together with the row sums these are exactly the conditions the
-        flower realization needs.
-        """
-        bad = []
-        caps = self.caps()
-        if self.row_sums() != list(class_sizes):
-            bad.append(f"row sums {self.row_sums()} != class sizes {list(class_sizes)}")
-        if self.col_sums() != self.flower_sizes():
-            bad.append(f"column sums {self.col_sums()} != flower sizes {self.flower_sizes()}")
-        for j in range(self.n + 1):
-            col = [row[j] for row in self.entries]
-            if any(x > caps[j] for x in col):
-                bad.append(f"column {j} exceeds cap {caps[j]}: {col}")
-            uc = self.universal_colors[j]
-            if col[uc - 1] != 1:
-                bad.append(f"column {j} hub color {uc} has count {col[uc - 1]} != 1")
-        return bad
+# `gls` colors the uniform flower graphs clique by clique by largest
+# demand; this is the dense t x (n+1) transportation fill that it
+# replaced, kept as the reference that decides whether a count matrix
+# with given class sizes exists.
 
 
 def transport_fill_dense(sizes, caps, colsize, uc):
@@ -941,36 +893,3 @@ def transport_fill_dense(sizes, caps, colsize, uc):
         need_row[i] -= push  # i is the source row the walk ended at
         need_col[end] -= push
     return C
-
-
-def color_uniform_dense(a, n, k, B, t):
-    """`gls.color_uniform`'s count matrix, on the dense table."""
-    total = (k + 1) * (k * B + n + 1)
-    sizes = _equitable_class_sizes(total, t)
-    caps = [B + 1] + [a + 1] * n
-    colsize = [(B + 1) * k + 1] + [(a + 1) * k + 1] * n
-    uc = [1]
-    for color, count in enumerate(_equitable_class_sizes(n, t - 1), start=2):
-        uc += [color] * count
-    C = transport_fill_dense(sizes, caps, colsize, uc)
-    matrix = DenseCountMatrix(tuple(tuple(row) for row in C), a, n, k, B, t, tuple(uc))
-    bad = matrix.violations(sizes)
-    if bad:
-        raise AlgorithmInvariantError("; ".join(bad))
-    return matrix
-
-
-def flower_assignment_exists(counts, cliques, k):
-    """Whether the units in `counts` (color -> count, hub excluded) split
-    into `cliques` cliques of k distinct colors each, by trying every k
-    live colors for each clique in turn."""
-    if not cliques:
-        return all(v == 0 for v in counts.values())
-    live = [c for c, v in counts.items() if v > 0]
-    for pick in combinations(live, k):
-        nxt = dict(counts)
-        for c in pick:
-            nxt[c] -= 1
-        if flower_assignment_exists(nxt, cliques - 1, k):
-            return True
-    return False

@@ -305,15 +305,15 @@ class TestCli:
         assert err == "internal error: local search fixpoint not equitable, class sizes [1, 1, 4]\n"
 
     def test_matrix_invariant_failure_exits_three(self, monkeypatch, capsys):
-        # an all-zero count matrix breaks every row and column sum
-        def empty_fill(sizes, caps, colsize, uc):
-            return [{} for _ in caps]
+        # a deal that gives every vertex color 1 breaks every row sum
+        def one_color(g, uc, sizes):
+            return dict.fromkeys(range(g.graph.n), 1)
 
-        monkeypatch.setattr(gls, "_transport_fill", empty_fill)
+        monkeypatch.setattr(gls, "_deal", one_color)
         argv = ["gls", "color-uniform", "--a", "3", "--n", "4", "--k", "3", "--B", "4", "--t", "5"]
         assert cli.main(argv) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("internal error: row sums [0, 0, 0, 0, 0] != ")
+        assert out == "" and err.startswith("internal error: row sums [68, 0, 0, 0, 0] != ")
 
     @pytest.mark.parametrize("argv", [["validate"], ["char", "decompose"]])
     def test_out_of_memory_exits_two_naming_the_command(

@@ -1,7 +1,6 @@
 import json
 import random
 from collections import Counter
-from itertools import product
 
 import pytest
 
@@ -12,18 +11,18 @@ from blockeq.errors import (
     InstanceInvariantError,
     NotUniformConsistentError,
     TBelowThresholdError,
-    UnrealizableError,
 )
 from blockeq.gls import (
     BinPackingInstance,
+    Coloring,
+    _deal,
+    _equitable_class_sizes,
     _greedy_start,
     _recolor_to_equitable,
-    _transport_fill,
     build_gls,
     color_nplus2,
     color_uniform,
     equitably_k1_colorable_uniform,
-    realize_flower,
     uniform_gls,
 )
 from blockeq.graph import BlockGraph, decompose
@@ -97,6 +96,19 @@ class TestUniformDecision:
                 assert chk.proper and chk.equitable
 
 
+def _start_bound(a, n, k, B, t):
+    """(largest start demand, smallest class, most hubs of one color) of
+    `color_uniform`'s deal, in closed form.  Color 1 holds y_0, under
+    B+1 cliques; colors 2..t split the other n hubs, each under a+1
+    cliques, equitably in ascending color, as the class sizes are.  So
+    among colors 2..t, color 2 has the largest class and the most hubs,
+    and with them the largest demand: its class less its h hubs, plus
+    h(a+1) cliques."""
+    q, r = divmod((k + 1) * (k * B + n + 1), t)
+    hubs = -(-n // (t - 1))
+    return max(q + (r >= 1) + B, q + (r >= 2) + a * hubs), q, hubs
+
+
 class TestColorUniform:
     def test_smallest_example_class_sizes(self):
         matrix, coloring = color_uniform(2, 2, 1, 4, 3)
@@ -122,34 +134,67 @@ class TestColorUniform:
         with pytest.raises(TBelowThresholdError):
             color_uniform(2, 2, 1, 4, 2)
 
-    def test_row_one_has_enough_room(self):
-        # color 1 holds the hub cell of column 0 and no flower hub, so it
-        # has room 1 + n(a+1); that always covers the largest class
+    def test_every_color_fits_the_deal_at_every_t(self):
+        # the gap-free spectrum, by arithmetic: `_deal` colors the graph
+        # whenever no color's start demand (units needed plus cliques
+        # under a hub of its color) exceeds the clique count and every
+        # class holds its hubs
+        pairs = 0
+        for a, n, k, B in brutes.uniform_grid(max_a=12, max_n=12, max_k=6):
+            cliques = B + 1 + n * (a + 1)
+            for t in range(k + 2, (k + 1) * (k * B + n + 1) + 1):
+                demand, smallest, hubs = _start_bound(a, n, k, B, t)
+                assert demand <= cliques and smallest >= hubs, (a, n, k, B, t)
+                pairs += 1
+        assert pairs == 100974
+
+    def test_start_bound_reads_every_color(self):
+        # the closed form against each color's demand, class size and
+        # hub count, with the hub colors `color_uniform` chose
         for a, n, k, B in brutes.uniform_grid():
-            total = (k + 1) * (a * n + n + 1)
-            for t in range(k + 2, max(total, k + 6) + 1):
-                assert 1 + n * (a + 1) >= -(total // -t)
+            total = (k + 1) * (k * B + n + 1)
+            for t in range(k + 2, total + 1):
+                matrix, _ = color_uniform(a, n, k, B, t)
+                sizes = _equitable_class_sizes(total, t)
+                demand = [0, *sizes]
+                hubs = [0] * (t + 1)
+                for c, cap in zip(matrix.universal_colors, matrix.caps()):
+                    demand[c] += cap - 1
+                    hubs[c] += 1
+                expected = (max(demand), min(sizes), max(hubs))
+                assert _start_bound(a, n, k, B, t) == expected, (a, n, k, B, t)
 
     def test_fill_reports_infeasible_totals(self):
-        # color 1 owns the only column's hub cell, which stays pinned
-        # to 1, so it can never reach 3 vertices
+        # color 1 is y_0's, so only flower 1's two cliques admit its
+        # units, and a class of 4 leaves it one clique short
+        g = build_gls(BinPackingInstance((1,), 1, 1))
         with pytest.raises(AlgorithmInvariantError, match="no feasible count matrix"):
-            _transport_fill([3, 1], [2], [4], [1])
+            _deal(g, [1, 2], [4, 2])
+        # and class sizes that miss |V| = 6 leave some clique short
+        with pytest.raises(AlgorithmInvariantError, match="no feasible count matrix"):
+            _deal(g, [1, 2], [3, 2])
+
+    def test_deal_rereads_a_stale_demand(self):
+        # color 1's demand falls from 4 to 1 over flower 0's cliques with
+        # no push; read at its stale key, it would take flower 1's first
+        # clique from color 3, at the full demand R = 4, and leave a unit
+        # of color 3 that only flower 2, whose hub has color 3, is left for
+        g = build_gls(BinPackingInstance((1, 1), 1, 2))
+        coloring = Coloring(_deal(g, [1, 2, 3], [2, 2, 6]), 3)
+        assert coloring.class_sizes() == [2, 2, 6]
+        assert oracle.check_coloring(g.graph, coloring).proper
 
     @pytest.mark.parametrize("a,n,k,B,t", [(1, 1, 1, 1, 3), (1, 2, 2, 1, 4)])
-    def test_fill_repairs_a_row_the_prefill_leaves_short(self, a, n, k, B, t):
-        # (1, 1, 1, 1, 3): the prefill fills column 0 with colors 1 and 3,
-        # and column 1 holds the hub of color 2, so color 2 is left one
-        # short; only an augmenting path that moves a unit of color 3 from
-        # column 0 to column 1 makes room for it
+    def test_matrix_meets_its_totals_with_little_slack(self, a, n, k, B, t):
+        # (1, 1, 1, 1, 3): column 1 holds the hub of color 2, so color 2
+        # has only column 0 left for its second unit
         total = (k + 1) * (a * n + n + 1)
         q, r = divmod(total, t)
         sizes = [q + 1] * r + [q] * (t - r)
         caps = [B + 1] + [a + 1] * n
         colsize = [(B + 1) * k + 1] + [(a + 1) * k + 1] * n
         matrix, _ = color_uniform(a, n, k, B, t)
-        uc = list(matrix.universal_colors)
-        columns = _transport_fill(sizes, caps, colsize, uc)
+        uc, columns = matrix.universal_colors, matrix.columns
         assert [sum(col.get(c, 0) for col in columns) for c in range(1, t + 1)] == sizes
         assert [sum(col.values()) for col in columns] == colsize
         for x, col in enumerate(columns):
@@ -201,32 +246,20 @@ def _grid_pairs():
             yield a, n, k, B, t
 
 
-def _assert_deal(out, counts, a, k, hub):
-    """`realize_flower`'s contract: a+1 cliques of k distinct ascending
-    colors, none of them the hub's, tallying to the counts less the hub
-    unit."""
-    assert len(out) == a + 1
-    for chosen in out:
-        assert len(chosen) == k and list(chosen) == sorted(set(chosen)) and hub not in chosen
-    assert Counter(c for chosen in out for c in chosen) + Counter({hub: 1}) == Counter(counts)
-
-
 class TestSparseMatchesDenseReference:
-    """The count matrix held and filled by its nonzero cells against the
-    dense t x (n+1) table and fill it replaced (`brutes`), and its
-    realization against the contract any realization must meet."""
+    """The deal, and the count matrix tallied off it, against the
+    contract any equitable coloring of a flower graph meets, and against
+    the dense transportation fill it replaced (`brutes`)."""
 
     def test_grid_pairs(self):
-        # the columns densify to the reference matrix, hold only nonzero
-        # cells, so no more than their flower's vertices, and realize to a
-        # proper equitable coloring whose per-flower tallies are the columns
+        # the columns meet every matrix invariant, hold only nonzero
+        # cells, so no more than their flower's vertices, and are the
+        # per-flower tallies of a proper equitable coloring
         pairs = 0
         for a, n, k, B, t in _grid_pairs():
             matrix, coloring = color_uniform(a, n, k, B, t)
-            reference = brutes.color_uniform_dense(a, n, k, B, t)
-            dense = tuple(
-                tuple(col.get(c, 0) for col in matrix.columns) for c in range(1, t + 1))
-            assert dense == reference.entries, (a, n, k, B, t)
+            sizes = _equitable_class_sizes((k + 1) * (k * B + n + 1), t)
+            assert matrix.violations(sizes) == [], (a, n, k, B, t)
             g = uniform_gls(a, n, k, B)
             chk = oracle.check_coloring(g.graph, coloring)
             assert chk.proper and chk.equitable, (a, n, k, B, t)
@@ -239,27 +272,46 @@ class TestSparseMatchesDenseReference:
             pairs += 1
         assert pairs == 7938
 
-    def test_realize_flower_on_random_feasible_columns(self):
-        rng = random.Random(33)
-        for _ in range(1000):
-            cliques, k = rng.randint(1, 60), rng.randint(1, 4)
-            colors = rng.sample(range(1, 400), rng.randint(k, min(k * cliques, 300)))
-            counts = {}
-            for _ in range(k * cliques):
-                # a color at the cap of one per clique gives its unit to the next
-                c = rng.choice(colors)
-                while counts.get(c, 0) == cliques:
-                    c = colors[(colors.index(c) + 1) % len(colors)]
-                counts[c] = counts.get(c, 0) + 1
-            hub = rng.choice([c for c in range(1, 401) if c not in counts])
-            counts[hub] = 1
-            _assert_deal(realize_flower(counts, cliques - 1, k, hub), counts, cliques - 1, k, hub)
+    def test_deal_decides_as_the_dense_fill(self):
+        # random hub colors, with y_0's apart from every other hub's, and
+        # equitable class sizes with up to 3 units moved between classes:
+        # the deal colors the graph exactly when the dense fill finds a
+        # count matrix, and then to those class sizes, properly
+        rng = random.Random(35)
+        instances = brutes.packing_box()
+        feasible = 0
+        for _ in range(3000):
+            sizes, k, B = rng.choice(instances)
+            g = build_gls(BinPackingInstance(sizes, k, B), cross_check=False)
+            t = rng.randint(k + 1, k + 6)
+            uc = [rng.randint(1, t)]
+            uc += [rng.choice([c for c in range(1, t + 1) if c != uc[0]]) for _ in sizes]
+            classes = _equitable_class_sizes(g.graph.n, t)
+            for _ in range(rng.randint(0, 3)):
+                src, dst = rng.sample(range(t), 2)
+                if classes[src]:
+                    classes[src] -= 1
+                    classes[dst] += 1
+            caps = [B + 1, *(x + 1 for x in sizes)]
+            colsize = [cap * k + 1 for cap in caps]
+            case = (sizes, k, B, uc, classes)
+            try:
+                brutes.transport_fill_dense(classes, caps, colsize, uc)
+            except AlgorithmInvariantError:
+                with pytest.raises(AlgorithmInvariantError):
+                    _deal(g, uc, classes)
+                continue
+            coloring = Coloring(_deal(g, uc, classes), t)
+            assert coloring.class_sizes() == classes, case
+            assert oracle.check_coloring(g.graph, coloring).proper, case
+            feasible += 1
+        assert feasible == 2365
 
 
 class TestLinearSize:
     """Sizes that grow with |V| alone, whatever t is; nothing is timed.
-    The bound on each column's cells is checked over the grid, with the
-    reference, in `TestSparseMatchesDenseReference.test_grid_pairs`."""
+    The bound on each column's cells is checked over the grid in
+    `TestSparseMatchesDenseReference.test_grid_pairs`."""
 
     def test_color_uniform_output_at_t_equal_to_the_vertex_count(self, capsys):
         # the dense table alone printed 4,002 x 1,001 cells
@@ -269,52 +321,6 @@ class TestLinearSize:
         out = capsys.readouterr().out
         assert len(out.encode()) < 200_000
         assert len(json.loads(out)["coloring"]["colors"]) == 4002
-
-
-class TestRealizeFlower:
-    def test_two_cliques_two_colors(self):
-        out = realize_flower({9: 1, 1: 2, 2: 2}, 1, 2, 9)
-        assert out == [(1, 2), (1, 2)]
-
-    def test_three_single_slots(self):
-        out = realize_flower({7: 1, 1: 2, 2: 1}, 2, 1, 7)
-        assert out == [(1,), (1,), (2,)]
-
-    def test_deal_spreads_counts(self):
-        out = realize_flower({9: 1, 1: 3, 2: 2, 3: 1}, 2, 2, 9)
-        assert out == [(1, 2), (1, 2), (1, 3)]
-
-    def test_realizes_exactly_the_columns_an_assignment_search_splits(self):
-        # every column of up to 5 colors, each at most one over the cap,
-        # on up to 4 cliques of up to 3 vertices
-        vectors = feasible = 0
-        for cliques, k in product(range(1, 5), range(1, 4)):
-            a = cliques - 1
-            for m in range(1, 6):
-                for units in product(range(a + 3), repeat=m):
-                    if sum(units) != k * cliques:
-                        continue
-                    vectors += 1
-                    counts = dict(enumerate(units, start=1))
-                    hub = m + 1
-                    exists = brutes.flower_assignment_exists(counts, cliques, k)
-                    try:
-                        out = realize_flower({**counts, hub: 1}, a, k, hub)
-                    except UnrealizableError:
-                        assert not exists, (counts, cliques, k)
-                        continue
-                    assert exists, (counts, cliques, k)
-                    _assert_deal(out, {**counts, hub: 1}, a, k, hub)
-                    feasible += 1
-        assert (vectors, feasible) == (2857, 1531)
-
-    def test_hub_color_reuse_rejected(self):
-        with pytest.raises(UnrealizableError):
-            realize_flower({9: 2, 1: 2, 2: 2}, 1, 3, 9)
-
-    def test_overfull_color_rejected(self):
-        with pytest.raises(UnrealizableError):
-            realize_flower({9: 1, 1: 4}, 1, 2, 9)
 
 
 class TestColorNPlus2:
