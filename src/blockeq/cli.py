@@ -409,7 +409,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (errors.AlgorithmInvariantError, errors.NotEquitableAtFixpointError) as e:
+    except errors.AlgorithmInvariantError as e:
         print(f"internal error: {_describe(e)}", file=sys.stderr)  # a bug, not bad input
         return 3
     except (OSError, ValueError, json.JSONDecodeError, BlockeqError) as e:

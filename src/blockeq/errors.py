@@ -75,19 +75,6 @@ class TBelowThresholdError(BlockeqError):
     """Requested color count below k+2 for the uniform coloring routine."""
 
 
-class NotEquitableAtFixpointError(BlockeqError):
-    """Product-maximizing recoloring stopped on a non-equitable coloring.
-
-    Signals a gap between the implementation and the recoloring argument;
-    the offending coloring is attached for inspection.
-    """
-
-    def __init__(self, coloring, class_sizes):
-        self.coloring = coloring
-        self.class_sizes = class_sizes
-        super().__init__(f"local search fixpoint not equitable, class sizes {sorted(class_sizes)}")
-
-
 class UncoloredVertexError(BlockeqError):
     """A coloring misses some vertex."""
 

@@ -6,7 +6,7 @@ is a_j + 1 disjoint K_k cliques joined to a hub y_j, flower 0 plays the
 same role for the capacity B, and y_0 is joined to every other hub.
 This module builds those graphs, colors the uniform ones equitably with
 any k+2 <= t <= |V| colors, and colors every instance equitably with
-n+2 colors via product-maximizing recoloring.
+n+2 colors, the hubs in distinct colors, by the same clique deal.
 
 The uniform coloring deals the cliques one by one, each to the k colors
 other than its hub's with the largest demand (units still needed plus
@@ -20,8 +20,6 @@ t = 3 on (1, N, 1, N), graph built, it takes 13 / 28 ms at N = 2,500 /
 from __future__ import annotations
 
 import heapq
-import logging
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -32,7 +30,6 @@ from . import invariants
 from .errors import (
     AlgorithmInvariantError,
     InstanceInvariantError,
-    NotEquitableAtFixpointError,
     NotUniformConsistentError,
     TBelowThresholdError,
     require_int,
@@ -40,8 +37,6 @@ from .errors import (
     require_object,
 )
 from .graph import BlockGraph, check_vertex_count
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -350,147 +345,24 @@ def color_uniform(a: int, n: int, k: int, B: int, t: int):
     return matrix, Coloring(color, t)
 
 
-# -- equitable (n+2)-coloring by product-maximizing recoloring -----------
-
-
 def color_nplus2(g: GlsGraph, stats: Optional[dict] = None) -> Coloring:
     """Equitable (n+2)-coloring of any flower graph.
 
-    Works on the auxiliary graph with all hubs joined into a clique,
-    starts from a greedy proper coloring, and commits only recolorings
-    that strictly increase the product of class sizes.  Two moves
-    recolor a simplicial vertex into a class missing from its clique:
-    the generic move into a class at least two smaller than its own, and
-    the slide into a class one smaller, which leaves the product as it
-    is and is kept only if a generic move then commits.  On all 911
-    instances with k <= 4, B <= 8, n <= 6, from greedy and seeded random
-    starts, only k = 1 (flowers of pendant edges) ever needs the slide.
-    Any gap between these moves and the recoloring argument surfaces as
-    NotEquitableAtFixpointError.  `stats`, if given, receives the
-    `products` after each commit, the `moves` count and `moves_by_kind`.
-    """
-    return _recolor_to_equitable(g, _greedy_start(g), stats)
-
-
-def _greedy_start(g: GlsGraph) -> dict:
-    """Proper (n+2)-coloring of the auxiliary graph: by decreasing degree,
-    ties to the smaller id, each vertex into its least-loaded free class,
-    ties to the smaller color.  That leaves no class empty, so the
-    class-size product starts positive.
-
-    The order is read off the flowers.  In the auxiliary graph hub y_j
-    has degree n + c_j*k, where c_j is its flower's clique count (B+1
-    or a_j+1), and every other vertex has degree k (its k-1 clique mates
-    and its hub).  So the hubs come first, by (-c_j, id); as an
-    (n+1)-clique they take colors 1..n+1 in that order.  Then every
-    clique vertex follows in id order, and when its turn comes its only
-    colored neighbors are its hub and its earlier mates.  The members of
-    one clique therefore take, in order, the k least-loaded classes
-    other than the hub's.  No clique runs out of classes: sum(A) = kB
-    with every a_j <= B gives n >= k, so n+1 classes remain.
+    Hub y_j takes color j+1, so the n+1 hubs, a clique once joined (as
+    in the paper's auxiliary graph), take distinct colors and color n+2
+    goes to no hub; `_deal` then colors the cliques to the equitable
+    class sizes s_c of t = n+2.  Its start bound holds.  Flower j has
+    c_j cliques (c_0 = B+1, c_j = a_j+1), so with M = kB+n+1 there are
+    R = M+B cliques and |V| = (k+1)M.  Color j+1 starts with demand
+    s_c + c_j - 1, at most s_c + B, so the bound needs s_c <= M.  And
+    s_c <= ceil((k+1)M/(n+2)) <= M, since sum(A) = kB with every
+    a_j <= B gives n >= k, hence k+1 < n+2.  Every class needs its hub
+    unit, s_c >= floor((k+1)M/(n+2)) >= 1 as M >= n+2, and the units
+    left are (k+1)M-(n+1) = kR, k per clique.  `stats`, if given,
+    receives `moves` = 0: the deal commits no recoloring moves.
     """
     t = g.n_items + 2
-    k = g.instance.parts
-    hubs = g.universal_vertices
-    order = sorted(range(len(hubs)), key=lambda j: (-len(g.cliques[j]), hubs[j]))
-    col = {hubs[j]: c for c, j in enumerate(order, start=1)}
-    # (size, color) per class; a sorted list is already a heap
-    heap = [(0, t)] + [(1, c) for c in range(1, t)]
-    for hub, flower in zip(hubs, g.cliques):
-        own = col[hub]
-        for members in flower:
-            taken = []
-            hub_entry = None
-            while len(taken) < k:
-                entry = heapq.heappop(heap)
-                if entry[1] == own:
-                    hub_entry = entry
-                else:
-                    taken.append(entry)
-            for v, (size, c) in zip(members, taken):
-                col[v] = c
-                heapq.heappush(heap, (size + 1, c))
-            if hub_entry is not None:
-                heapq.heappush(heap, hub_entry)
-    return col
-
-
-def _recolor_to_equitable(g: GlsGraph, col: dict, stats: Optional[dict] = None) -> Coloring:
-    """Run the two moves of `color_nplus2` from the coloring `col` (vertex
-    -> color in 1..n+2, updated in place), which must be proper on the
-    auxiliary graph and leave no class empty."""
-    t = g.n_items + 2
-    cliques = [tuple(g.universal_vertices)]
-    for hub, flower in zip(g.universal_vertices, g.cliques):
-        cliques.extend((hub,) + members for members in flower)
-    clique_of = {v: ci for ci, members in enumerate(cliques[1:], start=1) for v in members[1:]}
-    simplicials = sorted(clique_of)
-    sizes = [0] * (t + 1)
-    for c in col.values():
-        sizes[c] += 1
-
-    def present(ci):
-        return {col[v] for v in cliques[ci]}
-
-    def recolor(v, c):
-        sizes[col[v]] -= 1
-        sizes[c] += 1
-        col[v] = c
-
-    def generic_move():
-        # move a simplicial vertex into a missing class at least 2 smaller
-        for w in simplicials:
-            cw = col[w]
-            pres = present(clique_of[w])
-            for c in range(1, t + 1):
-                if c not in pres and sizes[c] <= sizes[cw] - 2:
-                    recolor(w, c)
-                    return True
-        return False
-
-    def slide_move():
-        # product-neutral slide of a simplicial vertex, kept only if it
-        # unlocks a generic move
-        for w in simplicials:
-            cw = col[w]
-            pres = present(clique_of[w])
-            for c in range(1, t + 1):
-                if c in pres or sizes[c] != sizes[cw] - 1:
-                    continue
-                recolor(w, c)
-                if generic_move():
-                    return True
-                recolor(w, cw)
-        return False
-
-    # an equitable coloring already maximizes the class-size product,
-    # so no strictly improving move exists once the window is one unit
-    products = [math.prod(sizes[1:])]
-    by_kind = {"generic": 0, "slide": 0}
-    while max(sizes[1:]) - min(sizes[1:]) > 1:
-        kind = "generic" if generic_move() else "slide" if slide_move() else None
-        if kind is None:
-            break
-        by_kind[kind] += 1
-        p = math.prod(sizes[1:])
-        if p <= products[-1]:
-            raise AlgorithmInvariantError("committed move did not increase the product")
-        products.append(p)
+    color = _deal(g, range(1, t), _equitable_class_sizes(g.graph.n, t))
     if stats is not None:
-        stats["products"] = products
-        stats["moves"] = len(products) - 1
-        stats["moves_by_kind"] = by_kind
-
-    live = sizes[1:]
-    log.debug("fixpoint class sizes %s (window %d)", sorted(live), max(live) - min(live))
-    if max(live) - min(live) > 2:
-        raise AlgorithmInvariantError("fixpoint breaks the two-unit window claim")
-    for members in cliques:
-        seen = [col[v] for v in members]
-        if len(set(seen)) != len(seen):
-            raise AlgorithmInvariantError("fixpoint coloring not proper")
-    coloring = Coloring(dict(col), t)
-    if max(live) - min(live) > 1:
-        raise NotEquitableAtFixpointError(coloring, live)
-    return coloring
-
+        stats["moves"] = 0
+    return Coloring(color, t)

@@ -229,21 +229,26 @@ class SpectrumReport:
 
 def spectrum(g: BlockGraph, t_cap: Optional[int] = None, node_budget: Optional[int] = None) -> SpectrumReport:
     """Scan t = 1..t_cap with the exact solver; every t below
-    `_clique_bound(g)` is infeasible without a search."""
+    `_clique_bound(g)` is infeasible without a search.  A graph with no
+    edges needs no search: n isolated vertices split into t classes of
+    sizes differing by at most one for every t <= n."""
     cap = g.n if t_cap is None else t_cap
     if cap > g.n:
         raise ValueError("t_cap exceeds the vertex count")
     feasible = set()
     unknown = set()
-    plan = _search_plan(g)
-    for t in range(_clique_bound(g), cap + 1):
-        try:
-            ok, _ = exact_equitable_colorable(g, t, node_budget, _plan=plan)
-        except SearchBudgetExceededError:
-            unknown.add(t)
-            continue
-        if ok:
-            feasible.add(t)
+    if any(g._adj):
+        plan = _search_plan(g)
+        for t in range(_clique_bound(g), cap + 1):
+            try:
+                ok, _ = exact_equitable_colorable(g, t, node_budget, _plan=plan)
+            except SearchBudgetExceededError:
+                unknown.add(t)
+                continue
+            if ok:
+                feasible.add(t)
+    else:
+        feasible.update(range(1, cap + 1))
     complete = not unknown and cap == g.n
     chi_eq = min(feasible) if feasible else None
     chi_star = None

@@ -3,6 +3,7 @@ from the package so the library never accidentally leans on them."""
 
 import heapq
 import importlib.util
+import math
 import random
 from collections import deque
 from dataclasses import replace
@@ -394,6 +395,151 @@ def greedy_start_by_degree(g):
         for entry in skipped:
             heapq.heappush(heap, entry)
     return col
+
+
+class NotEquitableAtFixpointError(Exception):
+    """Product-maximizing recoloring stopped on a non-equitable coloring.
+
+    Signals a gap between the implementation and the recoloring argument;
+    the offending coloring is attached for inspection.
+    """
+
+    def __init__(self, coloring, class_sizes):
+        self.coloring = coloring
+        self.class_sizes = class_sizes
+        super().__init__(f"local search fixpoint not equitable, class sizes {sorted(class_sizes)}")
+
+
+def greedy_start(g):
+    """Proper (n+2)-coloring of the auxiliary graph: by decreasing degree,
+    ties to the smaller id, each vertex into its least-loaded free class,
+    ties to the smaller color.  That leaves no class empty, so the
+    class-size product starts positive.
+
+    The order is read off the flowers.  In the auxiliary graph hub y_j
+    has degree n + c_j*k, where c_j is its flower's clique count (B+1
+    or a_j+1), and every other vertex has degree k (its k-1 clique mates
+    and its hub).  So the hubs come first, by (-c_j, id); as an
+    (n+1)-clique they take colors 1..n+1 in that order.  Then every
+    clique vertex follows in id order, and when its turn comes its only
+    colored neighbors are its hub and its earlier mates.  The members of
+    one clique therefore take, in order, the k least-loaded classes
+    other than the hub's.  No clique runs out of classes: sum(A) = kB
+    with every a_j <= B gives n >= k, so n+1 classes remain.
+    """
+    t = g.n_items + 2
+    k = g.instance.parts
+    hubs = g.universal_vertices
+    order = sorted(range(len(hubs)), key=lambda j: (-len(g.cliques[j]), hubs[j]))
+    col = {hubs[j]: c for c, j in enumerate(order, start=1)}
+    # (size, color) per class; a sorted list is already a heap
+    heap = [(0, t)] + [(1, c) for c in range(1, t)]
+    for hub, flower in zip(hubs, g.cliques):
+        own = col[hub]
+        for members in flower:
+            taken = []
+            hub_entry = None
+            while len(taken) < k:
+                entry = heapq.heappop(heap)
+                if entry[1] == own:
+                    hub_entry = entry
+                else:
+                    taken.append(entry)
+            for v, (size, c) in zip(members, taken):
+                col[v] = c
+                heapq.heappush(heap, (size + 1, c))
+            if hub_entry is not None:
+                heapq.heappush(heap, hub_entry)
+    return col
+
+
+def recolor_to_equitable(g, col, stats=None):
+    """The paper's equitable (n+2)-coloring of a flower graph g: product-
+    maximizing recoloring on the auxiliary graph with all hubs joined
+    into a clique, from the coloring `col` (vertex -> color in 1..n+2,
+    updated in place), which must be proper there and leave no class
+    empty.  Only recolorings that strictly increase the product of class
+    sizes are committed.  Two moves recolor a simplicial vertex into a
+    class missing from its clique: the generic move into a class at
+    least two smaller than its own, and the slide into a class one
+    smaller, which leaves the product as it is and is kept only if a
+    generic move then commits.  Any gap between these moves and the
+    recoloring argument surfaces as NotEquitableAtFixpointError.
+    `stats`, if given, receives the `products` after each commit, the
+    `moves` count and `moves_by_kind`."""
+    t = g.n_items + 2
+    cliques = [tuple(g.universal_vertices)]
+    for hub, flower in zip(g.universal_vertices, g.cliques):
+        cliques.extend((hub,) + members for members in flower)
+    clique_of = {v: ci for ci, members in enumerate(cliques[1:], start=1) for v in members[1:]}
+    simplicials = sorted(clique_of)
+    sizes = [0] * (t + 1)
+    for c in col.values():
+        sizes[c] += 1
+
+    def present(ci):
+        return {col[v] for v in cliques[ci]}
+
+    def recolor(v, c):
+        sizes[col[v]] -= 1
+        sizes[c] += 1
+        col[v] = c
+
+    def generic_move():
+        # move a simplicial vertex into a missing class at least 2 smaller
+        for w in simplicials:
+            cw = col[w]
+            pres = present(clique_of[w])
+            for c in range(1, t + 1):
+                if c not in pres and sizes[c] <= sizes[cw] - 2:
+                    recolor(w, c)
+                    return True
+        return False
+
+    def slide_move():
+        # product-neutral slide of a simplicial vertex, kept only if it
+        # unlocks a generic move
+        for w in simplicials:
+            cw = col[w]
+            pres = present(clique_of[w])
+            for c in range(1, t + 1):
+                if c in pres or sizes[c] != sizes[cw] - 1:
+                    continue
+                recolor(w, c)
+                if generic_move():
+                    return True
+                recolor(w, cw)
+        return False
+
+    # an equitable coloring already maximizes the class-size product,
+    # so no strictly improving move exists once the window is one unit
+    products = [math.prod(sizes[1:])]
+    by_kind = {"generic": 0, "slide": 0}
+    while max(sizes[1:]) - min(sizes[1:]) > 1:
+        kind = "generic" if generic_move() else "slide" if slide_move() else None
+        if kind is None:
+            break
+        by_kind[kind] += 1
+        p = math.prod(sizes[1:])
+        if p <= products[-1]:
+            raise AlgorithmInvariantError("committed move did not increase the product")
+        products.append(p)
+    if stats is not None:
+        stats["products"] = products
+        stats["moves"] = len(products) - 1
+        stats["moves_by_kind"] = by_kind
+
+    live = sizes[1:]
+    if max(live) - min(live) > 2:
+        raise AlgorithmInvariantError("fixpoint breaks the two-unit window claim")
+    for members in cliques:
+        seen = [col[v] for v in members]
+        if len(set(seen)) != len(seen):
+            raise AlgorithmInvariantError("fixpoint coloring not proper")
+    coloring = Coloring(dict(col), t)
+    if max(live) - min(live) > 1:
+        raise NotEquitableAtFixpointError(coloring, live)
+    return coloring
 
 
 def resolve_kind_by_replay(tsub, tmap, v, cand):

@@ -17,10 +17,11 @@ from referencing.jsonschema import DRAFT7
 
 from blockeq import cli, formats, gls, invariants, oracle
 from blockeq.characterization import generate_with_alphamin
-from blockeq.errors import NotEquitableAtFixpointError
 from blockeq.families import path_graph, triangle_with_pendant_edge
 from blockeq.gls import BinPackingInstance, Coloring
 from blockeq.graph import decompose, from_edge_list, generate_block_graphs
+
+import brutes
 
 ROOT = Path(__file__).parent.parent
 SCHEMAS = ROOT / "schemas"
@@ -296,7 +297,7 @@ class TestCli:
     def test_fixpoint_failure_exits_three(self, instance_file, monkeypatch, capsys):
         # a broken postcondition of the library is a bug, not bad input
         def stuck(g, stats=None):
-            raise NotEquitableAtFixpointError(Coloring({}, 3), [1, 4, 1])
+            raise brutes.NotEquitableAtFixpointError(Coloring({}, 3), [1, 4, 1])
 
         monkeypatch.setattr(gls, "color_nplus2", stuck)
         assert cli.main(["gls", "color-n2", str(instance_file)]) == 3

@@ -17,8 +17,6 @@ from blockeq.gls import (
     Coloring,
     _deal,
     _equitable_class_sizes,
-    _greedy_start,
-    _recolor_to_equitable,
     build_gls,
     color_nplus2,
     color_uniform,
@@ -327,11 +325,12 @@ class TestColorNPlus2:
     def test_showcase_instance_sizes(self):
         g = build_gls(BinPackingInstance((3, 3, 3, 3), 3, 4))
         stats = {}
-        coloring = color_nplus2(g, stats=stats)
-        assert sorted(coloring.class_sizes(), reverse=True) == [12, 12, 11, 11, 11, 11]
-        chk = oracle.check_coloring(g.graph, coloring)
-        assert chk.proper and chk.equitable
-        # committed moves strictly increase the class-size product
+        for coloring in (color_nplus2(g),
+                         brutes.recolor_to_equitable(g, brutes.greedy_start(g), stats)):
+            assert sorted(coloring.class_sizes(), reverse=True) == [12, 12, 11, 11, 11, 11]
+            chk = oracle.check_coloring(g.graph, coloring)
+            assert chk.proper and chk.equitable
+        # the paper's recoloring: committed moves strictly increase the class-size product
         assert all(b > a for a, b in zip(stats["products"], stats["products"][1:]))
 
     def test_small_instances(self):
@@ -346,20 +345,25 @@ class TestColorNPlus2:
             assert chk.proper and chk.equitable
 
     def test_equitable_start_commits_no_moves(self):
+        # the paper's recoloring commits none from a greedy start that is
+        # already equitable; the deal commits none anywhere
         g = build_gls(BinPackingInstance((1, 1, 1, 1), 2, 2))
-        stats = {}
-        coloring = color_nplus2(g, stats=stats)
-        assert stats["moves"] == 0
-        sizes = coloring.class_sizes()
-        assert max(sizes) - min(sizes) <= 1
+        recolored, dealt = {}, {}
+        colorings = (brutes.recolor_to_equitable(g, brutes.greedy_start(g), recolored),
+                     color_nplus2(g, stats=dealt))
+        assert recolored["moves"] == dealt["moves"] == 0
+        for coloring in colorings:
+            sizes = coloring.class_sizes()
+            assert max(sizes) - min(sizes) <= 1
 
     def test_slide_unlocks_pendant_edge_flowers(self):
-        # from the greedy start, the generic move alone stops one unit
-        # short of equitable on these k = 1 instances
+        # in the paper's recoloring from the greedy start, the generic
+        # move alone stops one unit short of equitable on these k = 1
+        # instances
         for sizes, k, B in [((4,), 1, 4), ((7,), 1, 7)]:
             g = build_gls(BinPackingInstance(sizes, k, B))
             stats = {}
-            coloring = color_nplus2(g, stats=stats)
+            coloring = brutes.recolor_to_equitable(g, brutes.greedy_start(g), stats)
             assert stats["moves_by_kind"]["slide"] >= 1, (sizes, k, B)
             assert stats["moves"] == sum(stats["moves_by_kind"].values())
             chk = oracle.check_coloring(g.graph, coloring)
@@ -388,16 +392,18 @@ def _flowers_suite_instances(workdir):
 
 
 class TestReferenceGreedyStart:
-    """The greedy start read off the flowers against the degree-ordered
-    greedy over the auxiliary graph's adjacency that it replaced: the
-    same coloring, and the same (n+2)-coloring recolored from it."""
+    """The paper's recoloring: its greedy start read off the flowers
+    against the degree-ordered greedy over the auxiliary graph's
+    adjacency: the same coloring, and the same (n+2)-coloring recolored
+    from it."""
 
     @staticmethod
     def _assert_matches_the_degree_order(inst):
         built = build_gls(inst, cross_check=False)
         reference = brutes.greedy_start_by_degree(built)
-        assert _greedy_start(built) == reference, inst
-        assert color_nplus2(built) == _recolor_to_equitable(built, reference), inst
+        assert brutes.greedy_start(built) == reference, inst
+        assert (brutes.recolor_to_equitable(built, brutes.greedy_start(built))
+                == brutes.recolor_to_equitable(built, reference)), inst
 
     def test_every_box_instance(self):
         instances = brutes.packing_box()
@@ -410,3 +416,57 @@ class TestReferenceGreedyStart:
         assert len(instances) == 42
         for inst in instances:
             self._assert_matches_the_degree_order(inst)
+
+
+class TestDealAtNPlus2:
+    """`color_nplus2` deals the cliques with hub y_j in color j+1."""
+
+    def test_start_bound_by_arithmetic(self):
+        # with M = kB+n+1 the deal has R = M+B cliques over (k+1)M
+        # vertices; color j+1 starts with demand s_c + c_j - 1, at most
+        # the largest class plus B (y_0's color, c_0 = B+1), and every
+        # instance with sum(A) = kB and 1 <= a_j <= B has k <= n <= kB
+        triples = 0
+        for k in range(1, 7):
+            for B in range(1, 41):
+                for n in range(k, k * B + 1):
+                    M = k * B + n + 1
+                    R = M + B
+                    sizes = _equitable_class_sizes((k + 1) * M, n + 2)
+                    assert max(sizes) + B <= R and min(sizes) >= 1, (k, B, n)
+                    assert sum(sizes) - (n + 1) == k * R, (k, B, n)
+                    triples += 1
+        assert triples == 16620
+
+    @staticmethod
+    def _assert_proper_and_equitable(inst):
+        built = build_gls(inst, cross_check=False)
+        coloring = color_nplus2(built)
+        chk = oracle.check_coloring(built.graph, coloring)
+        assert coloring.t == built.n_items + 2 and chk.proper and chk.equitable, inst
+
+    def test_random_instances(self):
+        rng = random.Random(36)
+        for _ in range(2000):
+            k, B = rng.randint(1, 6), rng.randint(1, 40)
+            items, rest = [], k * B
+            while rest:
+                items.append(rng.randint(1, min(B, rest)))
+                rest -= items[-1]
+            self._assert_proper_and_equitable(BinPackingInstance(tuple(items), k, B))
+
+    def test_flowers_suite_instances(self, tmp_path):
+        instances = _flowers_suite_instances(tmp_path)
+        assert len(instances) == 42
+        for inst in instances:
+            self._assert_proper_and_equitable(inst)
+
+    def test_cli_colors_a_large_skewed_instance(self, tmp_path, capsys):
+        # 9,616 vertices, where the recoloring made 775 moves, each
+        # rescanning every simplicial vertex
+        path = tmp_path / "instance.json"
+        path.write_text(json.dumps({"A": [800, 800, 800], "k": 3, "B": 800}))
+        assert cli.main(["gls", "color-n2", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["t"] == 5 and len(out["coloring"]["colors"]) == 9616
+        assert out["check"] == {"proper": True, "equitable": True}
