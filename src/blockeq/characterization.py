@@ -34,7 +34,7 @@ Guard evaluation graphs are pinned clause by clause: structural guards
 (cut/pendant/level/simplicial counts) are read off the pre-attachment
 graph g.  The two all-independent-set guards (the twin-attach root test
 and the extension anchor test) are stated on the grown graph and
-decided on g, with the proofs in `apply_operation`.
+decided on g, with the proofs in `_plan`'s docstring.
 """
 
 from __future__ import annotations

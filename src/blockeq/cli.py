@@ -51,52 +51,43 @@ _SWEEP_CHUNK = 64
 
 def _sweep_one(args):
     """Worker: run one check on one generated graph, passed as
-    (check, graph, key) with key its canonical form.  Only a violation's
-    record carries the graph's edges; the others are counted and dropped."""
+    (check, graph, key) with key its canonical form.  Returns None for a
+    pass, "skipped" when the check does not apply, and otherwise the
+    violation's record, which alone carries the graph's edges."""
     check, g, key = args
-    record = {"graph": key, "n": g.n, "check": check}
-    status = "ok"
+    if check == "characterization" and not decompose(g).cut_vertices:
+        return "skipped"
+    am = invariants.alpha_min(g).value
     if check == "dc-le-alphamin":
         dc = invariants.dc_exact(g).value
-        am = invariants.alpha_min(g).value
-        if dc > am:
-            status, record["details"] = "violation", f"dc={dc} > alpha_min={am}"
-    elif check in ("conjecture", "eq1"):
-        am = invariants.alpha_min(g).value
+        details = f"dc={dc} > alpha_min={am}" if dc > am else None
+    elif check == "characterization":
+        cert = char.find_decomposition(g)
+        if cert is None:
+            details = "no certificate found"
+        else:
+            details = f"certificate length {cert.r} != alpha_min {am}" if cert.r != am else None
+    else:  # conjecture or eq1: the parser admits no other check
         lower = invariants.counting_lower_bound(g.n, am, decompose(g).max_block_size())
         chi = oracle.exact_chi_eq(g)
         upper = lower + 1 if check == "conjecture" else g.max_degree() + 1
-        if not lower <= chi <= upper:
-            status, record["details"] = "violation", f"chi_eq={chi} outside [{lower}, {upper}]"
-    elif check == "characterization":
-        if not decompose(g).cut_vertices:
-            record["details"] = "skipped: no cut vertex"
-            return ("skipped", record)
-        am = invariants.alpha_min(g).value
-        cert = char.find_decomposition(g)
-        if cert is None:
-            status, record["details"] = "violation", "no certificate found"
-        elif cert.r != am:
-            status, record["details"] = (
-                "violation", f"certificate length {cert.r} != alpha_min {am}"
-            )
-    else:
-        raise ValueError(f"unknown check {check}")
-    if status == "violation":
-        record["edges"] = [[u, v] for u, v in g.edges()]
-    return (status, record)
+        details = None if lower <= chi <= upper else f"chi_eq={chi} outside [{lower}, {upper}]"
+    if details is None:
+        return None
+    return {"graph": key, "n": g.n, "check": check, "details": details,
+            "edges": [[u, v] for u, v in g.edges()]}
 
 
 def _tally(max_n, results):
     """Graph count, skipped count and sorted violations of a result stream."""
     count = skipped = 0
     violations = []
-    for status, record in results:
+    for result in results:
         count += 1
-        if status == "skipped":
+        if result == "skipped":
             skipped += 1
-        elif status == "violation":
-            violations.append(record)
+        elif result is not None:
+            violations.append(result)
     violations.sort(key=lambda r: r["graph"])
     return {"max_n": max_n, "graph_count": count, "skipped": skipped}, violations
 
@@ -234,31 +225,27 @@ def _cmd_gls_build(args):
     return 0
 
 
+def _emit_checked_coloring(graph, coloring, **payload):
+    """Emit payload with the coloring and `oracle.check_coloring`'s verdict
+    on graph; exit 0 when the coloring is proper and equitable, 1 otherwise."""
+    chk = oracle.check_coloring(graph, coloring)
+    _emit({**payload, "coloring": coloring.to_json_dict(),
+           "check": {"proper": chk.proper, "equitable": chk.equitable}})
+    return 0 if chk.proper and chk.equitable else 1
+
+
 def _cmd_gls_color_uniform(args):
     matrix, coloring = gls.color_uniform(args.a, args.n, args.k, args.B, args.t)
     # the graph color_uniform just colored, from the same cache
     g = gls.uniform_gls(args.a, args.n, args.k, args.B)
-    chk = oracle.check_coloring(g.graph, coloring)
-    _emit({
-        "matrix": matrix.to_json_dict(),
-        "coloring": coloring.to_json_dict(),
-        "check": {"proper": chk.proper, "equitable": chk.equitable},
-    })
-    return 0 if chk.proper and chk.equitable else 1
+    return _emit_checked_coloring(g.graph, coloring, matrix=matrix.to_json_dict())
 
 
 def _cmd_gls_color_n2(args):
     inst = formats.instance_from_json(args.instance)
     built = gls.build_gls(inst)
     coloring = gls.color_nplus2(built)
-    chk = oracle.check_coloring(built.graph, coloring)
-    _emit({
-        "instance": inst.to_json_dict(),
-        "t": coloring.t,
-        "coloring": coloring.to_json_dict(),
-        "check": {"proper": chk.proper, "equitable": chk.equitable},
-    })
-    return 0 if chk.proper and chk.equitable else 1
+    return _emit_checked_coloring(built.graph, coloring, instance=inst.to_json_dict(), t=coloring.t)
 
 
 def _cmd_exact_chi_eq(args):
@@ -355,11 +342,8 @@ def build_parser():
     c.add_argument("instance")
     c.set_defaults(fn=_cmd_gls_build)
     c = gsub.add_parser("color-uniform", help="equitable t-coloring, uniform items")
-    c.add_argument("--a", type=int, required=True)
-    c.add_argument("--n", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.add_argument("--B", type=int, required=True)
-    c.add_argument("--t", type=int, required=True)
+    for flag in ("--a", "--n", "--k", "--B", "--t"):
+        c.add_argument(flag, type=int, required=True)
     c.set_defaults(fn=_cmd_gls_color_uniform)
     c = gsub.add_parser("color-n2", help="equitable (n+2)-coloring, any instance")
     c.add_argument("instance")

@@ -1,4 +1,6 @@
-"""Small named graph constructors used by tests, demos, and the CLI.
+"""Small named graph constructors.  Tests use them; in the program
+only `characterization.generate_with_alphamin` calls one, building its
+base with `star_of_cliques`.
 
 Each graph is built from its block list, which the construction knows,
 so it is not validated or decomposed again; a lone vertex is a

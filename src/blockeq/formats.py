@@ -61,8 +61,8 @@ def _dot_quoted(text) -> str:
     return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def graph_to_dot(g: BlockGraph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
+def graph_to_dot(g: BlockGraph) -> str:
+    lines = ["graph g {"]
     for v in range(g.n):
         label = f" [label={_dot_quoted(g.labels[v])}]" if g.labels is not None else ""
         lines.append(f"  {v}{label};")

@@ -316,6 +316,27 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("internal error: row sums [68, 0, 0, 0, 0] != ")
 
+    def test_rejected_coloring_exits_one_with_its_check(self, instance_file, monkeypatch, capsys):
+        # each coloring command still prints a coloring the oracle rejects
+        def one_color(coloring):
+            return Coloring(dict.fromkeys(coloring.color, 1), coloring.t)
+
+        color_uniform, color_nplus2 = gls.color_uniform, gls.color_nplus2
+
+        def uniform(*args):
+            matrix, coloring = color_uniform(*args)
+            return matrix, one_color(coloring)
+
+        monkeypatch.setattr(gls, "color_uniform", uniform)
+        monkeypatch.setattr(gls, "color_nplus2", lambda g: one_color(color_nplus2(g)))
+        for argv in (["gls", "color-uniform", "--a", "3", "--n", "4", "--k", "3", "--B", "4",
+                      "--t", "5"],
+                     ["gls", "color-n2", str(instance_file)]):
+            assert cli.main(argv) == 1
+            out = json.loads(capsys.readouterr().out)
+            assert out["check"] == {"proper": False, "equitable": False}
+            assert set(out["coloring"]["colors"].values()) == {1}
+
     @pytest.mark.parametrize("argv", [["validate"], ["char", "decompose"]])
     def test_out_of_memory_exits_two_naming_the_command(
             self, graph_file, monkeypatch, capsys, argv):

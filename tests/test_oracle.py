@@ -324,6 +324,7 @@ class TestGenerator:
         for g, _ in generate_block_graphs(10):
             validated = BlockGraph(g.n, g.edges())
             assert validated == g
+            assert hash(validated) == hash(g)
             assert decompose(validated) == decompose(g)
 
     def test_smallest_limits(self):
@@ -352,11 +353,27 @@ class TestCanonicalForm:
             assert oracle.canonical_form(g) == oracle.canonical_form(relabeled)
 
     def test_distinct_strings_mean_non_isomorphic(self, graphs_up_to_7):
-        # spot-verify canonical separation with the explicit search
-        small = [g for g in graphs_up_to_7 if g.n == 5]
-        for i, g1 in enumerate(small):
-            for g2 in small[i + 1:]:
-                assert not oracle.isomorphic_brute(g1, g2)
+        # spot-verify canonical separation with the explicit search, and
+        # that it finds a relabeled copy
+        import random
+
+        rng = random.Random(7)
+        searched = 0
+        for n in range(1, 8):
+            same_n = [g for g in graphs_up_to_7 if g.n == n]
+            for i, g1 in enumerate(same_n):
+                degrees = sorted(g1.degree(v) for v in range(n))
+                for g2 in same_n[i + 1:]:
+                    searched += (g1.edge_count() == g2.edge_count()
+                                 and degrees == sorted(g2.degree(v) for v in range(n)))
+                    assert not oracle.isomorphic_brute(g1, g2)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relabeled = from_edge_list(n, [(perm[u], perm[v]) for u, v in g1.edges()])
+                assert oracle.isomorphic_brute(g1, relabeled)
+        # pairs with equal edge counts and degree sequences, which only
+        # the permutation search tells apart: 2 at n = 6, 21 at n = 7
+        assert searched == 23
 
     def test_disconnected_graphs(self):
         g1 = from_edge_list(4, [(0, 1), (2, 3)])
