@@ -7,6 +7,15 @@ deletion, backtracking with sound pruning for equitable colorability,
 branch and bound for packing, permutation search for isomorphism, and
 two counts of connected block graphs up to isomorphism: one by
 filtering every small graph, one closed-form over block-cut trees.
+
+Besides the adjacency, it reads the block lists of `graph.decompose`
+in three places.  `check_coloring` tests each block for a repeated
+color, and `canonical_form` encodes the block-cut forest; both are
+exact for every block graph, since a graph read from a file has its
+blocks found by Hopcroft-Tarjan and checked to be cliques, and a graph
+built from its blocks has no edge outside them.  `_clique_bound` takes
+a block only as a hint, counted once its members are found pairwise
+adjacent, so a wrong list could only weaken that bound.
 """
 
 from __future__ import annotations
@@ -37,7 +46,14 @@ class CheckResult:
 
 
 def check_coloring(g: BlockGraph, coloring: Coloring) -> CheckResult:
-    """Properness and equitability of a coloring of exactly g's vertices."""
+    """Properness and equitability of a coloring of exactly g's vertices.
+
+    g must be a block graph: its blocks partition its edges (Hopcroft
+    and Tarjan) and each is a clique, so the coloring is proper exactly
+    when no block of decompose(g) repeats a color, and no adjacency is
+    read or built.  A graph made with `_validated=True` that is no block
+    graph (the filter's candidates, K_{3,3}) is outside this test.
+    """
     col = coloring.color
     t = coloring.t
     for v in range(g.n):
@@ -48,8 +64,7 @@ def check_coloring(g: BlockGraph, coloring: Coloring) -> CheckResult:
     if len(col) != g.n:
         extra = min(set(col) - set(range(g.n)))
         raise UnknownVertexError(f"colored vertex {extra} outside 0..{g.n - 1}")
-    adj = g._adj
-    proper = all(col[u] != col[w] for u in range(g.n) for w in adj[u])
+    proper = all(len({col[u] for u in b}) == len(b) for b in decompose(g).blocks)
     sizes = [0] * t
     for v in range(g.n):
         sizes[col[v] - 1] += 1

@@ -121,6 +121,12 @@ def all_maximum_independent_sets(g):
     return best, sets
 
 
+def proper_by_edge_scan(g, coloring):
+    """Whether no edge of g has both ends in one color, edge by edge."""
+    col = coloring.color
+    return all(col[u] != col[w] for u, w in g.edges())
+
+
 def equitable_colorable_by_backtracking(g, t):
     """Whether g has an equitable t-coloring, by plain backtracking over
     vertex ids with only two prunes: colors stay proper, and no class

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -48,6 +48,33 @@ BACKTRACKING_GRAPHS = [
      [8, 15], [6, 16, 17, 18], [5, 19, 20, 21], [0, 22, 23, 24], [14, 25], [12, 26]],
     [[0, 1, 2], [1, 3], [3, 4, 5], [1, 6, 7], [7, 8, 9], [8, 10, 11, 12], [6, 13],
      [7, 14, 15, 16], [1, 17, 18, 19], [0, 20, 21], [21, 22, 23, 24], [19, 25, 26], [14, 27]],
+]
+
+# Graphs no sequence of the five operations builds (ROADMAP Known defect
+# 1), as edge lists.  The n = 12 graph is three triangles at vertex 0
+# with five pendant edges: alpha_min = 5, realized only at vertex 1, and
+# the rooted forward closure misses it too.  Then the four n = 13 misses
+# of `verify characterization --max-n 13`, all of the same shape, and
+# two misses of random campaigns, given as block lists.
+UNREACHABLE_GRAPHS = [
+    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 11), (3, 4), (3, 10),
+     (4, 9), (5, 6), (5, 8), (6, 7)],
+    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 12), (3, 4), (3, 11),
+     (4, 10), (5, 6), (5, 9), (6, 7), (6, 8), (7, 8)],
+    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 12), (2, 11), (3, 4),
+     (3, 10), (4, 9), (5, 6), (5, 8), (6, 7)],
+    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2), (1, 11), (1, 12), (3, 4),
+     (3, 10), (4, 9), (5, 6), (5, 8), (6, 7), (11, 12)],
+    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 12),
+     (2, 3), (4, 5), (4, 11), (5, 10), (6, 7), (6, 9), (7, 8)],
+] + [
+    [e for b in blocks for e in combinations(b, 2)]
+    for blocks in [
+        [[0, 1, 2, 3], [0, 4, 5], [1, 14], [2, 9], [3, 6, 7, 8], [3, 10, 11], [7, 15, 16],
+         [10, 12], [11, 13]],
+        [[0, 1, 2, 3], [0, 4, 5], [0, 10, 11], [1, 8, 9], [4, 12], [5, 6, 7],
+         [10, 13, 14, 15], [11, 16, 17]],
+    ]
 ]
 
 
@@ -353,14 +380,14 @@ class TestFindDecomposition:
         assert _reverse_search(g, 0, inv.alpha_min(g).value) is not None
         assert verify_certificate(find_decomposition(g)).ok
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP Known defect 1: no growth sequence found")
-    def test_three_triangles_with_five_pendant_edges(self):
-        # alpha_min = 5, realized only at vertex 1; the rooted forward
-        # closure misses this graph too, so the operations cannot build it
-        g = from_edge_list(12, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (1, 2),
-                                (1, 11), (3, 4), (3, 10), (4, 9), (5, 6), (5, 8), (6, 7)])
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP Known defect 1: no growth sequence found")
+    @pytest.mark.parametrize("edges", UNREACHABLE_GRAPHS,
+                             ids=lambda e: f"n{1 + max(map(max, e))}-m{len(e)}")
+    def test_three_triangles_with_five_pendant_edges(self, edges):
+        g = from_edge_list(1 + max(map(max, edges)), edges)
         cert = find_decomposition(g)
-        assert cert is not None and cert.r == 5
+        assert cert is not None and cert.r == inv.alpha_min(g).value
 
 
 def _witnesses(graphs):

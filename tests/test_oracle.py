@@ -28,7 +28,8 @@ FIXTURES = Path(__file__).parent / "data"
 
 
 def k33():
-    # not a block graph; checker and exact search accept general graphs
+    # not a block graph; the exact search accepts general graphs, but
+    # check_coloring reads only the blocks, so it must not be given one
     return BlockGraph(6, [(i, j + 3) for i in range(3) for j in range(3)], _validated=True)
 
 
@@ -68,8 +69,32 @@ class TestCheckColoring:
             hub, v = built.universal_vertices[j], built.cliques[j][0][i % k]
             moved = Coloring({**coloring.color, v: coloring.color[hub]}, coloring.t)
             for col, proper in [(coloring, True), (moved, False)]:
-                by_edges = all(col.color[u] != col.color[w] for u, w in g.edges())
+                by_edges = brutes.proper_by_edge_scan(g, col)
                 assert oracle.check_coloring(g, col).proper == by_edges == proper, (sizes, k, B)
+
+    def test_block_test_matches_an_edge_scan_on_small_graphs(self, graphs_up_to_8):
+        # graphs rebuilt from their edges, so their blocks come from
+        # Hopcroft-Tarjan; an exact witness at each t from the clique
+        # bound up, and that witness with one vertex moved onto the
+        # color of its smallest neighbor
+        for g in graphs_up_to_8:
+            for t in range(oracle._clique_bound(g), g.n + 1):
+                ok, w = oracle.exact_equitable_colorable(g, t)
+                if not ok:
+                    continue
+                colorings = [w] + [
+                    Coloring({**w.color, v: w.color[min(g.neighbors(v))]}, t)
+                    for v in range(g.n) if g.degree(v)
+                ]
+                for col in colorings:
+                    assert oracle.check_coloring(g, col).proper == \
+                        brutes.proper_by_edge_scan(g, col), (g.edges(), col.color)
+
+    def test_flower_coloring_is_checked_without_an_adjacency(self):
+        built = build_gls(BinPackingInstance((3, 2, 4, 1, 2), 3, 4))
+        chk = oracle.check_coloring(built.graph, color_nplus2(built))
+        assert chk.proper and chk.equitable
+        assert built.graph._adjacency is None
 
 
 class TestExactEquitable:
