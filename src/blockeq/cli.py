@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import characterization as char
 from . import errors, formats, gls, invariants, oracle
+from .coloring import equitable_witness
 from .errors import BlockeqError, NotABlockGraphError, SelfLoopError
 from .graph import clique_levels, decompose, generate_block_graphs
 
@@ -68,14 +69,27 @@ def _sweep_one(args):
         else:
             details = f"certificate length {cert.r} != alpha_min {am}" if cert.r != am else None
     else:  # conjecture or eq1: the parser admits no other check
-        lower = invariants.counting_lower_bound(g.n, am, decompose(g).max_block_size())
-        chi = oracle.exact_chi_eq(g)
+        omega = decompose(g).max_block_size()
+        lower = invariants.counting_lower_bound(g.n, am, omega)
+        # the largest block is a clique, so a checked equitable omega-coloring
+        # proves chi_eq = omega, the value the oracle would return
+        chi = omega if lower == omega and _witnessed(g, omega) else oracle.exact_chi_eq(g)
         upper = lower + 1 if check == "conjecture" else g.max_degree() + 1
         details = None if lower <= chi <= upper else f"chi_eq={chi} outside [{lower}, {upper}]"
     if details is None:
         return None
     return {"graph": key, "n": g.n, "check": check, "details": details,
             "edges": [[u, v] for u, v in g.edges()]}
+
+
+def _witnessed(g, t):
+    """Whether `equitable_witness` finds a t-coloring of g that
+    `oracle.check_coloring` finds proper and equitable."""
+    coloring = equitable_witness(g, t)
+    if coloring is None or coloring.t != t:
+        return False
+    chk = oracle.check_coloring(g, coloring)
+    return chk.proper and chk.equitable
 
 
 def _tally(max_n, results):

@@ -10,7 +10,7 @@ from dataclasses import replace
 from itertools import combinations, permutations
 from pathlib import Path
 
-from blockeq import invariants
+from blockeq import invariants, oracle
 from blockeq.characterization import (
     _RETRIES,
     CharCertificate,
@@ -1045,3 +1045,19 @@ def transport_fill_dense(sizes, caps, colsize, uc):
         need_row[i] -= push  # i is the source row the walk ended at
         need_col[end] -= push
     return C
+
+
+def sweep_one_by_oracle(args):
+    """The `conjecture` and `eq1` sweep step with the oracle alone, as
+    `cli._sweep_one` ran it before it tried a checked witness first: the
+    reference the witness-first sweep must agree with on every graph."""
+    check, g, key = args
+    am = invariants.alpha_min(g).value
+    lower = invariants.counting_lower_bound(g.n, am, decompose(g).max_block_size())
+    chi = oracle.exact_chi_eq(g)
+    upper = lower + 1 if check == "conjecture" else g.max_degree() + 1
+    if lower <= chi <= upper:
+        return None
+    return {"graph": key, "n": g.n, "check": check,
+            "details": f"chi_eq={chi} outside [{lower}, {upper}]",
+            "edges": [[u, v] for u, v in g.edges()]}

@@ -254,8 +254,16 @@ class TestCli:
         assert report["violations"] == []
         assert report["scope"]["graph_count"] == 39
 
+    def test_verify_eq1_report(self):
+        proc = run_cli("verify", "eq1", "--max-n", "8")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        validator("sweep_report").validate(report)
+        assert report["violations"] == []
+        assert report["scope"]["graph_count"] == 263
+
     def test_verify_sweep_parallel_matches(self):
-        for check in ("conjecture", "dc-le-alphamin", "characterization"):
+        for check in ("conjecture", "dc-le-alphamin", "characterization", "eq1"):
             a = run_cli("verify", check, "--max-n", "7", "--jobs", "1")
             b = run_cli("verify", check, "--max-n", "7", "--jobs", "2")
             assert a.returncode == b.returncode == 0, check
@@ -274,6 +282,8 @@ class TestCli:
                 g.n, am, decompose(g).max_block_size()) + 2
 
         monkeypatch.setattr(oracle, "exact_chi_eq", above_window)
+        # a witnessed graph would never reach the oracle
+        monkeypatch.setattr(cli, "equitable_witness", lambda g, t: None)
         assert cli.main(["verify", "conjecture", "--max-n", "5"]) == 1
         report = json.loads(capsys.readouterr().out)
         validator("sweep_report").validate(report)

@@ -116,7 +116,7 @@ def test_oracle_imports_nothing_from_the_fast_side():
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update((getattr(node, "module", None) or "").split("."))
             names.update(part for alias in node.names for part in alias.name.split("."))
-    assert not names & {"invariants", "characterization", "cli"}
+    assert not names & {"invariants", "characterization", "cli", "coloring"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -199,7 +199,7 @@ def test_adjacency_bound_once_outside_loops(path):
 # The fast side reads N[v] off the block index, never through the
 # adjacency accessors of `BlockGraph`, so a graph built from its blocks
 # builds no adjacency there; component walks belong to the oracle.
-BLOCK_INDEX_READERS = ["characterization.py", "invariants.py", "gls.py", "cli.py"]
+BLOCK_INDEX_READERS = ["characterization.py", "invariants.py", "gls.py", "cli.py", "coloring.py"]
 
 
 def _is_a_decomposition(node):
